@@ -80,9 +80,12 @@ bench-predict:
 
 # Simulator hot-loop micro-benchmarks (see DESIGN.md §10): cache/TLB
 # probes, hierarchy walks, single-core Step and the per-section collect
-# loop. All of them must report 0 allocs/op in steady state.
+# loop. All of them must report 0 allocs/op in steady state. Plus the
+# stream wire decoder (DESIGN.md §9, "Wire codec"): the row decoder vs
+# the encoding/json path on a served-schema line, ns and allocs per line.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/sim/... ./internal/counters/
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode' -benchtime 2s ./internal/stream/
 
 # Machine-readable benchmark snapshot: the speedup, serving-latency,
 # stream-ingestion and simulator micro-benchmarks in `go test -json`
@@ -96,6 +99,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeConcurrent' -benchtime 50x -cpu 1,4,8 -json ./internal/serve/ >> $(BENCH_JSON); \
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictCompiled' -benchtime 2s -json ./internal/mtree/ >> $(BENCH_JSON); \
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamIngest' -benchtime 20x -json ./internal/stream/ >> $(BENCH_JSON); \
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode' -benchtime 2s -json ./internal/stream/ >> $(BENCH_JSON); \
 	$(GO) test -run '^$$' -bench . -benchtime 2s -json ./internal/sim/... ./internal/counters/ >> $(BENCH_JSON); \
 	echo "wrote $(BENCH_JSON)"
 
@@ -114,9 +118,10 @@ bench-compare:
 	$(MAKE) --no-print-directory bench-json BENCH_JSON=$$tmp; \
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$tmp -threshold $(BENCH_THRESHOLD)
 
-# Brief runs of every fuzz target (NDJSON sample decoder, CSV dataset
-# parser, persisted-tree loader, machine-spec loader, binary model
-# loader, refutation-state loader) — long enough to
+# Brief runs of every fuzz target (NDJSON sample decoder — differential
+# against encoding/json — and its line splitter, CSV dataset parser,
+# persisted-tree loader, machine-spec loader, binary model loader,
+# refutation-state loader) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
 # target has a checked-in seed corpus under its package's testdata/fuzz/.
 # The binary-model target caps per-input minimization: its seeds are

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/modelio"
+	"repro/internal/stream"
 )
 
 // Registry is the named, versioned model store behind the service. Every
@@ -30,6 +31,11 @@ type Entry struct {
 	// Format is the source file's on-disk format (modelio.FormatJSON or
 	// modelio.FormatBinary), empty for models registered in-process.
 	Format string
+
+	// schema resolves /v1/stream samples onto the model's layout; nil,
+	// with schemaErr set, when the model cannot be streamed.
+	schema    *stream.Schema
+	schemaErr error
 }
 
 // Ref is the entry's canonical reference, "name@version".
@@ -79,7 +85,9 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	if _, dup := vs[version]; dup {
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
-	vs[version] = &Entry{Name: name, Version: version, Path: path, Model: m}
+	e := &Entry{Name: name, Version: version, Path: path, Model: m}
+	e.schema, e.schemaErr = stream.NewSchema(m.Describe())
+	vs[version] = e
 	r.latest[name] = version
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -178,6 +179,9 @@ type streamSummary struct {
 	Stats    stream.Stats `json:"stats"`
 }
 
+// eventBufs recycles the per-response event buffers of /v1/stream.
+var eventBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleStream ingests a POSTed NDJSON sample batch into a monitor
 // session and streams back the resulting events, one JSON object per
 // line, ending with a "summary" line. The model is addressed with the
@@ -187,21 +191,30 @@ type streamSummary struct {
 // The whole batch is decoded and schema-checked before any sample
 // reaches the monitors, so a 400 response guarantees no state changed —
 // a malformed producer cannot half-poison the phase or drift trackers.
-// Schema checking is read-only and runs without the session lock; the
-// lock covers only ingestion and scoring. Events are buffered and
-// written after the lock is released, so a client that reads its
-// response slowly holds up nobody but itself.
+// Samples decode straight onto the model's row layout (the entry's
+// schema is immutable, so decoding needs no lock); the lock covers only
+// ingestion and scoring. Events are encoded and written after the lock
+// is released, so a client that reads its response slowly holds up
+// nobody but itself.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	e := s.lookup(w, r.URL.Query().Get("model"))
 	if e == nil {
 		return
 	}
+	if e.schema == nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "%v", e.schemaErr)
+		return
+	}
 	sessionID := r.URL.Query().Get("session")
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := stream.NewDecoder(r.Body)
-	var samples []stream.Sample
+	var recs []stream.Record
+	// A schema violation is held back until the whole body has decoded:
+	// a malformed line, an oversized body or an oversized batch anywhere
+	// in the body takes precedence over it.
+	var schemaErr error
 	for {
-		smp, err := dec.Next()
+		rec, err := dec.NextRecord(e.schema)
 		if err == io.EOF {
 			break
 		}
@@ -215,14 +228,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		samples = append(samples, smp)
-		if len(samples) > s.cfg.MaxBatch {
+		if rec.Err != nil && schemaErr == nil {
+			schemaErr = fmt.Errorf("sample %d: %v", len(recs), rec.Err)
+		}
+		recs = append(recs, rec)
+		if len(recs) > s.cfg.MaxBatch {
 			writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
 				"batch exceeds %d samples", s.cfg.MaxBatch)
 			return
 		}
 	}
-	if len(samples) == 0 {
+	if len(recs) == 0 {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "no samples in request body")
 		return
 	}
@@ -234,58 +250,44 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
 		return
 	}
-	// Check touches only the immutable schema, so it needs no lock even
-	// while another request is ingesting into the same session.
-	for i := range samples {
-		if err := sess.p.Check(samples[i]); err != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "sample %d: %v", i, err)
-			return
-		}
+	if schemaErr != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", schemaErr)
+		return
 	}
 
 	// Ingest and score under the session lock, buffering the events;
 	// the response is written only after the lock is released.
 	sess.mu.Lock()
-	var events []stream.Event
-	var ingestErr error
-	for i := range samples {
-		// The whole batch passed Check above; IngestChecked skips the
-		// per-sample re-validation. Only ring errors can fail here.
-		evs, err := sess.p.IngestChecked(samples[i])
-		if err != nil {
-			ingestErr = err
-			break
-		}
-		events = append(events, evs...)
-	}
-	if ingestErr == nil {
-		// Score the final partial window too: a batch endpoint should
-		// answer for every sample it accepted, not leave a remainder
-		// buffered.
-		evs, err := sess.p.Flush()
-		if err != nil {
-			ingestErr = err
-		} else {
-			events = append(events, evs...)
-		}
-	}
+	// Every record passed the schema check above, so only ring errors
+	// can fail here; the batch's final partial window is scored too, so
+	// the response answers for every sample it accepted.
+	events, ingestErr := sess.p.IngestBatch(recs)
 	stats := sess.p.Stats()
 	sess.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	bufp := eventBufs.Get().(*[]byte)
+	defer eventBufs.Put(bufp)
+	buf := (*bufp)[:0]
+	var encErr error
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return // client gone; stop writing, state is consistent
+		if buf, encErr = stream.AppendEvent(buf, &events[i]); encErr != nil {
+			break
 		}
+	}
+	*bufp = buf
+	if _, err := w.Write(buf); err != nil || encErr != nil {
+		// The client is gone, or an event holds a value JSON cannot
+		// represent: stop after the events before it, state is consistent.
+		return
 	}
 	// Push completed events to the client now: this route is outside
 	// http.TimeoutHandler precisely so incremental delivery works.
-	if len(events) > 0 && flusher != nil {
+	if flusher, ok := w.(http.Flusher); ok && len(events) > 0 {
 		flusher.Flush()
 	}
+	enc := json.NewEncoder(w)
 	if ingestErr != nil {
 		// The monitors kept whatever prefix they ingested; report on the
 		// stream since the 200 header is already out.
@@ -297,7 +299,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Model:    e.Ref(),
 		Machine:  e.Model.Describe().Machine,
 		Session:  sessionID,
-		Ingested: len(samples),
+		Ingested: len(recs),
 		Stats:    stats,
 	})
 }

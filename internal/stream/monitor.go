@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -70,18 +69,21 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 	if textOut == nil {
 		textOut = io.Discard
 	}
-	var enc *json.Encoder
-	if eventsOut != nil {
-		enc = json.NewEncoder(eventsOut)
-	}
 	dec := NewDecoder(r)
 	lastRendered := 0
+	var line []byte
 
 	emit := func(events []Event) error {
 		for i := range events {
 			ev := &events[i]
-			if enc != nil {
-				if err := enc.Encode(ev); err != nil {
+			if eventsOut != nil {
+				// One write per event, so a writer shared with textOut
+				// sees events and status lines interleaved in order.
+				var err error
+				if line, err = AppendEvent(line[:0], ev); err == nil {
+					_, err = eventsOut.Write(line)
+				}
+				if err != nil {
 					return fmt.Errorf("stream: writing event: %w", err)
 				}
 			}
@@ -116,7 +118,7 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 	}
 
 	for {
-		s, err := dec.Next()
+		rec, err := dec.NextRecord(p.sc)
 		if err == io.EOF {
 			break
 		}
@@ -131,7 +133,7 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 			}
 			return p.Stats(), err
 		}
-		events, err := p.Ingest(s)
+		events, err := p.IngestRecord(rec)
 		if err != nil {
 			if cfg.SkipInvalid {
 				fmt.Fprintf(textOut, "skipping line %d: %v\n", dec.Line(), err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/phases"
@@ -141,7 +140,7 @@ type Stats struct {
 // share one processor (the serve layer) serialize access.
 type Processor struct {
 	m       model.Model
-	sc      *schema
+	sc      *Schema
 	cfg     Config
 	ring    *Ring
 	online  *phases.Online
@@ -165,7 +164,7 @@ const ewmaAlpha = 0.1
 
 // NewProcessor builds a processor for one trained model.
 func NewProcessor(m model.Model, cfg Config) (*Processor, error) {
-	sc, err := newSchema(m.Describe())
+	sc, err := NewSchema(m.Describe())
 	if err != nil {
 		return nil, err
 	}
@@ -196,70 +195,124 @@ func (p *Processor) Check(s Sample) error {
 // (possibly none, while the window fills). Invalid samples are counted
 // and returned as an error without touching monitor state.
 func (p *Processor) Ingest(s Sample) ([]Event, error) {
-	if err := p.Check(s); err != nil {
+	rec, err := p.record(&s)
+	if err != nil {
 		p.invalid.Add(1)
 		return nil, err
 	}
-	return p.IngestChecked(s)
+	return p.ingest(rec)
 }
 
-// IngestChecked is Ingest for a sample that already passed Check.
-// Callers that batch-validate up front (the serve layer's all-or-
-// nothing request check) use it to avoid validating every sample
-// twice; feeding it an unchecked sample makes scoring fail instead.
+// IngestChecked is Ingest for a sample that already passed Check, for
+// callers that batch-validate up front: it skips the finiteness checks
+// and counts nothing invalid. A sample with an event outside the schema
+// still fails, before it touches monitor state.
 func (p *Processor) IngestChecked(s Sample) ([]Event, error) {
-	if err := p.ring.Push(s); err != nil {
+	rec, err := p.sc.record(&s)
+	if err != nil {
 		return nil, err
 	}
+	return p.ingest(rec)
+}
+
+// record validates a sample and resolves it onto the schema's layout.
+func (p *Processor) record(s *Sample) (Record, error) {
+	if err := s.Validate(); err != nil {
+		return Record{}, err
+	}
+	return p.sc.record(s)
+}
+
+// IngestRecord is Ingest for a record from Decoder.NextRecord over this
+// processor's schema. A record carrying a schema violation, or built for
+// another schema's width, is counted invalid and returned as an error
+// without touching monitor state.
+func (p *Processor) IngestRecord(rec Record) ([]Event, error) {
+	err := rec.Err
+	if err == nil && len(rec.Row) != len(p.sc.desc.AttrNames) {
+		err = fmt.Errorf("stream: record has %d columns, model %s schema has %d",
+			len(rec.Row), p.sc.desc.Kind, len(p.sc.desc.AttrNames))
+	}
+	if err != nil {
+		p.invalid.Add(1)
+		return nil, err
+	}
+	return p.ingest(rec)
+}
+
+// IngestBatch ingests recs (see IngestRecord) in order, then scores the
+// final partial window as Flush does, so a batch caller gets an answer
+// for every record. On an error it stops and returns the events of the
+// records before it.
+func (p *Processor) IngestBatch(recs []Record) ([]Event, error) {
 	var events []Event
-	for p.ring.Depth() >= p.cfg.Window {
-		evs, err := p.scoreBatch(p.ring.PopN(p.cfg.Window))
+	for i := range recs {
+		evs, err := p.IngestRecord(recs[i])
 		if err != nil {
 			return events, err
 		}
-		events = append(events, evs...)
+		events = appendEvents(events, evs)
 	}
-	return events, nil
+	evs, err := p.Flush()
+	if err != nil {
+		return events, err
+	}
+	return appendEvents(events, evs), nil
+}
+
+// ingest buffers one record and scores every full window.
+func (p *Processor) ingest(rec Record) ([]Event, error) {
+	if err := p.ring.Push(rec); err != nil {
+		return nil, err
+	}
+	return p.scoreWindows(p.cfg.Window)
 }
 
 // Flush scores whatever remains in the ring regardless of window fill.
-func (p *Processor) Flush() ([]Event, error) {
+func (p *Processor) Flush() ([]Event, error) { return p.scoreWindows(1) }
+
+// scoreWindows scores windows while at least min records are buffered.
+func (p *Processor) scoreWindows(min int) ([]Event, error) {
 	var events []Event
-	for p.ring.Depth() > 0 {
+	for p.ring.Depth() >= min {
 		evs, err := p.scoreBatch(p.ring.PopN(p.cfg.Window))
 		if err != nil {
 			return events, err
 		}
-		events = append(events, evs...)
+		events = appendEvents(events, evs)
 	}
 	return events, nil
 }
 
-// scored carries one sample's parallel scoring result into the serial
-// monitor fold.
+// appendEvents appends src to dst, handing src back as is when dst is
+// empty — the common case of one window per call copies nothing.
+func appendEvents(dst, src []Event) []Event {
+	if len(dst) == 0 {
+		return src
+	}
+	return append(dst, src...)
+}
+
+// scoredSample carries one record's parallel scoring result into the
+// serial monitor fold.
 type scoredSample struct {
-	sample Sample
-	row    dataset.Instance
-	pred   float64
-	top    *model.Contribution
+	rec  Record
+	pred float64
+	top  *model.Contribution
 }
 
 // scoreBatch fans the batch out through parallel.Map (ordered, so the
 // fold below sees sample order regardless of worker count), then
 // advances the monitors serially.
-func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
+func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
 	scoredBatch, err := parallel.Map(parallel.Config{Jobs: p.cfg.Jobs}.ForItems(len(batch)), batch,
-		func(_ int, s Sample) (scoredSample, error) {
-			row, err := p.sc.instance(&s)
-			if err != nil {
-				return scoredSample{}, err // unreachable: Check vetted it
-			}
-			out := scoredSample{sample: s, row: row, pred: p.m.Predict(row)}
+		func(_ int, rec Record) (scoredSample, error) {
+			out := scoredSample{rec: rec, pred: p.m.Predict(rec.Row)}
 			if p.cfg.Contributions {
-				if contribs := p.m.Contributions(row); len(contribs) > 0 {
+				if contribs := p.m.Contributions(rec.Row); len(contribs) > 0 {
 					out.top = &contribs[0]
 				}
 			}
@@ -271,6 +324,11 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 	p.windows++
 
 	var events []Event
+	if p.cfg.EmitSamples {
+		// One sample event per section, plus room for the occasional
+		// phase, drift or refute event.
+		events = make([]Event, 0, len(scoredBatch)+len(scoredBatch)/4+1)
+	}
 	for i := range scoredBatch {
 		ss := &scoredBatch[i]
 		sec := int(p.scored)
@@ -278,12 +336,12 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 
 		// Phase tracking first, so a boundary confirmed by this section
 		// is reflected in the section's own phase number.
-		for _, start := range p.online.Feed(p.sc.featureVector(ss.row)) {
+		for _, start := range p.online.Feed(p.sc.featureVector(ss.rec.Row)) {
 			p.bounds++
 			events = append(events, Event{
 				Type:       "phase",
 				Section:    sec,
-				Bench:      ss.sample.Bench,
+				Bench:      ss.rec.Bench,
 				Phase:      p.online.Phase(),
 				PhaseStart: start,
 			})
@@ -298,12 +356,12 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 		// The observed EWMA seeds on the first sample that actually
 		// carries a cpi field, however late it arrives; until then
 		// HaveObserved stays false and renderers must not show it.
-		if ss.sample.CPI != nil {
+		if ss.rec.HasCPI {
 			if !p.haveObs {
 				p.haveObs = true
-				p.ewmaObs = *ss.sample.CPI
+				p.ewmaObs = ss.rec.CPI
 			} else {
-				p.ewmaObs += ewmaAlpha * (*ss.sample.CPI - p.ewmaObs)
+				p.ewmaObs += ewmaAlpha * (ss.rec.CPI - p.ewmaObs)
 			}
 		}
 
@@ -311,7 +369,7 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 			ev := Event{
 				Type:      "sample",
 				Section:   sec,
-				Bench:     ss.sample.Bench,
+				Bench:     ss.rec.Bench,
 				Phase:     p.online.Phase(),
 				Predicted: ss.pred,
 			}
@@ -319,8 +377,8 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 				ev.TopEvent = ss.top.Name
 				ev.TopFraction = ss.top.Fraction
 			}
-			if ss.sample.CPI != nil {
-				obs := *ss.sample.CPI
+			if ss.rec.HasCPI {
+				obs := ss.rec.CPI
 				res := obs - ss.pred
 				ev.Observed = &obs
 				ev.Residual = &res
@@ -328,13 +386,13 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 			events = append(events, ev)
 		}
 
-		if ss.sample.CPI != nil {
-			if alarm, ok := p.ph.Feed(*ss.sample.CPI - ss.pred); ok {
+		if ss.rec.HasCPI {
+			if alarm, ok := p.ph.Feed(ss.rec.CPI - ss.pred); ok {
 				p.alarms++
 				events = append(events, Event{
 					Type:         "drift",
 					Section:      sec,
-					Bench:        ss.sample.Bench,
+					Bench:        ss.rec.Bench,
 					Phase:        p.online.Phase(),
 					Direction:    alarm.Direction,
 					Stat:         alarm.Stat,
@@ -347,10 +405,10 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 		// Consistency checking last: the relations judge the sample's
 		// counters as reported, independent of what the model predicted.
 		var obs float64
-		if ss.sample.CPI != nil {
-			obs = *ss.sample.CPI
+		if ss.rec.HasCPI {
+			obs = ss.rec.CPI
 		}
-		p.refuter.Observe(ss.row, obs, ss.sample.CPI != nil)
+		p.refuter.Observe(ss.rec.Row, obs, ss.rec.HasCPI)
 	}
 
 	// Every scoring batch closes one consistency window, so refutation
@@ -363,7 +421,7 @@ func (p *Processor) scoreBatch(batch []Sample) ([]Event, error) {
 		events = append(events, Event{
 			Type:      "refute",
 			Section:   lastSec,
-			Bench:     last.sample.Bench,
+			Bench:     last.rec.Bench,
 			Phase:     p.online.Phase(),
 			Relation:  tr.Relation,
 			Verdict:   tr.Verdict,

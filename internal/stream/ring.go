@@ -60,7 +60,7 @@ var ErrFull = errors.New("stream: ring full")
 // ErrClosed is returned by Push after Close.
 var ErrClosed = errors.New("stream: ring closed")
 
-// Ring is a bounded FIFO of samples with an explicit overflow policy.
+// Ring is a bounded FIFO of sample records with an explicit overflow policy.
 // It is safe for concurrent producers and consumers; the synchronous
 // drivers in this package use it single-threaded, where it still
 // provides the depth bound and drop accounting.
@@ -69,7 +69,7 @@ type Ring struct {
 	notFull  sync.Cond
 	notEmpty sync.Cond
 	policy   Policy
-	buf      []Sample
+	buf      []Record
 	head     int // index of the oldest element
 	n        int // elements buffered
 	dropped  uint64
@@ -81,7 +81,7 @@ func NewRing(capacity int, policy Policy) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &Ring{policy: policy, buf: make([]Sample, capacity)}
+	r := &Ring{policy: policy, buf: make([]Record, capacity)}
 	r.notFull.L = &r.mu
 	r.notEmpty.L = &r.mu
 	return r
@@ -107,7 +107,7 @@ func (r *Ring) Dropped() uint64 {
 // Push appends a sample, applying the overflow policy when full. It
 // returns ErrFull under Reject, ErrClosed after Close, and nil
 // otherwise.
-func (r *Ring) Push(s Sample) error {
+func (r *Ring) Push(s Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.n == len(r.buf) {
@@ -135,7 +135,7 @@ func (r *Ring) Push(s Sample) error {
 }
 
 // TryPop removes and returns the oldest sample without blocking.
-func (r *Ring) TryPop() (Sample, bool) {
+func (r *Ring) TryPop() (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.popLocked()
@@ -143,7 +143,7 @@ func (r *Ring) TryPop() (Sample, bool) {
 
 // Pop removes and returns the oldest sample, waiting for one if the
 // ring is empty; ok is false once the ring is closed and drained.
-func (r *Ring) Pop() (Sample, bool) {
+func (r *Ring) Pop() (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.n == 0 && !r.closed {
@@ -152,12 +152,12 @@ func (r *Ring) Pop() (Sample, bool) {
 	return r.popLocked()
 }
 
-func (r *Ring) popLocked() (Sample, bool) {
+func (r *Ring) popLocked() (Record, bool) {
 	if r.n == 0 {
-		return Sample{}, false
+		return Record{}, false
 	}
 	s := r.buf[r.head]
-	r.buf[r.head] = Sample{} // release references
+	r.buf[r.head] = Record{} // release references
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	r.notFull.Signal()
@@ -166,7 +166,7 @@ func (r *Ring) popLocked() (Sample, bool) {
 
 // PopN removes and returns up to max samples (oldest first) without
 // blocking.
-func (r *Ring) PopN(max int) []Sample {
+func (r *Ring) PopN(max int) []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if max > r.n {
@@ -175,7 +175,7 @@ func (r *Ring) PopN(max int) []Sample {
 	if max <= 0 {
 		return nil
 	}
-	out := make([]Sample, 0, max)
+	out := make([]Record, 0, max)
 	for len(out) < max {
 		s, _ := r.popLocked()
 		out = append(out, s)

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-func sampleN(i int) Sample {
-	return Sample{Section: i, Events: map[string]float64{"x": float64(i)}}
+func recordN(i int) Record {
+	return Record{Section: i, Row: []float64{float64(i)}}
 }
 
 func TestRingFIFO(t *testing.T) {
 	r := NewRing(4, Block)
 	for i := 0; i < 3; i++ {
-		if err := r.Push(sampleN(i)); err != nil {
+		if err := r.Push(recordN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestRingFIFO(t *testing.T) {
 func TestRingDropOldest(t *testing.T) {
 	r := NewRing(3, DropOldest)
 	for i := 0; i < 5; i++ {
-		if err := r.Push(sampleN(i)); err != nil {
+		if err := r.Push(recordN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,18 +51,18 @@ func TestRingDropOldest(t *testing.T) {
 func TestRingReject(t *testing.T) {
 	r := NewRing(2, Reject)
 	for i := 0; i < 2; i++ {
-		if err := r.Push(sampleN(i)); err != nil {
+		if err := r.Push(recordN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Push(sampleN(2)); !errors.Is(err, ErrFull) {
+	if err := r.Push(recordN(2)); !errors.Is(err, ErrFull) {
 		t.Fatalf("push to full reject ring: %v", err)
 	}
 	if r.Dropped() != 0 {
 		t.Error("reject counted a drop")
 	}
 	r.TryPop()
-	if err := r.Push(sampleN(3)); err != nil {
+	if err := r.Push(recordN(3)); err != nil {
 		t.Errorf("push after drain: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestRingBlockBackpressure(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		if err := r.Push(sampleN(i)); err != nil {
+		if err := r.Push(recordN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,12 +109,12 @@ func TestRingBlockBackpressure(t *testing.T) {
 
 func TestRingCloseUnblocksAndRejects(t *testing.T) {
 	r := NewRing(1, Block)
-	if err := r.Push(sampleN(0)); err != nil {
+	if err := r.Push(recordN(0)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- r.Push(sampleN(1)) // blocks: ring is full
+		done <- r.Push(recordN(1)) // blocks: ring is full
 	}()
 	time.Sleep(5 * time.Millisecond)
 	r.Close()
@@ -128,7 +128,7 @@ func TestRingCloseUnblocksAndRejects(t *testing.T) {
 	if _, ok := r.Pop(); ok {
 		t.Fatal("pop on closed empty ring succeeded")
 	}
-	if err := r.Push(sampleN(2)); !errors.Is(err, ErrClosed) {
+	if err := r.Push(recordN(2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("push on closed ring: %v", err)
 	}
 }

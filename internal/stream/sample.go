@@ -17,7 +17,6 @@ package stream
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -64,14 +63,27 @@ func (s *Sample) Validate() error {
 
 // DecodeSample parses one NDJSON line into a validated Sample.
 func DecodeSample(line []byte) (Sample, error) {
-	var s Sample
-	if err := json.Unmarshal(line, &s); err != nil {
-		return Sample{}, fmt.Errorf("stream: malformed sample: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Sample{}, err
-	}
-	return s, nil
+	var p lineParser
+	return p.sample(line)
+}
+
+// Record is one sample resolved onto a model's attribute layout — the
+// form the processor scores. The row decoder (Decoder.NextRecord)
+// produces records straight from the wire, without a Sample's event map.
+type Record struct {
+	// Bench and Section echo the sample's labels.
+	Bench   string
+	Section int
+	// Row is the full-width instance: each reported event in its schema
+	// column, every other column (the target included) 0.
+	Row dataset.Instance
+	// CPI is the observed target value when HasCPI is set.
+	CPI    float64
+	HasCPI bool
+	// Err is the sample's schema violation — an unknown event, or the
+	// target reported as an event — if it has one. Such a record is
+	// well-formed NDJSON but must not be ingested.
+	Err error
 }
 
 // MaxLineBytes caps one NDJSON line; a model schema has a few dozen
@@ -88,12 +100,15 @@ type Decoder struct {
 	sc   *bufio.Scanner
 	line int
 	err  error // sticky: io.EOF or a terminal read failure
+	p    lineParser
 }
 
-// NewDecoder wraps r in an NDJSON sample decoder.
+// NewDecoder wraps r in an NDJSON sample decoder. The line buffer starts
+// at bufio's 4 KiB (a served-schema sample is a few hundred bytes) and
+// grows on demand up to MaxLineBytes.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
+	sc.Buffer(nil, MaxLineBytes)
 	return &Decoder{sc: sc}
 }
 
@@ -106,27 +121,65 @@ func (d *Decoder) Line() int { return d.line }
 // after a terminal read failure (Failed reports true) skipping cannot
 // make progress and Next keeps returning the same error.
 func (d *Decoder) Next() (Sample, error) {
+	b, err := d.scan()
+	if err != nil {
+		return Sample{}, err
+	}
+	s, err := d.p.sample(b)
+	if err != nil {
+		return Sample{}, fmt.Errorf("line %d: %w", d.line, err)
+	}
+	return s, nil
+}
+
+// NextRecord is Next for the row form: the sample is decoded straight
+// onto sc's layout. Syntax and validation failures are errors, as in
+// Next; a schema violation is not — it is returned in Record.Err, so a
+// batch caller can give every malformed line precedence over any schema
+// error in the body.
+func (d *Decoder) NextRecord(sc *Schema) (Record, error) {
+	b, err := d.scan()
+	if err != nil {
+		return Record{}, err
+	}
+	sink := sampleSink{sc: sc, row: make(dataset.Instance, len(sc.desc.AttrNames))}
+	if err := d.p.parse(b, &sink); err != nil {
+		return Record{}, fmt.Errorf("line %d: %w", d.line, err)
+	}
+	return Record{Bench: sink.bench, Section: sink.section, Row: sink.row,
+		CPI: sink.cpi, HasCPI: sink.hasCPI, Err: sink.schemaErr}, nil
+}
+
+// scan returns the next non-blank line.
+func (d *Decoder) scan() ([]byte, error) {
 	if d.err != nil {
-		return Sample{}, d.err
+		return nil, d.err
 	}
 	for d.sc.Scan() {
 		d.line++
-		b := d.sc.Bytes()
-		if len(trimSpace(b)) == 0 {
-			continue
+		if b := d.sc.Bytes(); len(trimSpace(b)) > 0 {
+			return b, nil
 		}
-		s, err := DecodeSample(b)
-		if err != nil {
-			return Sample{}, fmt.Errorf("line %d: %w", d.line, err)
-		}
-		return s, nil
 	}
 	if err := d.sc.Err(); err != nil {
 		d.err = fmt.Errorf("stream: reading samples: %w", err)
 	} else {
 		d.err = io.EOF
 	}
-	return Sample{}, d.err
+	return nil, d.err
+}
+
+// sample decodes one line into the map form.
+func (p *lineParser) sample(line []byte) (Sample, error) {
+	var sink sampleSink
+	if err := p.parse(line, &sink); err != nil {
+		return Sample{}, err
+	}
+	s := Sample{Bench: sink.bench, Section: sink.section, Events: sink.events}
+	if sink.hasCPI {
+		s.CPI = &sink.cpi
+	}
+	return s, nil
 }
 
 // Failed reports whether the decoder has hit an unrecoverable read
@@ -149,17 +202,20 @@ func trimSpace(b []byte) []byte {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
-// schema precomputes the lookups for mapping samples onto a model's
-// attribute layout.
-type schema struct {
+// Schema precomputes the lookups for mapping samples onto a model's
+// attribute layout. It is immutable, so one schema serves any number of
+// concurrent decoders and processors of the same model.
+type Schema struct {
 	desc      model.Description
 	attrIdx   map[string]int
 	targetIdx int
 	featIdx   []int // non-target columns in schema order
 }
 
-func newSchema(desc model.Description) (*schema, error) {
-	s := &schema{desc: desc, attrIdx: make(map[string]int, len(desc.AttrNames)), targetIdx: -1}
+// NewSchema builds the schema of a model description; the description
+// must name its target column.
+func NewSchema(desc model.Description) (*Schema, error) {
+	s := &Schema{desc: desc, attrIdx: make(map[string]int, len(desc.AttrNames)), targetIdx: -1}
 	for i, n := range desc.AttrNames {
 		s.attrIdx[n] = i
 		if n == desc.Target {
@@ -174,17 +230,25 @@ func newSchema(desc model.Description) (*schema, error) {
 	return s, nil
 }
 
+func (sc *Schema) unknownEvent(name string) error {
+	return fmt.Errorf("stream: unknown event %q (model %s schema)", name, sc.desc.Kind)
+}
+
+func (sc *Schema) targetEvent(name string) error {
+	return fmt.Errorf("stream: event %q is the model target; report it as \"cpi\"", name)
+}
+
 // check validates a sample's event names against the schema without
 // allocating the full-width row — the cheap half of instance, for
 // callers that only need the verdict.
-func (sc *schema) check(s *Sample) error {
+func (sc *Schema) check(s *Sample) error {
 	for name := range s.Events {
 		i, ok := sc.attrIdx[name]
 		if !ok {
-			return fmt.Errorf("stream: unknown event %q (model %s schema)", name, sc.desc.Kind)
+			return sc.unknownEvent(name)
 		}
 		if i == sc.targetIdx {
-			return fmt.Errorf("stream: event %q is the model target; report it as \"cpi\"", name)
+			return sc.targetEvent(name)
 		}
 	}
 	return nil
@@ -194,24 +258,53 @@ func (sc *schema) check(s *Sample) error {
 // The target column is left 0 — the observed CPI is monitor input, never
 // model input. Unknown event names are an error: a silently dropped
 // counter would make every downstream prediction quietly wrong.
-func (sc *schema) instance(s *Sample) (dataset.Instance, error) {
+func (sc *Schema) instance(s *Sample) (dataset.Instance, error) {
 	row := make(dataset.Instance, len(sc.desc.AttrNames))
 	for name, v := range s.Events {
 		i, ok := sc.attrIdx[name]
 		if !ok {
-			return nil, fmt.Errorf("stream: unknown event %q (model %s schema)", name, sc.desc.Kind)
+			return nil, sc.unknownEvent(name)
 		}
 		if i == sc.targetIdx {
-			return nil, fmt.Errorf("stream: event %q is the model target; report it as \"cpi\"", name)
+			return nil, sc.targetEvent(name)
 		}
 		row[i] = v
 	}
 	return row, nil
 }
 
+// record resolves a sample onto the schema's layout (see instance).
+func (sc *Schema) record(s *Sample) (Record, error) {
+	row, err := sc.instance(s)
+	if err != nil {
+		return Record{}, err
+	}
+	rec := Record{Bench: s.Bench, Section: s.Section, Row: row}
+	if s.CPI != nil {
+		rec.CPI, rec.HasCPI = *s.CPI, true
+	}
+	return rec, nil
+}
+
+// sample renders a pending record back into the map form. The record
+// does not remember which events its producer left out, so the map
+// lists every feature column (an absent event is 0 either way).
+func (sc *Schema) sample(rec *Record) Sample {
+	s := Sample{Bench: rec.Bench, Section: rec.Section,
+		Events: make(map[string]float64, len(sc.featIdx))}
+	for _, f := range sc.featIdx {
+		s.Events[sc.desc.AttrNames[f]] = rec.Row[f]
+	}
+	if rec.HasCPI {
+		cpi := rec.CPI
+		s.CPI = &cpi
+	}
+	return s
+}
+
 // featureVector extracts the raw non-target values of a full-width
 // instance, in schema order — the phase tracker's input space.
-func (sc *schema) featureVector(row dataset.Instance) []float64 {
+func (sc *Schema) featureVector(row dataset.Instance) []float64 {
 	v := make([]float64, len(sc.featIdx))
 	for j, f := range sc.featIdx {
 		v[j] = row[f]

@@ -42,22 +42,22 @@ func (p *PageHinkley) RestoreState(st PHState) {
 	p.mDown, p.maxDown = st.MDown, st.MaxDown
 }
 
-// Snapshot returns the buffered samples oldest-first plus the dropped
+// Snapshot returns the buffered records oldest-first plus the dropped
 // counter — the ring's full logical state (capacity and policy are
 // configuration, not state).
-func (r *Ring) Snapshot() ([]Sample, uint64) {
+func (r *Ring) Snapshot() ([]Record, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, r.n)
+	out := make([]Record, 0, r.n)
 	for i := 0; i < r.n; i++ {
 		out = append(out, r.buf[(r.head+i)%len(r.buf)])
 	}
 	return out, r.dropped
 }
 
-// restore refills a fresh ring; fails if the pending samples exceed
+// restore refills a fresh ring; fails if the pending records exceed
 // capacity (the restoring side is configured with a smaller buffer).
-func (r *Ring) restore(pending []Sample, dropped uint64) error {
+func (r *Ring) restore(pending []Record, dropped uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(pending) > len(r.buf) {
@@ -107,7 +107,11 @@ const processorStateVersion = 2
 // serializes Ingest calls (the processor itself is not concurrency-
 // safe, and neither is this).
 func (p *Processor) State() ProcessorState {
-	pending, dropped := p.ring.Snapshot()
+	recs, dropped := p.ring.Snapshot()
+	var pending []Sample
+	for i := range recs {
+		pending = append(pending, p.sc.sample(&recs[i]))
+	}
 	var ref *refute.State
 	if p.refuter.Enabled() {
 		st := p.refuter.State()
@@ -146,12 +150,13 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 	if err != nil {
 		return nil, err
 	}
+	pending := make([]Record, len(st.Pending))
 	for i := range st.Pending {
-		if err := p.Check(st.Pending[i]); err != nil {
+		if pending[i], err = p.record(&st.Pending[i]); err != nil {
 			return nil, fmt.Errorf("stream: pending sample %d does not fit the model schema: %w", i, err)
 		}
 	}
-	if err := p.ring.restore(st.Pending, st.Dropped); err != nil {
+	if err := p.ring.restore(pending, st.Dropped); err != nil {
 		return nil, err
 	}
 	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases)

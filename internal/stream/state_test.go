@@ -174,7 +174,7 @@ func TestRestoreProcessorRejectsBadState(t *testing.T) {
 func TestRingSnapshotRestore(t *testing.T) {
 	r := NewRing(4, DropOldest)
 	for i := 0; i < 7; i++ { // wraps: 3,4,5,6 remain, 3 dropped
-		if err := r.Push(Sample{Section: i}); err != nil {
+		if err := r.Push(Record{Section: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestRingSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored depth %d, want 4", r2.Depth())
 	}
 
-	if err := r2.restore(make([]Sample, 5), 0); err == nil {
+	if err := r2.restore(make([]Record, 5), 0); err == nil {
 		t.Fatal("restore over capacity accepted")
 	}
 }

@@ -405,7 +405,7 @@ func TestSampleValidate(t *testing.T) {
 
 func TestSchemaInstanceMapping(t *testing.T) {
 	tree := trainTree(t, perfData(400, 3))
-	sc, err := newSchema(tree.Describe())
+	sc, err := NewSchema(tree.Describe())
 	if err != nil {
 		t.Fatal(err)
 	}
