@@ -154,9 +154,15 @@ crossarch-smoke:
 # it with a self-trained demo model, wait for /healthz, POST the same
 # prediction twice (the second must hit the LRU cache), assert HTTP 200,
 # and print the /metrics report (request counts, latency quantiles, cache
-# hit rate). Always kills the server on exit.
+# hit rate). Then hand a stream session off through the real binary:
+# stream a short NDJSON chunk to session s, drain every session, restore
+# the dump, and stream the next chunk to s, which must answer HTTP 200
+# and end in a "summary" line that counts both chunks. Every curl carries --max-time, so a
+# wedged session fails the target instead of hanging it. Always kills
+# the server on exit.
 SMOKE_ADDR ?= 127.0.0.1:18466
 SMOKE_BIN  ?= /tmp/repro-serve-smoke
+SMOKE_CURL := curl -s --max-time 10
 
 serve-smoke:
 	@set -e; \
@@ -164,19 +170,37 @@ serve-smoke:
 	$(SMOKE_BIN) -demo -demo-scale 0.05 -addr $(SMOKE_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
 	ok=0; for i in $$(seq 1 150); do \
-	  curl -sf http://$(SMOKE_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
+	  $(SMOKE_CURL) -f http://$(SMOKE_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
 	  sleep 0.2; \
 	done; \
 	test $$ok -eq 1 || { echo "serve-smoke: server never became healthy"; exit 1; }; \
 	for i in 1 2; do \
-	  code=$$(curl -s -o $(SMOKE_BIN).predict.json -w '%{http_code}' \
+	  code=$$($(SMOKE_CURL) -o $(SMOKE_BIN).predict.json -w '%{http_code}' \
 	    -X POST -H 'Content-Type: application/json' \
 	    -d '{"model":"demo","events":[{"L2M":0.004,"L1IM":0.002}],"contributions":true}' \
 	    http://$(SMOKE_ADDR)/v1/predict); \
 	  test "$$code" = 200 || { echo "serve-smoke: predict returned HTTP $$code"; cat $(SMOKE_BIN).predict.json; exit 1; }; \
 	done; \
 	echo "serve-smoke: predict OK (2x HTTP 200):"; cat $(SMOKE_BIN).predict.json; \
-	echo "serve-smoke: metrics:"; curl -s http://$(SMOKE_ADDR)/metrics; \
+	for i in 0 1 2 3 4; do \
+	  printf '{"section":%d,"events":{"L2M":0.00%d,"L1IM":0.002},"cpi":1.4}\n' $$i $$((i+1)); \
+	done > $(SMOKE_BIN).chunk1.ndjson; \
+	for i in 5 6 7 8 9; do \
+	  printf '{"section":%d,"events":{"L2M":0.00%d,"L1IM":0.002},"cpi":1.4}\n' $$i $$((i-4)); \
+	done > $(SMOKE_BIN).chunk2.ndjson; \
+	step() { \
+	  code=$$($(SMOKE_CURL) -o $(SMOKE_BIN).$$1.out -w '%{http_code}' -X POST --data-binary @$$2 "http://$(SMOKE_ADDR)$$3") || code=timeout; \
+	  test "$$code" = 200 || { echo "serve-smoke: $$1 returned HTTP $$code"; cat $(SMOKE_BIN).$$1.out 2>/dev/null; exit 1; }; \
+	}; \
+	step stream1 $(SMOKE_BIN).chunk1.ndjson '/v1/stream?model=demo&session=s'; \
+	: > $(SMOKE_BIN).empty; \
+	step drain $(SMOKE_BIN).empty /v1/sessions/drain; \
+	step restore $(SMOKE_BIN).drain.out /v1/sessions/restore; \
+	step stream2 $(SMOKE_BIN).chunk2.ndjson '/v1/stream?model=demo&session=s'; \
+	tail -n 1 $(SMOKE_BIN).stream2.out | grep -q '^{"type":"summary".*"accepted":10,' || \
+	  { echo "serve-smoke: stream after restore did not end in a summary line counting both chunks:"; cat $(SMOKE_BIN).stream2.out; exit 1; }; \
+	echo "serve-smoke: session handoff OK (stream, drain, restore, stream):"; tail -n 1 $(SMOKE_BIN).stream2.out; \
+	echo "serve-smoke: metrics:"; $(SMOKE_CURL) http://$(SMOKE_ADDR)/metrics; \
 	echo "serve-smoke: PASS"
 
 # End-to-end smoke test of the load-generation harness: start cmd/serve

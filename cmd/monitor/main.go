@@ -9,8 +9,7 @@
 // Usage:
 //
 //	monitor -model tree.json [-in samples.ndjson] [-follow] [-jobs N]
-//	        [-window 32] [-buffer 256] [-policy block|drop-oldest|reject]
-//	        [-calibration 32] [-ph-delta 0.005] [-ph-lambda 0.25]
+//	        [-window 32] [-calibration 32] [-ph-delta 0.005] [-ph-lambda 0.25]
 //	        [-events out.ndjson] [-no-samples] [-render 32] [-quiet]
 //	        [-refute] [-no-refute]
 //	monitor -demo [-jobs N]   # self-contained: trains a model, synthesizes
@@ -74,8 +73,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		follow      = fs.Bool("follow", false, "keep reading as the input file grows (tail -f)")
 		jobs        = fs.Int("jobs", 0, "scoring workers (0 = all cores, 1 = serial; output is identical)")
 		window      = fs.Int("window", 32, "samples scored per parallel batch")
-		buffer      = fs.Int("buffer", 256, "sample ring capacity")
-		policy      = fs.String("policy", "block", "ring overflow policy: block, drop-oldest or reject")
 		calibration = fs.Int("calibration", 32, "sections used to calibrate phase-detector noise scales")
 		phDelta     = fs.Float64("ph-delta", stream.DefaultPHConfig().Delta, "Page-Hinkley per-sample drift allowance (CPI units)")
 		phLambda    = fs.Float64("ph-lambda", stream.DefaultPHConfig().Lambda, "Page-Hinkley alarm threshold (CPI units)")
@@ -98,7 +95,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	cfg := stream.DefaultMonitorConfig()
 	cfg.Jobs = *jobs
 	cfg.Window = *window
-	cfg.Buffer = *buffer
 	cfg.Calibration = *calibration
 	cfg.PH.Delta = *phDelta
 	cfg.PH.Lambda = *phLambda
@@ -106,11 +102,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	cfg.EmitSamples = !*noSamples
 	cfg.RenderEvery = *render
 	cfg.SkipInvalid = !*strict
-	pol, err := stream.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	cfg.Policy = pol
 	cfg.Refute.Disabled = *noRefute
 	if *quiet {
 		cfg.RenderEvery = 0

@@ -17,9 +17,7 @@
 //	serve -model cpi=tree.json [-model cpi@v2=tree2.json] [-addr :8080]
 //	      [-jobs N] [-cache 4096] [-cache-quantum 0] [-timeout 10s]
 //	      [-max-body 1048576] [-max-batch 4096]
-//	      [-stream-window 32] [-stream-buffer 256]
-//	      [-stream-policy block|drop-oldest|reject]
-//	      [-session-ttl 15m] [-session-shards 16]
+//	      [-stream-window 32] [-session-ttl 15m] [-session-shards 16]
 //	      [-pprof 127.0.0.1:6060]
 //	serve -demo                 # no files: trains a small tree in-process
 //
@@ -131,8 +129,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
 		streamWin = fs.Int("stream-window", stream.DefaultConfig().Window, "/v1/stream samples scored per parallel batch")
-		streamBuf = fs.Int("stream-buffer", stream.DefaultConfig().Buffer, "/v1/stream sample ring capacity")
-		streamPol = fs.String("stream-policy", "block", "/v1/stream ring overflow policy: block, drop-oldest or reject")
 		sessTTL   = fs.Duration("session-ttl", serve.DefaultConfig().SessionTTL, "evict /v1/stream sessions idle this long (0 keeps them forever)")
 		sessShard = fs.Int("session-shards", serve.DefaultConfig().SessionShards, "stream session table stripes (rounded up to a power of two)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this extra address with mutex/block profiling on (empty disables)")
@@ -185,12 +181,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	cfg.MaxBatch = *maxBatch
 	cfg.RequestTimeout = *timeout
 	cfg.Stream.Window = *streamWin
-	cfg.Stream.Buffer = *streamBuf
-	pol, err := stream.ParsePolicy(*streamPol)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cfg.Stream.Policy = pol
 	cfg.SessionTTL = *sessTTL
 	cfg.SessionShards = *sessShard
 

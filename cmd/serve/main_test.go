@@ -91,12 +91,6 @@ func TestNewServerFlagErrors(t *testing.T) {
 	if _, _, _, err := newServer([]string{"-model", "cpi=/no/such/file.json"}, &logBuf); err == nil {
 		t.Error("unreadable model path was accepted")
 	}
-	treePath := writeTreeFile(t)
-	if _, _, _, err := newServer([]string{
-		"-model", "cpi=" + treePath, "-stream-policy", "bogus",
-	}, &logBuf); err == nil {
-		t.Error("unknown -stream-policy was accepted")
-	}
 }
 
 // TestNewServerPprofFlag checks the optional debug listener: -pprof

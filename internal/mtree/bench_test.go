@@ -119,7 +119,7 @@ func predictBench(b *testing.B, tree *mtree.Tree, rows []dataset.Instance) {
 // smoothed rows are bounded below by the shared blend arithmetic (the
 // float work is bit-identical by design, so only walk and model-access
 // costs can differ); the unsmoothed rows isolate the walk itself, which
-// is where the flat layout and the interleaved batch lanes pay off.
+// is where the flat layout pays off.
 func BenchmarkPredictCompiled(b *testing.B) {
 	tree, rows := benchTree(b)
 	b.Logf("tree: %d leaves, depth %d", tree.NumLeaves(), tree.Depth())

@@ -62,10 +62,7 @@ type CompiledTree struct {
 // (-1 for leaves) and child indices (child[0] left, child[1] right),
 // padded to 32 bytes so a record never straddles a cache line — the
 // walk is a dependent load chain, and a straddling node would pay two
-// fills per step. The child array lets the lane kernels select the next
-// node branchlessly — `j := 0; if row > thr { j = 1 }` compiles to a
-// conditional move, so a hard-to-predict split doesn't flush the other
-// lanes' in-flight work.
+// fills per step.
 type walkNode struct {
 	thr   float64
 	attr  int32
@@ -275,8 +272,7 @@ func (c *CompiledTree) predictSmoothed(row dataset.Instance, path []int32) float
 }
 
 // blendPath evaluates the leaf model at the end of a recorded root-to-
-// leaf path and smooths it bottom-up through the ancestors — the shared
-// tail of the single and blocked smoothed predictors.
+// leaf path and smooths it bottom-up through the ancestors.
 func (c *CompiledTree) blendPath(row dataset.Instance, path []int32) float64 {
 	p := c.lmPredict(path[len(path)-1], row)
 	k := c.config.SmoothingK
@@ -297,306 +293,23 @@ func (c *CompiledTree) blendPath(row dataset.Instance, path []int32) float64 {
 	return p
 }
 
-// batchLanes rows descend the tree at once inside the batch kernel,
-// each lane's node cursor held in a register of a hand-unrolled loop. A
-// single row's walk is a chain of dependent loads (each node index
-// comes from the previous load), so one row at a time leaves the core
-// idle on L2/L3 latency; four independent cursors keep four of those
-// loads in flight per sweep. The comparisons and per-row arithmetic are
-// unchanged — only their interleaving across rows differs — so results
-// stay bit-identical to Predict.
-const batchLanes = 4
-
-// walk4 descends four rows at once, one level per sweep, and returns
-// their leaf indices. A lane that lands early idles on its (cached)
-// leaf record until the deepest lane finishes; the termination test
-// relies on every leaf having attr < 0, so the AND of the four attrs
-// has its sign bit set exactly when all four lanes are done.
-func (c *CompiledTree) walk4(r0, r1, r2, r3 dataset.Instance) (int32, int32, int32, int32) {
-	w := c.walk
-	n0, n1, n2, n3 := int32(0), int32(0), int32(0), int32(0)
-	for {
-		nd0, nd1, nd2, nd3 := &w[n0], &w[n1], &w[n2], &w[n3]
-		a0, a1, a2, a3 := nd0.attr, nd1.attr, nd2.attr, nd3.attr
-		if a0&a1&a2&a3 < 0 {
-			return n0, n1, n2, n3
-		}
-		if a0 >= 0 {
-			j := 0
-			if r0[a0] > nd0.thr {
-				j = 1
-			}
-			n0 = nd0.child[j]
-		}
-		if a1 >= 0 {
-			j := 0
-			if r1[a1] > nd1.thr {
-				j = 1
-			}
-			n1 = nd1.child[j]
-		}
-		if a2 >= 0 {
-			j := 0
-			if r2[a2] > nd2.thr {
-				j = 1
-			}
-			n2 = nd2.child[j]
-		}
-		if a3 >= 0 {
-			j := 0
-			if r3[a3] > nd3.thr {
-				j = 1
-			}
-			n3 = nd3.child[j]
-		}
-	}
-}
-
-// walk8 is walk4 with eight lanes: the unsmoothed kernel is pure walk,
-// so it profits from keeping eight dependent load chains in flight even
-// though some lane state spills to the (L1-resident) stack.
-func (c *CompiledTree) walk8(rows []dataset.Instance, i int) (int32, int32, int32, int32, int32, int32, int32, int32) {
-	w := c.walk
-	r0, r1, r2, r3 := rows[i], rows[i+1], rows[i+2], rows[i+3]
-	r4, r5, r6, r7 := rows[i+4], rows[i+5], rows[i+6], rows[i+7]
-	n0, n1, n2, n3 := int32(0), int32(0), int32(0), int32(0)
-	n4, n5, n6, n7 := int32(0), int32(0), int32(0), int32(0)
-	for {
-		nd0, nd1, nd2, nd3 := &w[n0], &w[n1], &w[n2], &w[n3]
-		nd4, nd5, nd6, nd7 := &w[n4], &w[n5], &w[n6], &w[n7]
-		a0, a1, a2, a3 := nd0.attr, nd1.attr, nd2.attr, nd3.attr
-		a4, a5, a6, a7 := nd4.attr, nd5.attr, nd6.attr, nd7.attr
-		if a0&a1&a2&a3&a4&a5&a6&a7 < 0 {
-			return n0, n1, n2, n3, n4, n5, n6, n7
-		}
-		if a0 >= 0 {
-			j := 0
-			if r0[a0] > nd0.thr {
-				j = 1
-			}
-			n0 = nd0.child[j]
-		}
-		if a1 >= 0 {
-			j := 0
-			if r1[a1] > nd1.thr {
-				j = 1
-			}
-			n1 = nd1.child[j]
-		}
-		if a2 >= 0 {
-			j := 0
-			if r2[a2] > nd2.thr {
-				j = 1
-			}
-			n2 = nd2.child[j]
-		}
-		if a3 >= 0 {
-			j := 0
-			if r3[a3] > nd3.thr {
-				j = 1
-			}
-			n3 = nd3.child[j]
-		}
-		if a4 >= 0 {
-			j := 0
-			if r4[a4] > nd4.thr {
-				j = 1
-			}
-			n4 = nd4.child[j]
-		}
-		if a5 >= 0 {
-			j := 0
-			if r5[a5] > nd5.thr {
-				j = 1
-			}
-			n5 = nd5.child[j]
-		}
-		if a6 >= 0 {
-			j := 0
-			if r6[a6] > nd6.thr {
-				j = 1
-			}
-			n6 = nd6.child[j]
-		}
-		if a7 >= 0 {
-			j := 0
-			if r7[a7] > nd7.thr {
-				j = 1
-			}
-			n7 = nd7.child[j]
-		}
-	}
-}
-
-// path4 is walk4 recording each lane's root-to-leaf path into
-// paths[lane*stride:]; it returns the four path lengths.
-func (c *CompiledTree) path4(r0, r1, r2, r3 dataset.Instance, paths []int32, stride int) (int32, int32, int32, int32) {
-	w := c.walk
-	n0, n1, n2, n3 := int32(0), int32(0), int32(0), int32(0)
-	d0, d1, d2, d3 := int32(1), int32(1), int32(1), int32(1)
-	paths[0], paths[stride], paths[2*stride], paths[3*stride] = 0, 0, 0, 0
-	for {
-		nd0, nd1, nd2, nd3 := &w[n0], &w[n1], &w[n2], &w[n3]
-		a0, a1, a2, a3 := nd0.attr, nd1.attr, nd2.attr, nd3.attr
-		if a0&a1&a2&a3 < 0 {
-			return d0, d1, d2, d3
-		}
-		if a0 >= 0 {
-			j := 0
-			if r0[a0] > nd0.thr {
-				j = 1
-			}
-			n0 = nd0.child[j]
-			paths[d0] = n0
-			d0++
-		}
-		if a1 >= 0 {
-			j := 0
-			if r1[a1] > nd1.thr {
-				j = 1
-			}
-			n1 = nd1.child[j]
-			paths[int32(stride)+d1] = n1
-			d1++
-		}
-		if a2 >= 0 {
-			j := 0
-			if r2[a2] > nd2.thr {
-				j = 1
-			}
-			n2 = nd2.child[j]
-			paths[int32(2*stride)+d2] = n2
-			d2++
-		}
-		if a3 >= 0 {
-			j := 0
-			if r3[a3] > nd3.thr {
-				j = 1
-			}
-			n3 = nd3.child[j]
-			paths[int32(3*stride)+d3] = n3
-			d3++
-		}
-	}
-}
-
-// blend4 runs the smoothing blend for four recorded paths with the four
-// accumulators interleaved in registers. Within a lane the arithmetic
-// is exactly blendPath's bottom-up sequence (bit-identical); across
-// lanes the independent chains overlap, so the blend's float divides —
-// ~13 cycles of latency each but pipelined — stack up instead of
-// serializing.
-func (c *CompiledTree) blend4(r0, r1, r2, r3 dataset.Instance, paths []int32, stride int, d0, d1, d2, d3 int32) (float64, float64, float64, float64) {
-	p0 := c.lmPredict(paths[d0-1], r0)
-	p1 := c.lmPredict(paths[int32(stride)+d1-1], r1)
-	p2 := c.lmPredict(paths[int32(2*stride)+d2-1], r2)
-	p3 := c.lmPredict(paths[int32(3*stride)+d3-1], r3)
-	k := c.config.SmoothingK
-	nodeN := c.nodeN
-	// The per-ancestor model evaluation is open-coded per lane (the same
-	// loop as lmPredict) so the accumulators stay in registers across the
-	// sweep instead of spilling around a function call.
-	lmOff, intercept, attrs, coefs := c.lmOff, c.lmIntercept, c.lmAttrs, c.lmCoefs
-	for i0, i1, i2, i3 := d0-1, d1-1, d2-1, d3-1; i0|i1|i2|i3 > 0; {
-		if i0 > 0 {
-			node, below := paths[i0-1], paths[i0]
-			y := intercept[node]
-			for j, end := lmOff[node], lmOff[node+1]; j < end; j++ {
-				y += coefs[j] * r0[attrs[j]]
-			}
-			nb := float64(nodeN[below])
-			p0 = (nb*p0 + k*y) / (nb + k)
-			i0--
-		}
-		if i1 > 0 {
-			node, below := paths[int32(stride)+i1-1], paths[int32(stride)+i1]
-			y := intercept[node]
-			for j, end := lmOff[node], lmOff[node+1]; j < end; j++ {
-				y += coefs[j] * r1[attrs[j]]
-			}
-			nb := float64(nodeN[below])
-			p1 = (nb*p1 + k*y) / (nb + k)
-			i1--
-		}
-		if i2 > 0 {
-			node, below := paths[int32(2*stride)+i2-1], paths[int32(2*stride)+i2]
-			y := intercept[node]
-			for j, end := lmOff[node], lmOff[node+1]; j < end; j++ {
-				y += coefs[j] * r2[attrs[j]]
-			}
-			nb := float64(nodeN[below])
-			p2 = (nb*p2 + k*y) / (nb + k)
-			i2--
-		}
-		if i3 > 0 {
-			node, below := paths[int32(3*stride)+i3-1], paths[int32(3*stride)+i3]
-			y := intercept[node]
-			for j, end := lmOff[node], lmOff[node+1]; j < end; j++ {
-				y += coefs[j] * r3[attrs[j]]
-			}
-			nb := float64(nodeN[below])
-			p3 = (nb*p3 + k*y) / (nb + k)
-			i3--
-		}
-	}
-	return p0, p1, p2, p3
-}
-
-// batchInto is the shared blocked kernel behind PredictInto (add=false)
-// and AccumulateInto (add=true): full blocks of batchLanes rows walk
-// with their cursors interleaved, the remainder falls back to the
-// scalar walk.
+// batchInto is the shared per-row loop behind PredictInto (add=false)
+// and AccumulateInto (add=true), running the same scalar walks as
+// Predict with one smoothing-path scratch reused across the batch.
 func (c *CompiledTree) batchInto(dst []float64, rows []dataset.Instance, add bool) {
 	dst = dst[:len(rows)]
-	i := 0
-	if !c.config.Smooth {
-		for ; i+8 <= len(rows); i += 8 {
-			n0, n1, n2, n3, n4, n5, n6, n7 := c.walk8(rows, i)
-			p0 := c.lmPredict(n0, rows[i])
-			p1 := c.lmPredict(n1, rows[i+1])
-			p2 := c.lmPredict(n2, rows[i+2])
-			p3 := c.lmPredict(n3, rows[i+3])
-			p4 := c.lmPredict(n4, rows[i+4])
-			p5 := c.lmPredict(n5, rows[i+5])
-			p6 := c.lmPredict(n6, rows[i+6])
-			p7 := c.lmPredict(n7, rows[i+7])
-			if add {
-				dst[i], dst[i+1], dst[i+2], dst[i+3] = dst[i]+p0, dst[i+1]+p1, dst[i+2]+p2, dst[i+3]+p3
-				dst[i+4], dst[i+5], dst[i+6], dst[i+7] = dst[i+4]+p4, dst[i+5]+p5, dst[i+6]+p6, dst[i+7]+p7
-			} else {
-				dst[i], dst[i+1], dst[i+2], dst[i+3] = p0, p1, p2, p3
-				dst[i+4], dst[i+5], dst[i+6], dst[i+7] = p4, p5, p6, p7
-			}
-		}
-		for ; i < len(rows); i++ {
-			p := c.lmPredict(c.leafFor(rows[i]), rows[i])
-			if add {
-				dst[i] += p
-			} else {
-				dst[i] = p
-			}
-		}
-		return
+	var pbuf [compiledPathInline]int32
+	path := pbuf[:0]
+	if c.config.Smooth && c.depth > compiledPathInline {
+		path = make([]int32, 0, c.depth)
 	}
-	stride := compiledPathInline
-	var pbuf [batchLanes * compiledPathInline]int32
-	paths := pbuf[:]
-	if c.depth > compiledPathInline {
-		stride = c.depth
-		paths = make([]int32, batchLanes*stride)
-	}
-	for ; i+batchLanes <= len(rows); i += batchLanes {
-		r0, r1, r2, r3 := rows[i], rows[i+1], rows[i+2], rows[i+3]
-		d0, d1, d2, d3 := c.path4(r0, r1, r2, r3, paths, stride)
-		p0, p1, p2, p3 := c.blend4(r0, r1, r2, r3, paths, stride, d0, d1, d2, d3)
-		if add {
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = dst[i]+p0, dst[i+1]+p1, dst[i+2]+p2, dst[i+3]+p3
+	for i, row := range rows {
+		var p float64
+		if c.config.Smooth {
+			p = c.predictSmoothed(row, path)
 		} else {
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = p0, p1, p2, p3
+			p = c.lmPredict(c.leafFor(row), row)
 		}
-	}
-	for ; i < len(rows); i++ {
-		p := c.predictSmoothed(rows[i], paths[:0])
 		if add {
 			dst[i] += p
 		} else {
@@ -609,8 +322,7 @@ func (c *CompiledTree) batchInto(dst []float64, rows []dataset.Instance, add boo
 // for rows[i], allocation-free (walk indices and smoothing paths live
 // on the stack) and bit-identical to calling Predict per row. dst must
 // have at least len(rows) elements. This is what the /v1/predict batch
-// endpoint runs; beyond amortizing per-call overhead, the lockstep
-// block walk overlaps the rows' dependent node loads (see batchLanes).
+// endpoint runs.
 func (c *CompiledTree) PredictInto(dst []float64, rows []dataset.Instance) {
 	c.batchInto(dst, rows, false)
 }

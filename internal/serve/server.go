@@ -81,8 +81,8 @@ type Config struct {
 	// NDJSON response and stateful ingestion make a buffered timeout
 	// wrapper wrong (see Handler).
 	RequestTimeout time.Duration
-	// Stream tunes the /v1/stream monitor sessions (window, buffer,
-	// backpressure policy, phase and drift detectors). Its Jobs field is
+	// Stream tunes the /v1/stream monitor sessions (window, phase and
+	// drift detectors). Its Jobs field is
 	// ignored: stream scoring follows the service-wide Jobs setting.
 	Stream stream.Config
 	// SessionShards is the stripe count of the stream session table,

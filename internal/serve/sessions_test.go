@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -414,13 +415,82 @@ func TestSessionsRestoreRejects(t *testing.T) {
 		t.Errorf("bad state version: status %d, want 400 (%s)", rec.Code, rec.Body)
 	}
 
+	// A non-zero drop count no processor can produce: 400.
+	body = `{"sessions":[{"model":"cpi","state":{"schema_version":2,"dropped":1,"phases":{"calibration":32},"ph":{}}}]}`
+	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 400 {
+		t.Errorf("non-zero dropped: status %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+
+	if n := streamSessionCount(t, h); n != 0 {
+		t.Errorf("rejected restores installed %d sessions", n)
+	}
+}
+
+// streamSessionCount reads the live stream session count from
+// /v1/metrics.json.
+func streamSessionCount(t *testing.T, h http.Handler) int {
+	t.Helper()
 	var snap struct {
 		Streams streamsSnapshot `json:"streams"`
 	}
 	if err := json.Unmarshal(get(h, "/v1/metrics.json").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Streams.Sessions != 0 {
-		t.Errorf("rejected restores installed %d sessions", snap.Streams.Sessions)
+	return snap.Streams.Sessions
+}
+
+// TestSessionsRestoreFullWindowRejected restores a dump whose session
+// holds a full window of pending samples — a state no processor with
+// this config reaches, since it scores every window as it fills. The
+// restore must answer 400 and install nothing, and the next stream
+// request and the metrics scrape must still return. Both run under a
+// deadline, so a session wedged by such a dump fails the test instead
+// of hanging it.
+func TestSessionsRestoreFullWindowRejected(t *testing.T) {
+	cfg := streamConfig(1)
+	cfg.Stream.Window = 256
+	s, _, _ := newTestServer(t, cfg)
+	h := s.Handler()
+
+	trace := streamTrace(cfg.Stream.Window+8, 9999, 9999, 0, 3)
+	lines := strings.Split(strings.TrimSuffix(trace, "\n"), "\n")
+	st := stream.ProcessorState{SchemaVersion: 2}
+	for _, line := range lines[:cfg.Stream.Window] {
+		var smp stream.Sample
+		if err := json.Unmarshal([]byte(line), &smp); err != nil {
+			t.Fatal(err)
+		}
+		st.Pending = append(st.Pending, smp)
+	}
+	st.Phases.Calibration = stream.DefaultConfig().Calibration
+	dump, err := json.Marshal(map[string]any{
+		"sessions": []sessionState{{Model: "cpi", Session: "s", State: st}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := post(h, "/v1/sessions/restore", string(dump))
+	if restore.Code != 400 {
+		t.Errorf("full-window restore: status %d, want 400 (%s)", restore.Code, restore.Body)
+	}
+
+	type result struct{ stream, metrics int }
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		r.stream = postNDJSON(h, "/v1/stream?model=cpi&session=s", strings.Join(lines[cfg.Stream.Window:], "\n")+"\n").Code
+		r.metrics = get(h, "/metrics").Code
+		done <- r
+	}()
+	select {
+	case r := <-done:
+		if r.stream != 200 || r.metrics != 200 {
+			t.Errorf("after the rejected restore: /v1/stream %d, /metrics %d, want 200 both", r.stream, r.metrics)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("/v1/stream or /metrics did not return within 10s after a full-window restore")
+	}
+	if n := streamSessionCount(t, h); n != 1 {
+		t.Errorf("%d sessions live, want only the one the stream request opened", n)
 	}
 }

@@ -84,7 +84,7 @@ type streamsSnapshot struct {
 	Accepted        uint64 `json:"accepted"`
 	Scored          uint64 `json:"scored"`
 	Invalid         uint64 `json:"invalid"`
-	Dropped         uint64 `json:"dropped"`
+	Dropped         uint64 `json:"dropped"` // always 0 (stream.Stats.Dropped); kept for wire compatibility
 	Windows         uint64 `json:"windows"`
 	PhaseBoundaries uint64 `json:"phase_boundaries"`
 	DriftAlarms     uint64 `json:"drift_alarms"`
@@ -258,9 +258,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Ingest and score under the session lock, buffering the events;
 	// the response is written only after the lock is released.
 	sess.mu.Lock()
-	// Every record passed the schema check above, so only ring errors
-	// can fail here; the batch's final partial window is scored too, so
-	// the response answers for every sample it accepted.
+	// Every record passed the schema check above, so only scoring
+	// errors can fail here; the batch's final partial window is scored
+	// too, so the response answers for every sample it accepted.
 	events, ingestErr := sess.p.IngestBatch(recs)
 	stats := sess.p.Stats()
 	sess.mu.Unlock()

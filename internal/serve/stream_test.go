@@ -157,7 +157,7 @@ func TestStreamEndToEnd(t *testing.T) {
 		t.Errorf("scored %d sections, want %d", final.Scored, total)
 	}
 	if final.Depth != 0 {
-		t.Errorf("ring depth %d after flush, want 0", final.Depth)
+		t.Errorf("pending depth %d after flush, want 0", final.Depth)
 	}
 	if final.DriftAlarms < 1 || final.PhaseBoundaries != 1 {
 		t.Errorf("final stats %+v", final)

@@ -15,15 +15,10 @@ type Config struct {
 	// Jobs is the scoring worker count (0 = all cores, 1 = serial).
 	// Events are byte-identical at any value.
 	Jobs int
-	// Window is the number of buffered samples scored per parallel
+	// Window is the number of pending samples scored per parallel
 	// batch. Larger windows amortize fan-out overhead; the window never
 	// delays monitor state, which always advances in sample order.
 	Window int
-	// Buffer is the ring capacity; it is raised to Window if smaller,
-	// since a full window must fit to be scored.
-	Buffer int
-	// Policy is the ring's overflow policy.
-	Policy Policy
 	// Calibration is the number of leading sections the phase tracker
 	// uses to estimate counter noise before reporting boundaries.
 	Calibration int
@@ -47,8 +42,6 @@ func DefaultConfig() Config {
 	return Config{
 		Jobs:          0,
 		Window:        32,
-		Buffer:        256,
-		Policy:        Block,
 		Calibration:   32,
 		Phases:        phases.DefaultConfig(),
 		PH:            DefaultPHConfig(),
@@ -60,9 +53,6 @@ func DefaultConfig() Config {
 func (c Config) sanitized() Config {
 	if c.Window < 1 {
 		c.Window = DefaultConfig().Window
-	}
-	if c.Buffer < c.Window {
-		c.Buffer = c.Window
 	}
 	if c.Calibration < 2 {
 		c.Calibration = DefaultConfig().Calibration
@@ -116,7 +106,7 @@ type Stats struct {
 	Scored          uint64 `json:"scored"`
 	Invalid         uint64 `json:"invalid"`
 	Depth           int    `json:"depth"`
-	Dropped         uint64 `json:"dropped"`
+	Dropped         uint64 `json:"dropped"` // always 0, no sample is dropped; kept for wire compatibility
 	Windows         uint64 `json:"windows"`
 	PhaseBoundaries uint64 `json:"phase_boundaries"`
 	DriftAlarms     uint64 `json:"drift_alarms"`
@@ -142,10 +132,13 @@ type Processor struct {
 	m       model.Model
 	sc      *Schema
 	cfg     Config
-	ring    *Ring
 	online  *phases.Online
 	ph      *PageHinkley
 	refuter *refute.Checker
+
+	// pending holds the accepted but unscored records in arrival order,
+	// always fewer than cfg.Window between calls.
+	pending []Record
 
 	scored   uint64
 	invalid  atomic.Uint64
@@ -173,7 +166,7 @@ func NewProcessor(m model.Model, cfg Config) (*Processor, error) {
 		m:       m,
 		sc:      sc,
 		cfg:     cfg,
-		ring:    NewRing(cfg.Buffer, cfg.Policy),
+		pending: make([]Record, 0, cfg.Window),
 		online:  phases.NewOnline(cfg.Phases, cfg.Calibration),
 		ph:      NewPageHinkley(cfg.PH),
 		refuter: refute.NewChecker(cfg.Refute, sc.desc.AttrNames, sc.targetIdx, sc.desc.Machine),
@@ -260,28 +253,26 @@ func (p *Processor) IngestBatch(recs []Record) ([]Event, error) {
 	return appendEvents(events, evs), nil
 }
 
-// ingest buffers one record and scores every full window.
+// ingest appends one record to the pending window and scores the
+// window once it is full.
 func (p *Processor) ingest(rec Record) ([]Event, error) {
-	if err := p.ring.Push(rec); err != nil {
-		return nil, err
+	p.pending = append(p.pending, rec)
+	if len(p.pending) < p.cfg.Window {
+		return nil, nil
 	}
-	return p.scoreWindows(p.cfg.Window)
+	return p.scorePending()
 }
 
-// Flush scores whatever remains in the ring regardless of window fill.
-func (p *Processor) Flush() ([]Event, error) { return p.scoreWindows(1) }
+// Flush scores whatever is pending regardless of window fill.
+func (p *Processor) Flush() ([]Event, error) { return p.scorePending() }
 
-// scoreWindows scores windows while at least min records are buffered.
-func (p *Processor) scoreWindows(min int) ([]Event, error) {
-	var events []Event
-	for p.ring.Depth() >= min {
-		evs, err := p.scoreBatch(p.ring.PopN(p.cfg.Window))
-		if err != nil {
-			return events, err
-		}
-		events = appendEvents(events, evs)
-	}
-	return events, nil
+// scorePending scores the pending records as one batch and empties the
+// window, clearing the slots so they stop referencing their rows.
+func (p *Processor) scorePending() ([]Event, error) {
+	events, err := p.scoreBatch(p.pending)
+	clear(p.pending)
+	p.pending = p.pending[:0]
+	return events, err
 }
 
 // appendEvents appends src to dst, handing src back as is when dst is
@@ -434,11 +425,10 @@ func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
 // Stats snapshots the monitor state.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Accepted:        p.scored + uint64(p.ring.Depth()),
+		Accepted:        p.scored + uint64(len(p.pending)),
 		Scored:          p.scored,
 		Invalid:         p.invalid.Load(),
-		Depth:           p.ring.Depth(),
-		Dropped:         p.ring.Dropped(),
+		Depth:           len(p.pending),
 		Windows:         p.windows,
 		PhaseBoundaries: p.bounds,
 		DriftAlarms:     p.alarms,

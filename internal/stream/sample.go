@@ -1,6 +1,5 @@
 // Package stream is the online layer over the batch pipeline: it ingests
-// per-section counter samples as NDJSON, buffers them in a bounded ring
-// with an explicit backpressure policy, scores them through any
+// per-section counter samples as NDJSON, scores them in windows through any
 // model.Model with the same deterministic fan-out as the batch stages,
 // and runs two online monitors over the scored sequence — an incremental
 // phase tracker (internal/phases) and a Page–Hinkley drift detector over

@@ -12,8 +12,8 @@ import (
 // snapshot/restore: a live monitor session can be drained on one
 // replica and restored on another, continuing its timeline exactly —
 // same section numbering, same phase, same drift accumulator, same
-// buffered-but-unscored samples. All floats survive the JSON round
-// trip bit-exactly (Go marshals float64 in shortest-round-trip form),
+// pending samples. All floats survive the JSON round trip bit-exactly
+// (Go marshals float64 in shortest-round-trip form),
 // so Stats of a drained-and-restored processor is byte-identical to
 // the original's and subsequent events match an uninterrupted run.
 
@@ -42,35 +42,6 @@ func (p *PageHinkley) RestoreState(st PHState) {
 	p.mDown, p.maxDown = st.MDown, st.MaxDown
 }
 
-// Snapshot returns the buffered records oldest-first plus the dropped
-// counter — the ring's full logical state (capacity and policy are
-// configuration, not state).
-func (r *Ring) Snapshot() ([]Record, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Record, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out, r.dropped
-}
-
-// restore refills a fresh ring; fails if the pending records exceed
-// capacity (the restoring side is configured with a smaller buffer).
-func (r *Ring) restore(pending []Record, dropped uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(pending) > len(r.buf) {
-		return fmt.Errorf("stream: %d pending samples exceed ring capacity %d", len(pending), len(r.buf))
-	}
-	for i, s := range pending {
-		r.buf[i] = s
-	}
-	r.head, r.n = 0, len(pending)
-	r.dropped = dropped
-	return nil
-}
-
 // ProcessorState is one monitor session's full serializable state.
 type ProcessorState struct {
 	// SchemaVersion guards the wire format; bump on breaking changes.
@@ -86,10 +57,13 @@ type ProcessorState struct {
 	HaveObs  bool    `json:"have_obs"`
 	EwmaPred float64 `json:"ewma_pred"`
 	EwmaObs  float64 `json:"ewma_obs"`
-	// Pending are buffered-but-unscored samples (oldest first); Dropped
-	// is the ring's eviction counter.
+	// Pending are the accepted but unscored samples (oldest first),
+	// always fewer than the window.
 	Pending []Sample `json:"pending,omitempty"`
-	Dropped uint64   `json:"dropped"`
+	// Dropped is always 0: no processor drops a sample. It stays only so
+	// existing dumps decode and the wire format is unchanged; a restore
+	// rejects any other value.
+	Dropped uint64 `json:"dropped"`
 	// Monitor internals.
 	Phases phases.OnlineState `json:"phases"`
 	PH     PHState            `json:"ph"`
@@ -107,10 +81,9 @@ const processorStateVersion = 2
 // serializes Ingest calls (the processor itself is not concurrency-
 // safe, and neither is this).
 func (p *Processor) State() ProcessorState {
-	recs, dropped := p.ring.Snapshot()
 	var pending []Sample
-	for i := range recs {
-		pending = append(pending, p.sc.sample(&recs[i]))
+	for i := range p.pending {
+		pending = append(pending, p.sc.sample(&p.pending[i]))
 	}
 	var ref *refute.State
 	if p.refuter.Enabled() {
@@ -130,7 +103,6 @@ func (p *Processor) State() ProcessorState {
 		EwmaPred:        p.ewmaPred,
 		EwmaObs:         p.ewmaObs,
 		Pending:         pending,
-		Dropped:         dropped,
 		Phases:          p.online.State(),
 		PH:              p.ph.State(),
 	}
@@ -139,8 +111,9 @@ func (p *Processor) State() ProcessorState {
 // RestoreProcessor rebuilds a processor for model m under cfg from a
 // drained snapshot. The model and configuration must match what the
 // drained processor ran with (same schema, window, detector tuning);
-// mismatches that are detectable — wrong schema, oversized pending
-// buffer, debounce-ring drift — are errors.
+// mismatches that are detectable — wrong schema, a pending list that
+// fills a whole window, a non-zero drop count, debounce-ring drift —
+// are errors.
 func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor, error) {
 	if st.SchemaVersion < 1 || st.SchemaVersion > processorStateVersion {
 		return nil, fmt.Errorf("stream: unsupported processor state version %d (want 1..%d)",
@@ -150,14 +123,20 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 	if err != nil {
 		return nil, err
 	}
-	pending := make([]Record, len(st.Pending))
+	// A processor with this config scores every full window as it
+	// fills, so it never holds Window pending samples.
+	if len(st.Pending) >= p.cfg.Window {
+		return nil, fmt.Errorf("stream: %d pending samples fill the %d-sample window", len(st.Pending), p.cfg.Window)
+	}
+	if st.Dropped != 0 {
+		return nil, fmt.Errorf("stream: snapshot reports %d dropped samples, want 0", st.Dropped)
+	}
 	for i := range st.Pending {
-		if pending[i], err = p.record(&st.Pending[i]); err != nil {
+		rec, err := p.record(&st.Pending[i])
+		if err != nil {
 			return nil, fmt.Errorf("stream: pending sample %d does not fit the model schema: %w", i, err)
 		}
-	}
-	if err := p.ring.restore(pending, st.Dropped); err != nil {
-		return nil, err
+		p.pending = append(p.pending, rec)
 	}
 	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases)
 	if err != nil {
