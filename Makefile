@@ -82,10 +82,12 @@ bench-predict:
 # probes, hierarchy walks, single-core Step and the per-section collect
 # loop. All of them must report 0 allocs/op in steady state. Plus the
 # stream wire decoder (DESIGN.md §9, "Wire codec"): the row decoder vs
-# the encoding/json path on a served-schema line, ns and allocs per line.
+# the encoding/json path on a served-schema line, ns and allocs per line;
+# and stream ingestion (DESIGN.md §9, "Scoring"), whose serial-nosamples
+# variant shows the scoring path's own allocations per sample.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/sim/... ./internal/counters/
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode' -benchtime 2s ./internal/stream/
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode|BenchmarkStreamIngest' -benchtime 2s ./internal/stream/
 
 # Machine-readable benchmark snapshot: the speedup, serving-latency,
 # stream-ingestion and simulator micro-benchmarks in `go test -json`

@@ -89,6 +89,12 @@ func (c *CompiledBagger) Contributions(row dataset.Instance) []model.Contributio
 	return memberContributions(members, row)
 }
 
+// TopContribution implements model.Model: the first element of
+// Contributions, as for Bagger.
+func (c *CompiledBagger) TopContribution(row dataset.Instance) (model.Contribution, bool) {
+	return first(c.Contributions(row))
+}
+
 // NumLeaves sums the member leaf counts, matching Bagger.NumLeaves.
 func (c *CompiledBagger) NumLeaves() int {
 	s := 0

@@ -52,6 +52,21 @@ func (b *Bagger) Contributions(row dataset.Instance) []model.Contribution {
 	return memberContributions(members, row)
 }
 
+// TopContribution implements model.Model: the first element of
+// Contributions (ensembles have no single-walk fast path).
+func (b *Bagger) TopContribution(row dataset.Instance) (model.Contribution, bool) {
+	return first(b.Contributions(row))
+}
+
+// first returns the largest share of a sorted decomposition, and false
+// for an empty one.
+func first(cs []model.Contribution) (model.Contribution, bool) {
+	if len(cs) == 0 {
+		return model.Contribution{}, false
+	}
+	return cs[0], true
+}
+
 // contributor is the per-member surface the averaged decomposition
 // needs; both *mtree.Tree and *mtree.CompiledTree provide it.
 type contributor interface {
@@ -106,8 +121,6 @@ func memberContributions(members []contributor, row dataset.Instance) []model.Co
 		}
 		out = append(out, c)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Cycles > out[j].Cycles
-	})
+	model.SortContributions(out)
 	return out
 }

@@ -11,7 +11,11 @@
 // therefore cannot live here without an import cycle).
 package model
 
-import "repro/internal/dataset"
+import (
+	"slices"
+
+	"repro/internal/dataset"
+)
 
 // Contribution is one event's share of a prediction: the paper's Eq. 4
 // decomposition coef*X/CPI, the unit of the "how much" answer.
@@ -29,6 +33,24 @@ type Contribution struct {
 	// Fraction is Cycles / predicted CPI — the potential relative gain
 	// from eliminating the event.
 	Fraction float64 `json:"fraction"`
+}
+
+// SortContributions orders shares largest CPI contribution first, the
+// order Model.Contributions promises. The sort is stable: ties keep the
+// order the terms were built in (coefficient order for a tree), so the
+// pointer-walk and compiled decompositions agree element for element,
+// and a tree's TopContribution — the first term with the largest
+// Cycles — is the element this puts first.
+func SortContributions(cs []Contribution) {
+	slices.SortStableFunc(cs, func(x, y Contribution) int {
+		switch {
+		case x.Cycles > y.Cycles:
+			return -1
+		case y.Cycles > x.Cycles:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Description summarizes a trained model for registries, reports and the
@@ -56,17 +78,26 @@ type Description struct {
 }
 
 // Model is a trained CPI predictor. *mtree.Tree and *ensemble.Bagger
-// implement it.
+// implement it, and so do their compiled forms.
 type Model interface {
 	// Predict returns the model's estimate of the target for one
 	// full-width instance (smoothed, for models that smooth).
 	Predict(row dataset.Instance) float64
 
 	// Contributions decomposes the (unsmoothed) prediction into per-event
-	// shares, largest CPI contribution first. The sum of Cycles plus the
-	// model baseline reproduces the decomposed prediction exactly for a
-	// single tree; ensembles report member-averaged shares.
+	// shares, largest CPI contribution first (SortContributions, so ties
+	// keep the order the terms were built in). The sum of Cycles plus
+	// the model baseline reproduces the decomposed prediction exactly
+	// for a single tree; ensembles report member-averaged shares.
 	Contributions(row dataset.Instance) []Contribution
+
+	// TopContribution returns Contributions(row)[0], the largest CPI
+	// contribution, and false when that slice is empty. Single trees
+	// find it in one leaf walk without building or sorting the slice,
+	// which keeps per-sample stream scoring allocation-free. For a row
+	// with a NaN rate the "largest first" order is undefined, and the
+	// two may then name different events.
+	TopContribution(row dataset.Instance) (Contribution, bool)
 
 	// NumLeaves reports the number of leaves (performance classes).
 	NumLeaves() int

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ensemble"
+	"repro/internal/linreg"
 	"repro/internal/model"
 	"repro/internal/mtree"
 	"repro/internal/proptest"
@@ -113,5 +114,106 @@ func TestContributionsConsistency(t *testing.T) {
 				seen[c.Attr] = true
 			}
 		}
+	}
+}
+
+// handTree builds a tree whose leaves force TopContribution's edge
+// cases: column 0 routes a row to a leaf with mixed-sign coefficients
+// (value <= 0.5), one with all-zero coefficients (<= 1.5) or one whose
+// terms are out of attribute order.
+func handTree() *mtree.Tree {
+	leaf := func(id int, lm *linreg.Model) *mtree.Node {
+		return &mtree.Node{SplitAttr: -1, LeafID: id, N: 10, Model: lm}
+	}
+	split := func(thr float64, l, r *mtree.Node) *mtree.Node {
+		return &mtree.Node{SplitAttr: 0, SplitName: "A", Threshold: thr, Left: l, Right: r}
+	}
+	return &mtree.Tree{
+		TargetName: "CPI",
+		AttrNames:  []string{"A", "B", "C", "D", "CPI"},
+		Root: split(0.5,
+			leaf(1, &linreg.Model{Intercept: 1, Attrs: []int{1, 2, 3}, Coefs: []float64{2, 1, -3}}),
+			split(1.5,
+				leaf(2, &linreg.Model{Intercept: 0.25, Attrs: []int{1, 2}, Coefs: []float64{0, 0}}),
+				leaf(3, &linreg.Model{Intercept: -1, Attrs: []int{3, 1, 2}, Coefs: []float64{1, -1, 0.5}}))),
+	}
+}
+
+// sameContribution compares two contributions bit for bit, so +0 and
+// -0 are told apart.
+func sameContribution(a, b model.Contribution) bool {
+	bits := math.Float64bits
+	return a.Attr == b.Attr && a.Name == b.Name &&
+		bits(a.Coef) == bits(b.Coef) && bits(a.Rate) == bits(b.Rate) &&
+		bits(a.Cycles) == bits(b.Cycles) && bits(a.Fraction) == bits(b.Fraction)
+}
+
+// TestTopContributionMatchesContributions: TopContribution is exactly
+// Contributions(row)[0], or false when that slice is empty, for the
+// pointer and compiled forms of a tree and of an ensemble. Besides the
+// trained fixtures it runs hand-built leaves over rates drawn from a
+// small set, which forces exact Cycles ties (+0 against -0 too),
+// all-zero coefficients, zero predictions and negative contributions.
+func TestTopContributionMatchesContributions(t *testing.T) {
+	d, trained := fixtures(t)
+	hand := handTree()
+	single := &mtree.Tree{
+		TargetName: "CPI",
+		AttrNames:  hand.AttrNames,
+		Root: &mtree.Node{SplitAttr: -1, LeafID: 1, N: 10,
+			Model: &linreg.Model{Attrs: []int{2, 1}, Coefs: []float64{1, 2}}},
+	}
+	handBag := &ensemble.Bagger{Trees: []*mtree.Tree{hand, single}}
+	zeroBag := &ensemble.Bagger{Trees: []*mtree.Tree{hand}}
+	var models []model.Model
+	for _, m := range []model.Model{trained[0], trained[1], hand, handBag, zeroBag} {
+		models = append(models, m, m.(model.Compilable).CompileModel())
+	}
+
+	rates := []float64{-2, -1, -0.5, math.Copysign(0, -1), 0, 0.5, 1, 2}
+	r := proptest.NewRand(proptest.CaseSeed("top-contribution", 0))
+	rows := []dataset.Instance{
+		{0, 1, 2, 0, 0},   // B and C tie at 2 cycles, D is -0
+		{0, 1, 0, 1, 0},   // 1 + 2 + 0 - 3: zero prediction
+		{0, -1, -3, 1, 0}, // all negative, C and D tie at -3
+		{1, 5, 5, 5, 0},   // all-zero coefficients
+		{0, 0, 0, 0, 0},   // +0 against -0 ties only
+	}
+	for i := 0; i < 500; i++ {
+		row := dataset.Instance{float64(r.Intn(3)), 0, 0, 0, 0}
+		for j := 1; j <= 3; j++ {
+			row[j] = rates[r.Intn(len(rates))]
+		}
+		rows = append(rows, row)
+	}
+	var checked, empty int
+	for mi, m := range models {
+		set := rows
+		if mi < 4 { // the trained fixtures run on their dataset's rows
+			set = nil
+			for i := 0; i < d.Len(); i += 3 {
+				set = append(set, d.Row(i))
+			}
+		}
+		for _, row := range set {
+			cs := m.Contributions(row)
+			top, ok := m.TopContribution(row)
+			if ok != (len(cs) > 0) {
+				t.Fatalf("model %d (%T): TopContribution ok=%v for %d contributions, row %v",
+					mi, m, ok, len(cs), row)
+			}
+			if !ok {
+				empty++
+				continue
+			}
+			if !sameContribution(top, cs[0]) {
+				t.Fatalf("model %d (%T): TopContribution %+v, Contributions[0] %+v, row %v",
+					mi, m, top, cs[0], row)
+			}
+			checked++
+		}
+	}
+	if checked == 0 || empty == 0 {
+		t.Errorf("checked %d tops and %d empty decompositions, want both exercised", checked, empty)
 	}
 }

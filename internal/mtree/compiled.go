@@ -393,25 +393,38 @@ func (c *CompiledTree) materialize(i int32) *Node {
 func (c *CompiledTree) Contributions(row dataset.Instance) []model.Contribution {
 	n := c.leafFor(row)
 	pred := c.lmPredict(n, row)
-	var out []model.Contribution
+	off, end := c.lmOff[n], c.lmOff[n+1]
+	out := make([]model.Contribution, 0, end-off)
+	for j := off; j < end; j++ {
+		if coef := c.lmCoefs[j]; coef != 0 {
+			a := int(c.lmAttrs[j])
+			out = append(out, contribution(a, c.attrName(a), coef, row[a], pred))
+		}
+	}
+	model.SortContributions(out)
+	return out
+}
+
+// TopContribution implements model.Model with the selection rule of
+// Tree.TopContribution, over the packed leaf terms.
+func (c *CompiledTree) TopContribution(row dataset.Instance) (model.Contribution, bool) {
+	n := c.leafFor(row)
+	best := int32(-1)
+	var bestCyc float64
 	for j, end := c.lmOff[n], c.lmOff[n+1]; j < end; j++ {
 		coef := c.lmCoefs[j]
 		if coef == 0 {
 			continue
 		}
-		a := int(c.lmAttrs[j])
-		rate := row[a]
-		cyc := coef * rate
-		var frac float64
-		if pred != 0 {
-			frac = cyc / pred
+		if cyc := coef * row[c.lmAttrs[j]]; best < 0 || cyc > bestCyc {
+			best, bestCyc = j, cyc
 		}
-		out = append(out, model.Contribution{
-			Attr: a, Name: c.attrName(a), Coef: coef, Rate: rate, Cycles: cyc, Fraction: frac,
-		})
 	}
-	sortContributions(out)
-	return out
+	if best < 0 {
+		return model.Contribution{}, false
+	}
+	a := int(c.lmAttrs[best])
+	return contribution(a, c.attrName(a), c.lmCoefs[best], row[a], c.lmPredict(n, row)), true
 }
 
 func (c *CompiledTree) attrName(a int) string {

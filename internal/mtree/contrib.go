@@ -1,8 +1,6 @@
 package mtree
 
 import (
-	"sort"
-
 	"repro/internal/dataset"
 	"repro/internal/model"
 )
@@ -17,35 +15,49 @@ var _ model.Model = (*Tree)(nil)
 // arithmetic (e.g. 6.69*L1IM/CPI ≈ 20%). The unsmoothed leaf prediction is
 // used so that intercept + sum(Cycles) reproduces it exactly.
 func (t *Tree) Contributions(row dataset.Instance) []model.Contribution {
-	leaf, _ := t.Classify(row)
-	pred := leaf.Model.Predict(row)
-	var out []model.Contribution
-	for i, a := range leaf.Model.Attrs {
-		coef := leaf.Model.Coefs[i]
-		if coef == 0 {
-			continue
+	lm := t.leafFor(row).Model
+	pred := lm.Predict(row)
+	out := make([]model.Contribution, 0, len(lm.Coefs))
+	for i, a := range lm.Attrs {
+		if coef := lm.Coefs[i]; coef != 0 {
+			out = append(out, contribution(a, t.attrName(a), coef, row[a], pred))
 		}
-		rate := row[a]
-		cyc := coef * rate
-		var frac float64
-		if pred != 0 {
-			frac = cyc / pred
-		}
-		out = append(out, model.Contribution{
-			Attr: a, Name: t.attrName(a), Coef: coef, Rate: rate, Cycles: cyc, Fraction: frac,
-		})
 	}
-	sortContributions(out)
+	model.SortContributions(out)
 	return out
 }
 
-// sortContributions orders shares largest-CPI-contribution first; the
-// stable sort keeps coefficient order for ties, so the pointer-walk and
-// compiled decompositions agree element for element.
-func sortContributions(out []model.Contribution) {
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Cycles > out[j].Cycles
-	})
+// TopContribution implements model.Model: the first element of
+// Contributions, found in one walk over the leaf terms.
+func (t *Tree) TopContribution(row dataset.Instance) (model.Contribution, bool) {
+	lm := t.leafFor(row).Model
+	best := -1
+	var bestCyc float64
+	for i, a := range lm.Attrs {
+		coef := lm.Coefs[i]
+		if coef == 0 {
+			continue
+		}
+		if cyc := coef * row[a]; best < 0 || cyc > bestCyc {
+			best, bestCyc = i, cyc
+		}
+	}
+	if best < 0 {
+		return model.Contribution{}, false
+	}
+	a := lm.Attrs[best]
+	return contribution(a, t.attrName(a), lm.Coefs[best], row[a], lm.Predict(row)), true
+}
+
+// contribution is the Eq. 4 share of one leaf-model term, with its
+// fraction taken against the unsmoothed leaf prediction pred.
+func contribution(a int, name string, coef, rate, pred float64) model.Contribution {
+	cyc := coef * rate
+	var frac float64
+	if pred != 0 {
+		frac = cyc / pred
+	}
+	return model.Contribution{Attr: a, Name: name, Coef: coef, Rate: rate, Cycles: cyc, Fraction: frac}
 }
 
 // Describe implements model.Model.

@@ -17,15 +17,7 @@ func (t *Tree) Predict(row dataset.Instance) float64 {
 	if !t.Config.Smooth {
 		// Unsmoothed prediction needs no path at all: walk straight to
 		// the leaf and evaluate its model, allocation-free.
-		n := t.Root
-		for !n.IsLeaf() {
-			if row[n.SplitAttr] <= n.Threshold {
-				n = n.Left
-			} else {
-				n = n.Right
-			}
-		}
-		return n.Model.Predict(row)
+		return t.leafFor(row).Model.Predict(row)
 	}
 	// Smoothing blends ancestor models bottom-up, so the path is needed
 	// — but it lives in a stack buffer instead of a per-call heap slice
@@ -57,6 +49,19 @@ func (t *Tree) Predict(row dataset.Instance) float64 {
 
 // predictPathInline is the stack capacity of Predict's smoothing path.
 const predictPathInline = 64
+
+// leafFor walks an instance from the root to its leaf, allocation-free.
+func (t *Tree) leafFor(row dataset.Instance) *Node {
+	n := t.Root
+	for !n.IsLeaf() {
+		if row[n.SplitAttr] <= n.Threshold {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n
+}
 
 // pathTo returns the nodes visited from root to leaf for an instance.
 func (t *Tree) pathTo(row dataset.Instance) []*Node {

@@ -183,7 +183,8 @@ func NewOnline(cfg Config, calibration int) *Online {
 // Feed consumes one raw feature vector and returns the start sections
 // of any newly confirmed phases. During calibration nothing is
 // reported; the call that completes calibration replays the whole
-// buffered prefix, so it can report several boundaries at once.
+// buffered prefix, so it can report several boundaries at once. The
+// vector is copied; callers may reuse raw.
 func (o *Online) Feed(raw []float64) []int {
 	if o.stream == nil {
 		o.buf = append(o.buf, append([]float64(nil), raw...))
@@ -232,18 +233,21 @@ func (o *Online) Segments() []Segment {
 // would dilute the signal, while a plain max would fire on a single noisy
 // counter. The top-quartile mean is sensitive to coordinated movement and
 // robust to one outlier feature.
-func distance(a, b []float64) float64 {
-	diffs := make([]float64, len(a))
+//
+// diffs is scratch space of len(a). It is sorted ascending and summed
+// from the end: the same values in the same order a descending sort
+// would add (NaNs sort first ascending, so they come last from the end).
+func distance(a, b, diffs []float64) float64 {
 	for i := range a {
 		diffs[i] = math.Abs(a[i] - b[i])
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(diffs)))
+	sort.Float64s(diffs)
 	k := len(diffs) / 4
 	if k < 1 {
 		k = 1
 	}
 	s := 0.0
-	for i := 0; i < k; i++ {
+	for i := len(diffs) - 1; i >= len(diffs)-k; i-- {
 		s += diffs[i]
 	}
 	return s / float64(k)
@@ -281,12 +285,17 @@ type Stream struct {
 	recent     [][]float64 // ring of the last MinRun normalized vectors
 	pos        int         // ring write position
 	segs       []Segment
+	diffs      []float64 // distance's scratch, reused by every Feed
 }
 
 // Stream returns a fresh incremental tracker sharing the detector's
 // normalization scales.
 func (det *Detector) Stream() *Stream {
-	return &Stream{det: det, recent: make([][]float64, det.cfg.MinRun)}
+	return &Stream{
+		det:    det,
+		recent: make([][]float64, det.cfg.MinRun),
+		diffs:  make([]float64, len(det.scale)),
+	}
 }
 
 // Feed consumes the next section's raw feature vector (one value per
@@ -299,32 +308,37 @@ func (s *Stream) Feed(raw []float64) (start int, boundary bool) {
 		panic(fmt.Sprintf("phases: Feed vector has %d features, detector calibrated for %d",
 			len(raw), len(s.det.scale)))
 	}
-	v := make([]float64, len(raw))
+	// Normalize into the ring slot this section overwrites; a slot is
+	// allocated only the first time the ring wraps onto it.
+	slot := &s.recent[s.pos%len(s.recent)]
+	if *slot == nil {
+		*slot = make([]float64, len(raw))
+	}
+	v := *slot
 	for j := range raw {
 		v[j] = raw[j] / s.det.scale[j]
 	}
 	i := s.n
 	s.n++
-	s.recent[s.pos%len(s.recent)] = v
 	s.pos++
 	if i == 0 {
 		s.cur = Segment{Start: 0, Centroid: append([]float64(nil), v...)}
 		s.count = 1
 		return 0, false
 	}
-	if distance(v, s.cur.Centroid) > s.det.cfg.Threshold {
+	if distance(v, s.cur.Centroid, s.diffs) > s.det.cfg.Threshold {
 		s.outOfPhase++
 		if s.outOfPhase >= s.det.cfg.MinRun {
 			// Close the phase before the deviating run began and rebuild
-			// the centroid from the run's buffered vectors.
-			s.cur.End = i - s.outOfPhase + 1
+			// the centroid from the run's buffered vectors, oldest first.
+			k := s.outOfPhase
+			s.cur.End = i - k + 1
 			s.segs = append(s.segs, s.cur)
 			start = s.cur.End
-			run := s.lastN(s.outOfPhase)
-			s.cur = Segment{Start: start, Centroid: append([]float64(nil), run[0]...)}
+			s.cur = Segment{Start: start, Centroid: append([]float64(nil), s.back(k)...)}
 			s.count = 1
-			for _, w := range run[1:] {
-				addToCentroid(s.cur.Centroid, w, &s.count)
+			for j := k - 1; j >= 1; j-- {
+				addToCentroid(s.cur.Centroid, s.back(j), &s.count)
 			}
 			s.outOfPhase = 0
 			return start, true
@@ -339,15 +353,12 @@ func (s *Stream) Feed(raw []float64) (start int, boundary bool) {
 	return 0, false
 }
 
-// lastN returns the most recent k fed vectors, oldest first. k must be
-// at most MinRun (the ring capacity), which holds for every caller: the
-// deviating run is cut off the moment it reaches MinRun.
-func (s *Stream) lastN(k int) [][]float64 {
-	out := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		out[j] = s.recent[(s.pos-k+j)%len(s.recent)]
-	}
-	return out
+// back returns the vector fed j sections ago (j = 1 is the latest), as
+// the ring slot itself. j must be at most MinRun (the ring capacity),
+// which holds for every caller: the deviating run is cut off the moment
+// it reaches MinRun.
+func (s *Stream) back(j int) []float64 {
+	return s.recent[(s.pos-j)%len(s.recent)]
 }
 
 // Phase returns the 1-based index of the phase currently being tracked

@@ -53,15 +53,22 @@ func (s *Stream) State() StreamState {
 	return st
 }
 
-// RestoreStream rebuilds a tracker from a snapshot under cfg. The
-// config's MinRun must match the snapshot's debounce ring length —
-// restoring under a different debounce window would silently change
-// boundary detection, so it is an error instead.
-func RestoreStream(cfg Config, st StreamState) (*Stream, error) {
+// RestoreStream rebuilds a tracker over width features from a
+// snapshot under cfg. The config's MinRun must match the snapshot's
+// debounce ring length — restoring under a different debounce window
+// would silently change boundary detection, so it is an error instead.
+// So is a snapshot no tracker could have produced: a vector of another
+// width, a negative count or position, or a debounce run longer than
+// the ring or missing its buffered vectors. Feed reuses the ring slots
+// and would otherwise panic on the first section after the restore.
+func RestoreStream(cfg Config, st StreamState, width int) (*Stream, error) {
 	det := NewDetectorFromScales(st.Scale, cfg)
 	if len(st.Recent) != det.cfg.MinRun {
 		return nil, fmt.Errorf("phases: snapshot debounce ring has %d slots, config MinRun is %d",
 			len(st.Recent), det.cfg.MinRun)
+	}
+	if err := checkStream(st, width, det.cfg.MinRun); err != nil {
+		return nil, err
 	}
 	s := det.Stream()
 	s.n = st.N
@@ -74,6 +81,43 @@ func RestoreStream(cfg Config, st StreamState) (*Stream, error) {
 		s.segs = append(s.segs, copySegment(seg))
 	}
 	return s, nil
+}
+
+// checkStream validates a snapshot's shape against the feature width
+// and a ring of minRun slots.
+func checkStream(st StreamState, width, minRun int) error {
+	if len(st.Scale) != width {
+		return fmt.Errorf("phases: snapshot scale has %d features, want %d", len(st.Scale), width)
+	}
+	if st.N < 0 || st.Pos < 0 {
+		return fmt.Errorf("phases: snapshot has negative section count %d or ring position %d", st.N, st.Pos)
+	}
+	// An open phase exists once any section was fed.
+	if st.N > 0 && len(st.Cur.Centroid) != width {
+		return fmt.Errorf("phases: snapshot phase centroid has %d features, want %d", len(st.Cur.Centroid), width)
+	}
+	for i, v := range st.Recent {
+		if v != nil && len(v) != width {
+			return fmt.Errorf("phases: snapshot ring slot %d has %d features, want %d", i, len(v), width)
+		}
+	}
+	for i, seg := range st.Segs {
+		if len(seg.Centroid) != width {
+			return fmt.Errorf("phases: snapshot phase %d centroid has %d features, want %d", i+1, len(seg.Centroid), width)
+		}
+	}
+	// The deviating run's vectors are the ring slots just before Pos;
+	// the run that confirms a boundary reads them back.
+	if st.OutOfPhase < 0 || st.OutOfPhase >= minRun || st.OutOfPhase > st.Pos {
+		return fmt.Errorf("phases: snapshot debounce run %d does not fit a %d-slot ring at position %d",
+			st.OutOfPhase, minRun, st.Pos)
+	}
+	for j := 1; j <= st.OutOfPhase; j++ {
+		if i := (st.Pos - j) % minRun; st.Recent[i] == nil {
+			return fmt.Errorf("phases: snapshot ring slot %d of the debounce run is empty", i)
+		}
+	}
+	return nil
 }
 
 // OnlineState is the full state of a self-calibrating detector: either
@@ -97,16 +141,23 @@ func (o *Online) State() OnlineState {
 	return st
 }
 
-// RestoreOnline rebuilds a self-calibrating detector from a snapshot
-// under cfg (which must carry the same thresholds the drained detector
-// ran with for behavior to continue unchanged).
-func RestoreOnline(cfg Config, st OnlineState) (*Online, error) {
+// RestoreOnline rebuilds a self-calibrating detector over width
+// features from a snapshot under cfg (which must carry the same
+// thresholds the drained detector ran with for behavior to continue
+// unchanged). Calibration vectors of another width are an error, as
+// RestoreStream's shape checks are.
+func RestoreOnline(cfg Config, st OnlineState, width int) (*Online, error) {
 	o := NewOnline(cfg, st.Calibration)
 	if st.Stream == nil {
+		for i, v := range st.Buf {
+			if len(v) != width {
+				return nil, fmt.Errorf("phases: snapshot calibration vector %d has %d features, want %d", i, len(v), width)
+			}
+		}
 		o.buf = copyVectors(st.Buf)
 		return o, nil
 	}
-	s, err := RestoreStream(cfg, *st.Stream)
+	s, err := RestoreStream(cfg, *st.Stream, width)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 	"repro/internal/mtree"
 )
 
-// plainModel hides everything but the four model.Model methods, so a
+// plainModel hides everything but the model.Model methods, so a
 // registered model skips compilation and the batch kernel — the per-row
 // fallback path, kept testable after the registry learned to compile.
 type plainModel struct{ model.Model }

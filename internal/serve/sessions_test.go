@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/model"
+	"repro/internal/phases"
 	"repro/internal/refute"
 	"repro/internal/stream"
 )
@@ -492,5 +495,125 @@ func TestSessionsRestoreFullWindowRejected(t *testing.T) {
 	}
 	if n := streamSessionCount(t, h); n != 1 {
 		t.Errorf("%d sessions live, want only the one the stream request opened", n)
+	}
+}
+
+// streamThenMetrics posts body to session s of modelName, then scrapes
+// /metrics, both under a 10 s deadline. A panicking handler is
+// recovered here the way net/http recovers it, so a panic that leaves a
+// session locked shows up as a /metrics scrape that never returns.
+func streamThenMetrics(t *testing.T, h http.Handler, modelName, body string) (code, metrics int, panicked any) {
+	t.Helper()
+	type result struct {
+		stream, metrics int
+		panicked        any
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		func() {
+			defer func() { r.panicked = recover() }()
+			r.stream = postNDJSON(h, "/v1/stream?model="+modelName+"&session=s", body).Code
+		}()
+		r.metrics = get(h, "/metrics").Code
+		done <- r
+	}()
+	select {
+	case r := <-done:
+		return r.stream, r.metrics, r.panicked
+	case <-time.After(10 * time.Second):
+		t.Fatal("/metrics did not return within 10s after the stream request")
+		return 0, 0, nil
+	}
+}
+
+// TestSessionsRestoreWrongWidthRejected drains a session, changes the
+// width of one phase-tracker vector (or makes a count negative) and
+// restores the dump. Each restore must answer 400 and install nothing;
+// the next stream request to that session opens a fresh timeline, and
+// /metrics still answers. Accepting such a dump panicked the first
+// scoring call under the session lock and wedged every later scrape.
+func TestSessionsRestoreWrongWidthRejected(t *testing.T) {
+	// The phase boundary at section 40 closes one phase before the
+	// 64-sample drain; the 16-sample drain is still calibrating.
+	trace := streamTrace(96, 40, 9999, 0, 3)
+	tracker := func(st *stream.ProcessorState) *phases.StreamState { return st.Phases.Stream }
+	for _, tc := range []struct {
+		name    string
+		drainAt int
+		mutate  func(st *stream.ProcessorState)
+	}{
+		{"scale", 64, func(st *stream.ProcessorState) { tracker(st).Scale = tracker(st).Scale[1:] }},
+		{"centroid", 64, func(st *stream.ProcessorState) {
+			tracker(st).Cur.Centroid = append(tracker(st).Cur.Centroid, 1)
+		}},
+		{"ring slot", 64, func(st *stream.ProcessorState) { tracker(st).Recent[0] = tracker(st).Recent[0][1:] }},
+		{"closed phase", 64, func(st *stream.ProcessorState) {
+			tracker(st).Segs[0].Centroid = tracker(st).Segs[0].Centroid[1:]
+		}},
+		{"calibration vector", 16, func(st *stream.ProcessorState) { st.Phases.Buf[3] = st.Phases.Buf[3][1:] }},
+		{"negative n", 64, func(st *stream.ProcessorState) { tracker(st).N = -1 }},
+		{"negative pos", 64, func(st *stream.ProcessorState) { tracker(st).Pos = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, _ := newTestServer(t, streamConfig(1))
+			h := s.Handler()
+			head, tail := splitLines(trace, tc.drainAt)
+			if rec := postNDJSON(h, "/v1/stream?model=cpi&session=s", head); rec.Code != 200 {
+				t.Fatalf("seed stream: status %d: %s", rec.Code, rec.Body)
+			}
+			drain := post(h, "/v1/sessions/drain", "")
+			var dump struct {
+				Sessions []sessionState `json:"sessions"`
+			}
+			if err := json.Unmarshal(drain.Body.Bytes(), &dump); err != nil || len(dump.Sessions) != 1 {
+				t.Fatalf("drain: %v, %d sessions: %s", err, len(dump.Sessions), drain.Body)
+			}
+			st := &dump.Sessions[0].State
+			if tc.drainAt == 64 && (st.Phases.Stream == nil || len(st.Phases.Stream.Segs) == 0) {
+				t.Fatal("fixture: drained tracker has no closed phase")
+			}
+			tc.mutate(st)
+			body, err := json.Marshal(dump)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restore := post(h, "/v1/sessions/restore", string(body)); restore.Code != 400 {
+				t.Errorf("restore: status %d, want 400 (%s)", restore.Code, restore.Body)
+			}
+			code, metrics, panicked := streamThenMetrics(t, h, "cpi", tail)
+			if panicked != nil || code != 200 || metrics != 200 {
+				t.Errorf("after the restore: /v1/stream %d (panic %v), /metrics %d; want 200 both, no panic",
+					code, panicked, metrics)
+			}
+			if n := streamSessionCount(t, h); n != 1 {
+				t.Errorf("%d sessions live, want only the one the stream request opened", n)
+			}
+		})
+	}
+}
+
+// panicModel panics on every prediction, standing in for any bug in
+// scoring.
+type panicModel struct{ model.Model }
+
+func (panicModel) Predict(dataset.Instance) float64 { panic("scoring failed") }
+
+// TestStreamScoringPanicReleasesSession: a panic while scoring under
+// the session lock must still release the lock, so /metrics, whose
+// snapshot takes every session lock, keeps answering.
+func TestStreamScoringPanicReleasesSession(t *testing.T) {
+	_, tree, _ := newTestServer(t, streamConfig(1))
+	reg := NewRegistry()
+	if err := reg.Register("boom", "v1", panicModel{tree}, ""); err != nil {
+		t.Fatal(err)
+	}
+	h := New(reg, streamConfig(1)).Handler()
+	_, metrics, panicked := streamThenMetrics(t, h, "boom", streamTrace(8, 99, 99, 0, 3))
+	if panicked == nil {
+		t.Error("the stream request did not panic; the fixture model is not scoring")
+	}
+	if metrics != 200 {
+		t.Errorf("/metrics %d after the panic, want 200", metrics)
 	}
 }

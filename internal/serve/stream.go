@@ -256,14 +256,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Ingest and score under the session lock, buffering the events;
-	// the response is written only after the lock is released.
-	sess.mu.Lock()
-	// Every record passed the schema check above, so only scoring
-	// errors can fail here; the batch's final partial window is scored
-	// too, so the response answers for every sample it accepted.
-	events, ingestErr := sess.p.IngestBatch(recs)
-	stats := sess.p.Stats()
-	sess.mu.Unlock()
+	// the response is written only after the lock is released. The
+	// deferred unlock holds even if scoring panics (net/http recovers
+	// the handler), so one bad session can never wedge /metrics, whose
+	// snapshot takes every session lock.
+	var (
+		events    []stream.Event
+		ingestErr error
+		stats     stream.Stats
+	)
+	func() {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		// Every record passed the schema check above, so only scoring
+		// errors can fail here; the batch's final partial window is
+		// scored too, so the response answers for every sample it
+		// accepted.
+		events, ingestErr = sess.p.IngestBatch(recs)
+		stats = sess.p.Stats()
+	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -139,6 +139,12 @@ type Processor struct {
 	// pending holds the accepted but unscored records in arrival order,
 	// always fewer than cfg.Window between calls.
 	pending []Record
+	// feat is the phase tracker's input vector, refilled for every
+	// sample; the tracker copies what it keeps.
+	feat []float64
+	// score is scoreRecord bound once, so scoring a window allocates no
+	// closure.
+	score func(int, Record) (scoredSample, error)
 
 	scored   uint64
 	invalid  atomic.Uint64
@@ -162,15 +168,18 @@ func NewProcessor(m model.Model, cfg Config) (*Processor, error) {
 		return nil, err
 	}
 	cfg = cfg.sanitized()
-	return &Processor{
+	p := &Processor{
 		m:       m,
 		sc:      sc,
 		cfg:     cfg,
 		pending: make([]Record, 0, cfg.Window),
+		feat:    make([]float64, len(sc.featIdx)),
 		online:  phases.NewOnline(cfg.Phases, cfg.Calibration),
 		ph:      NewPageHinkley(cfg.PH),
 		refuter: refute.NewChecker(cfg.Refute, sc.desc.AttrNames, sc.targetIdx, sc.desc.Machine),
-	}, nil
+	}
+	p.score = p.scoreRecord
+	return p, nil
 }
 
 // Check validates a sample against the model schema without ingesting
@@ -287,9 +296,20 @@ func appendEvents(dst, src []Event) []Event {
 // scoredSample carries one record's parallel scoring result into the
 // serial monitor fold.
 type scoredSample struct {
-	rec  Record
-	pred float64
-	top  *model.Contribution
+	rec    Record
+	pred   float64
+	top    model.Contribution
+	hasTop bool
+}
+
+// scoreRecord is the parallel half of scoring: the prediction and, when
+// enabled, the top contributor, with no allocation.
+func (p *Processor) scoreRecord(_ int, rec Record) (scoredSample, error) {
+	out := scoredSample{rec: rec, pred: p.m.Predict(rec.Row)}
+	if p.cfg.Contributions {
+		out.top, out.hasTop = p.m.TopContribution(rec.Row)
+	}
+	return out, nil
 }
 
 // scoreBatch fans the batch out through parallel.Map (ordered, so the
@@ -299,16 +319,7 @@ func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	scoredBatch, err := parallel.Map(parallel.Config{Jobs: p.cfg.Jobs}.ForItems(len(batch)), batch,
-		func(_ int, rec Record) (scoredSample, error) {
-			out := scoredSample{rec: rec, pred: p.m.Predict(rec.Row)}
-			if p.cfg.Contributions {
-				if contribs := p.m.Contributions(rec.Row); len(contribs) > 0 {
-					out.top = &contribs[0]
-				}
-			}
-			return out, nil
-		})
+	scoredBatch, err := parallel.Map(parallel.Config{Jobs: p.cfg.Jobs}.ForItems(len(batch)), batch, p.score)
 	if err != nil {
 		return nil, fmt.Errorf("stream: scoring window: %w", err)
 	}
@@ -327,7 +338,8 @@ func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
 
 		// Phase tracking first, so a boundary confirmed by this section
 		// is reflected in the section's own phase number.
-		for _, start := range p.online.Feed(p.sc.featureVector(ss.rec.Row)) {
+		p.sc.featureVector(p.feat, ss.rec.Row)
+		for _, start := range p.online.Feed(p.feat) {
 			p.bounds++
 			events = append(events, Event{
 				Type:       "phase",
@@ -364,7 +376,7 @@ func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
 				Phase:     p.online.Phase(),
 				Predicted: ss.pred,
 			}
-			if ss.top != nil {
+			if ss.hasTop {
 				ev.TopEvent = ss.top.Name
 				ev.TopFraction = ss.top.Fraction
 			}

@@ -301,12 +301,11 @@ func (sc *Schema) sample(rec *Record) Sample {
 	return s
 }
 
-// featureVector extracts the raw non-target values of a full-width
-// instance, in schema order — the phase tracker's input space.
-func (sc *Schema) featureVector(row dataset.Instance) []float64 {
-	v := make([]float64, len(sc.featIdx))
+// featureVector fills dst with the raw non-target values of a
+// full-width instance, in schema order — the phase tracker's input
+// space. dst must have one slot per feature column.
+func (sc *Schema) featureVector(dst []float64, row dataset.Instance) {
 	for j, f := range sc.featIdx {
-		v[j] = row[f]
+		dst[j] = row[f]
 	}
-	return v
 }

@@ -138,7 +138,7 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 		}
 		p.pending = append(p.pending, rec)
 	}
-	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases)
+	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases, len(p.sc.featIdx))
 	if err != nil {
 		return nil, err
 	}

@@ -450,11 +450,12 @@ func BenchmarkStreamIngest(b *testing.B) {
 		samples = append(samples, s)
 	}
 
-	run := func(b *testing.B, jobs int, contribs bool) {
+	run := func(b *testing.B, jobs int, contribs, emit bool) {
 		cfg := DefaultConfig()
 		cfg.Jobs = jobs
 		cfg.Window = 64
 		cfg.Contributions = contribs
+		cfg.EmitSamples = emit
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -473,7 +474,65 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, true) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0, true) })
-	b.Run("serial-nocontrib", func(b *testing.B) { run(b, 1, false) })
+	b.Run("serial", func(b *testing.B) { run(b, 1, true, true) })
+	b.Run("parallel", func(b *testing.B) { run(b, 0, true, true) })
+	b.Run("serial-nocontrib", func(b *testing.B) { run(b, 1, false, true) })
+	// Scoring and monitoring without the per-sample event output.
+	b.Run("serial-nosamples", func(b *testing.B) { run(b, 1, true, false) })
+}
+
+// TestIngestBatchAllocsPerWindow pins allocation-free scoring: after
+// calibration, on a trace without phase boundaries, IngestBatch with
+// contributions on and sample events off allocates at most once per
+// scored window (parallel.Map's result slice), whatever the batch size.
+func TestIngestBatchAllocsPerWindow(t *testing.T) {
+	tree := trainTree(t, perfData(1200, 5))
+	cfg := DefaultConfig()
+	cfg.Jobs = 1
+	cfg.Window = 16
+	cfg.EmitSamples = false
+	cfg.Contributions = true
+	p, err := NewProcessor(tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 640
+	var trace bytes.Buffer
+	if err := twoPhaseTrace(&trace, total, total, total, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(bytes.NewReader(trace.Bytes()))
+	recs := make([]Record, 0, total)
+	for {
+		rec, err := dec.NextRecord(p.sc)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	// Calibrate the phase tracker, fill its ring and let the refutation
+	// verdicts settle.
+	const warm = 256
+	if _, err := p.IngestBatch(recs[:warm]); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats()
+	for _, windows := range []int{1, 4, 16} {
+		batch := recs[warm : warm+windows*cfg.Window]
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := p.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(windows) {
+			t.Errorf("%d-window batch: %v allocations per call, want at most %d (one per window)", windows, allocs, windows)
+		}
+	}
+	if after := p.Stats(); after.PhaseBoundaries != before.PhaseBoundaries || after.DriftAlarms != before.DriftAlarms {
+		t.Fatalf("fixture trace is not boundary-free: boundaries %d -> %d, alarms %d -> %d",
+			before.PhaseBoundaries, after.PhaseBoundaries, before.DriftAlarms, after.DriftAlarms)
+	}
 }
