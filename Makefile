@@ -83,8 +83,8 @@ bench-predict:
 # loop. All of them must report 0 allocs/op in steady state. Plus the
 # stream wire decoder (DESIGN.md §9, "Wire codec"): the row decoder vs
 # the encoding/json path on a served-schema line, ns and allocs per line;
-# and stream ingestion (DESIGN.md §9, "Scoring"), whose serial-nosamples
-# variant shows the scoring path's own allocations per sample.
+# and stream ingestion (DESIGN.md §9, "Scoring"), whose nosamples variant
+# shows the scoring path's own allocations per sample.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/sim/... ./internal/counters/
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode|BenchmarkStreamIngest' -benchtime 2s ./internal/stream/
@@ -280,11 +280,17 @@ monitor-smoke:
 # same seeded trace with the DTLB counter readout negated mid-run must
 # come out `refuted` (exit non-zero, relation table on stderr). A layer
 # that fails either direction — flagging clean counters or passing
-# corrupted ones — fails the target.
+# corrupted ones — fails the target. The corrupted trace's one `refuted`
+# event must also sit at section 63: refutation windows close every 32
+# sections from session start, the corruption begins at section 30, so
+# the windows ending at 31 and 63 are the two consecutive violated ones.
 refute-smoke:
 	@set -e; \
 	$(GO) run ./cmd/monitor -demo -refute -render 0 -events ''; \
 	if $(GO) run ./cmd/monitor -demo -demo-corrupt -refute -render 0 -events ''; then \
 	  echo "refute-smoke: corrupted demo trace was NOT refuted"; exit 1; \
 	fi; \
-	echo "refute-smoke: PASS (clean trace consistent, corrupted trace refuted)"
+	at=$$($(GO) run ./cmd/monitor -demo -demo-corrupt -render 0 -quiet | \
+	  grep '"type":"refute".*"verdict":"refuted"' | sed 's/.*"section":\([0-9]*\),.*/\1/' | tr '\n' ' '); \
+	test "$$at" = "63 " || { echo "refute-smoke: refuted event at section(s) '$$at', want 63"; exit 1; }; \
+	echo "refute-smoke: PASS (clean trace consistent, corrupted trace refuted at section 63)"

@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	monitor -model tree.json [-in samples.ndjson] [-follow] [-jobs N]
-//	        [-window 32] [-calibration 32] [-ph-delta 0.005] [-ph-lambda 0.25]
+//	monitor -model tree.json [-in samples.ndjson] [-follow]
+//	        [-calibration 32] [-ph-delta 0.005] [-ph-lambda 0.25]
 //	        [-events out.ndjson] [-no-samples] [-render 32] [-quiet]
 //	        [-refute] [-no-refute]
-//	monitor -demo [-jobs N]   # self-contained: trains a model, synthesizes
+//	monitor -demo             # self-contained: trains a model, synthesizes
 //	                          # a two-phase trace with an injected CPI
 //	                          # regression, and verifies both are caught
 //	monitor -demo -demo-corrupt -refute   # refutation drill: the demo trace
@@ -21,18 +21,21 @@
 //	                          # layer refuted them
 //
 // Alongside the phase and drift monitors, every sample is checked
-// against the counter-consistency relation catalog (internal/refute);
-// -refute prints the per-relation table after the run and exits
-// non-zero when the stream is refuted — counters that violate identity
-// relations mean the data, not the model, is wrong.
+// against the counter-consistency relation catalog (internal/refute),
+// whose verdicts advance once every 32 sections (and once more for a
+// trailing partial window at the end of input); -refute prints the
+// per-relation table after the run and exits non-zero when the stream
+// is refuted — counters that violate identity relations mean the data,
+// not the model, is wrong.
 //
 // Samples are read from stdin by default, one JSON object per line:
 //
 //	{"bench":"mcf","section":12,"events":{"L2M":0.004,"L1IM":0.002},"cpi":1.41}
 //
-// Human-readable status goes to stderr; machine-readable events (NDJSON)
-// go to -events (default stdout). Output is byte-identical at any -jobs
-// value.
+// Every sample is scored as it is read. Human-readable status goes to
+// stderr; machine-readable events (NDJSON) go to -events (default
+// stdout). They are the events /v1/stream answers for the same samples,
+// in any request chunking, plus those of the end-of-input window close.
 package main
 
 import (
@@ -71,8 +74,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		modelPath   = fs.String("model", "", "persisted model file (tree or ensemble)")
 		in          = fs.String("in", "-", "NDJSON sample stream (\"-\" = stdin)")
 		follow      = fs.Bool("follow", false, "keep reading as the input file grows (tail -f)")
-		jobs        = fs.Int("jobs", 0, "scoring workers (0 = all cores, 1 = serial; output is identical)")
-		window      = fs.Int("window", 32, "samples scored per parallel batch")
 		calibration = fs.Int("calibration", 32, "sections used to calibrate phase-detector noise scales")
 		phDelta     = fs.Float64("ph-delta", stream.DefaultPHConfig().Delta, "Page-Hinkley per-sample drift allowance (CPI units)")
 		phLambda    = fs.Float64("ph-lambda", stream.DefaultPHConfig().Lambda, "Page-Hinkley alarm threshold (CPI units)")
@@ -93,8 +94,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	cfg := stream.DefaultMonitorConfig()
-	cfg.Jobs = *jobs
-	cfg.Window = *window
 	cfg.Calibration = *calibration
 	cfg.PH.Delta = *phDelta
 	cfg.PH.Lambda = *phLambda

@@ -6,7 +6,8 @@
 // and served at /v1/predict (single +
 // batch, optional per-event contribution breakdown), /v1/classify (leaf
 // id + decision path), /v1/stream (NDJSON ingestion into a persistent
-// per-model phase/drift monitor), /v1/models (listing) and
+// per-session phase/drift/refutation monitor that scores every sample on
+// arrival), /v1/models (listing) and
 // /v1/models/{ref} (schema, versions, source format, evaluator kind),
 // /healthz, /metrics (text exposition) and /v1/metrics.json (structured
 // per-route counters + latency histograms). Errors are uniform
@@ -15,11 +16,15 @@
 // Usage:
 //
 //	serve -model cpi=tree.json [-model cpi@v2=tree2.json] [-addr :8080]
-//	      [-jobs N] [-cache 4096] [-cache-quantum 0] [-timeout 10s]
+//	      [-cache 4096] [-cache-quantum 0] [-timeout 10s]
 //	      [-max-body 1048576] [-max-batch 4096]
-//	      [-stream-window 32] [-session-ttl 15m] [-session-shards 16]
+//	      [-session-ttl 15m] [-session-shards 16]
 //	      [-pprof 127.0.0.1:6060]
-//	serve -demo                 # no files: trains a small tree in-process
+//	serve -demo [-jobs N]       # no files: trains a small tree in-process
+//
+// Every request is evaluated on its own goroutine; concurrent requests,
+// not intra-request fan-out, use the cores. -jobs sets only the worker
+// count of -demo training.
 //
 // -pprof serves net/http/pprof on its own listener (keep it off the
 // public address) with mutex and block profiling enabled, so lock
@@ -49,7 +54,6 @@ import (
 	"repro/internal/counters"
 	"repro/internal/mtree"
 	"repro/internal/serve"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -122,13 +126,12 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	fs.Var(&models, "model", "model to serve, as name=path or name@version=path (repeatable)")
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		jobs      = fs.Int("jobs", 0, "batch-prediction workers (0 = all cores, 1 = serial; responses are identical)")
+		jobs      = fs.Int("jobs", 0, "-demo training workers (0 = all cores, 1 = serial; the model is identical)")
 		cacheSize = fs.Int("cache", 4096, "LRU prediction cache entries (0 disables)")
 		quantum   = fs.Float64("cache-quantum", 0, "cache key quantization step (0 = exact bits, hits cannot change responses)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request handler timeout (0 disables; /v1/stream streams and is exempt)")
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
-		streamWin = fs.Int("stream-window", stream.DefaultConfig().Window, "/v1/stream samples scored per parallel batch")
 		sessTTL   = fs.Duration("session-ttl", serve.DefaultConfig().SessionTTL, "evict /v1/stream sessions idle this long (0 keeps them forever)")
 		sessShard = fs.Int("session-shards", serve.DefaultConfig().SessionShards, "stream session table stripes (rounded up to a power of two)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this extra address with mutex/block profiling on (empty disables)")
@@ -174,13 +177,11 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	}
 
 	cfg := serve.DefaultConfig()
-	cfg.Jobs = *jobs
 	cfg.CacheSize = *cacheSize
 	cfg.CacheQuantum = *quantum
 	cfg.MaxBodyBytes = *maxBody
 	cfg.MaxBatch = *maxBatch
 	cfg.RequestTimeout = *timeout
-	cfg.Stream.Window = *streamWin
 	cfg.SessionTTL = *sessTTL
 	cfg.SessionShards = *sessShard
 

@@ -240,10 +240,10 @@ func TestEnsembleDeterministicAcrossJobs(t *testing.T) {
 // stack's refutation verdicts are a pure function of the ingested
 // stream: the /v1/stream NDJSON response (events, summary, refutation
 // digest) and the full GET /v1/sessions/{id}/refutation report are
-// byte-identical at every scoring worker count and session-table shard
-// count. The trace goes bad mid-way (a negated DTLB rate), so the
-// invariance covers violated windows, streaks and verdict transitions,
-// not just the all-clean path.
+// byte-identical at every session-table shard count. The trace goes bad
+// mid-way (a negated DTLB rate), so the invariance covers violated
+// windows, streaks and verdict transitions, not just the all-clean path.
+// (Scoring has no worker count: every sample is scored on arrival.)
 func TestRefutationDeterministicAcrossJobsAndShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d := dataset.MustNew([]dataset.Attribute{
@@ -280,45 +280,42 @@ func TestRefutationDeterministicAcrossJobsAndShards(t *testing.T) {
 	}
 
 	var wantStream, wantReport []byte
-	for _, jobs := range jobVariants() {
-		for _, shards := range []int{1, 16} {
-			reg := serve.NewRegistry()
-			if err := reg.Register("cpi", "v1", tree, ""); err != nil {
-				t.Fatal(err)
-			}
-			scfg := serve.DefaultConfig()
-			scfg.Jobs = jobs
-			scfg.SessionShards = shards
-			scfg.CacheSize = 0
-			h := serve.New(reg, scfg).Handler()
+	for _, shards := range []int{1, 16} {
+		reg := serve.NewRegistry()
+		if err := reg.Register("cpi", "v1", tree, ""); err != nil {
+			t.Fatal(err)
+		}
+		scfg := serve.DefaultConfig()
+		scfg.SessionShards = shards
+		scfg.CacheSize = 0
+		h := serve.New(reg, scfg).Handler()
 
-			req := httptest.NewRequest(http.MethodPost, "/v1/stream?model=cpi&session=det",
-				strings.NewReader(trace.String()))
-			req.Header.Set("Content-Type", "application/x-ndjson")
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				t.Fatalf("jobs=%d shards=%d: stream status %d: %s", jobs, shards, rec.Code, rec.Body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/stream?model=cpi&session=det",
+			strings.NewReader(trace.String()))
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("shards=%d: stream status %d: %s", shards, rec.Code, rec.Body)
+		}
+		ref := httptest.NewRecorder()
+		h.ServeHTTP(ref, httptest.NewRequest(http.MethodGet, "/v1/sessions/det/refutation?model=cpi", nil))
+		if ref.Code != 200 {
+			t.Fatalf("shards=%d: refutation status %d: %s", shards, ref.Code, ref.Body)
+		}
+		if wantStream == nil {
+			wantStream = rec.Body.Bytes()
+			wantReport = ref.Body.Bytes()
+			if !bytes.Contains(wantReport, []byte(`"verdict":"refuted"`)) {
+				t.Fatalf("corrupted trace was not refuted: %s", wantReport)
 			}
-			ref := httptest.NewRecorder()
-			h.ServeHTTP(ref, httptest.NewRequest(http.MethodGet, "/v1/sessions/det/refutation?model=cpi", nil))
-			if ref.Code != 200 {
-				t.Fatalf("jobs=%d shards=%d: refutation status %d: %s", jobs, shards, ref.Code, ref.Body)
-			}
-			if wantStream == nil {
-				wantStream = rec.Body.Bytes()
-				wantReport = ref.Body.Bytes()
-				if !bytes.Contains(wantReport, []byte(`"verdict":"refuted"`)) {
-					t.Fatalf("corrupted trace was not refuted: %s", wantReport)
-				}
-				continue
-			}
-			if !bytes.Equal(rec.Body.Bytes(), wantStream) {
-				t.Errorf("jobs=%d shards=%d: /v1/stream response differs from jobs=1 shards=1", jobs, shards)
-			}
-			if !bytes.Equal(ref.Body.Bytes(), wantReport) {
-				t.Errorf("jobs=%d shards=%d: refutation report differs from jobs=1 shards=1", jobs, shards)
-			}
+			continue
+		}
+		if !bytes.Equal(rec.Body.Bytes(), wantStream) {
+			t.Errorf("shards=%d: /v1/stream response differs from shards=1", shards)
+		}
+		if !bytes.Equal(ref.Body.Bytes(), wantReport) {
+			t.Errorf("shards=%d: refutation report differs from shards=1", shards)
 		}
 	}
 }

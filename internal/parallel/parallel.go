@@ -30,26 +30,6 @@ type Config struct {
 // Serial returns a Config that forces the serial code path.
 func Serial() Config { return Config{Jobs: 1} }
 
-// SmallInputCutoff is the item count below which fan-out overhead —
-// goroutine startup, the shared counter, cross-core cache traffic — costs
-// more than it saves when the per-item work is tiny (predicting or scoring
-// one row takes well under a microsecond). Call sites with cheap items
-// route small inputs down the serial path with ForItems.
-const SmallInputCutoff = 128
-
-// ForItems returns the config, degraded to serial when n is below
-// SmallInputCutoff. Results are unaffected either way (Map's contract);
-// this is purely a throughput heuristic for cheap-per-item call sites.
-// Sites whose items each carry substantial work (a whole benchmark
-// simulation, a cross-validation fold) should not use it: for them a
-// handful of items is exactly what is worth fanning out.
-func (c Config) ForItems(n int) Config {
-	if n < SmallInputCutoff {
-		return Serial()
-	}
-	return c
-}
-
 // Workers resolves Jobs to a concrete worker count (>= 1).
 func (c Config) Workers() int {
 	if c.Jobs <= 0 {

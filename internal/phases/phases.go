@@ -195,15 +195,15 @@ func (o *Online) Feed(raw []float64) []int {
 		o.stream = det.Stream()
 		var starts []int
 		for _, v := range o.buf {
-			if st, ok := o.stream.Feed(v); ok {
-				starts = append(starts, st)
+			if seg, ok := o.stream.Feed(v); ok {
+				starts = append(starts, seg.End)
 			}
 		}
 		o.buf = nil
 		return starts
 	}
-	if st, ok := o.stream.Feed(raw); ok {
-		return []int{st}
+	if seg, ok := o.stream.Feed(raw); ok {
+		return []int{seg.End}
 	}
 	return nil
 }
@@ -218,14 +218,6 @@ func (o *Online) Phase() int {
 
 // Calibrating reports whether the detector is still estimating scales.
 func (o *Online) Calibrating() bool { return o.stream == nil }
-
-// Segments returns the segmentation so far (nil during calibration).
-func (o *Online) Segments() []Segment {
-	if o.stream == nil {
-		return nil
-	}
-	return o.stream.Flush()
-}
 
 // distance is the mean of the top quartile of absolute normalized
 // per-feature differences. A phase change typically moves a handful of
@@ -255,27 +247,35 @@ func distance(a, b, diffs []float64) float64 {
 
 // Segment splits the dataset's section sequence into phases. Rows are
 // assumed to be in execution order. It is the batch driver over the
-// incremental Stream: every section is fed in order and the accumulated
-// segmentation is flushed at the end, so batch and streaming detection
-// share one code path (and one set of outputs).
+// incremental Stream: every section is fed in order, the phases Feed
+// closes are collected, and the phase still open at the end joins them
+// before short phases merge, so batch and streaming detection share one
+// code path (and one set of outputs).
 func (det *Detector) Segment(d *dataset.Dataset) []Segment {
+	if d.Len() == 0 {
+		return nil
+	}
 	s := det.Stream()
+	var segs []Segment
 	raw := make([]float64, len(det.features))
 	for i := 0; i < d.Len(); i++ {
 		for j, f := range det.features {
 			raw[j] = d.Value(i, f)
 		}
-		s.Feed(raw)
+		if seg, ok := s.Feed(raw); ok {
+			segs = append(segs, seg)
+		}
 	}
-	return s.Flush()
+	return mergeShort(append(segs, s.Flush()), det.cfg.MinPhaseLen)
 }
 
 // Stream is the incremental phase tracker behind Segment: sections are
 // fed one at a time and phase-boundary events are reported as soon as
 // the MinRun debounce confirms them, which is what an online monitor
-// needs. The arithmetic is identical to the historical batch loop —
-// feeding a dataset row by row and flushing yields byte-identical
-// segments.
+// needs. It keeps only the open phase and a count of closed ones, so
+// its memory stays constant however many boundaries a stream crosses;
+// Feed hands each closed phase to the caller, and Segment is the one
+// caller that keeps them.
 type Stream struct {
 	det        *Detector
 	n          int // sections fed so far
@@ -284,8 +284,8 @@ type Stream struct {
 	outOfPhase int
 	recent     [][]float64 // ring of the last MinRun normalized vectors
 	pos        int         // ring write position
-	segs       []Segment
-	diffs      []float64 // distance's scratch, reused by every Feed
+	closed     int         // phases closed so far
+	diffs      []float64   // distance's scratch, reused by every Feed
 }
 
 // Stream returns a fresh incremental tracker sharing the detector's
@@ -300,10 +300,11 @@ func (det *Detector) Stream() *Stream {
 
 // Feed consumes the next section's raw feature vector (one value per
 // scale, in calibration order). When the debounced tracker confirms a
-// phase change it returns the new phase's start section and true; the
-// report lags the true boundary by up to MinRun-1 sections (the
-// debounce window). The vector is copied; callers may reuse raw.
-func (s *Stream) Feed(raw []float64) (start int, boundary bool) {
+// phase change it returns the phase that just closed and true; the new
+// phase starts at the closed one's End. The report lags the true
+// boundary by up to MinRun-1 sections (the debounce window). The vector
+// is copied; callers may reuse raw, and own the returned segment.
+func (s *Stream) Feed(raw []float64) (closed Segment, boundary bool) {
 	if len(raw) != len(s.det.scale) {
 		panic(fmt.Sprintf("phases: Feed vector has %d features, detector calibrated for %d",
 			len(raw), len(s.det.scale)))
@@ -324,7 +325,7 @@ func (s *Stream) Feed(raw []float64) (start int, boundary bool) {
 	if i == 0 {
 		s.cur = Segment{Start: 0, Centroid: append([]float64(nil), v...)}
 		s.count = 1
-		return 0, false
+		return Segment{}, false
 	}
 	if distance(v, s.cur.Centroid, s.diffs) > s.det.cfg.Threshold {
 		s.outOfPhase++
@@ -332,25 +333,25 @@ func (s *Stream) Feed(raw []float64) (start int, boundary bool) {
 			// Close the phase before the deviating run began and rebuild
 			// the centroid from the run's buffered vectors, oldest first.
 			k := s.outOfPhase
-			s.cur.End = i - k + 1
-			s.segs = append(s.segs, s.cur)
-			start = s.cur.End
-			s.cur = Segment{Start: start, Centroid: append([]float64(nil), s.back(k)...)}
+			closed = s.cur
+			closed.End = i - k + 1
+			s.closed++
+			s.cur = Segment{Start: closed.End, Centroid: append([]float64(nil), s.back(k)...)}
 			s.count = 1
 			for j := k - 1; j >= 1; j-- {
 				addToCentroid(s.cur.Centroid, s.back(j), &s.count)
 			}
 			s.outOfPhase = 0
-			return start, true
+			return closed, true
 		}
-		return 0, false
+		return Segment{}, false
 	}
 	// A deviating run shorter than MinRun was an outlier burst: keep
 	// those sections in the phase but leave them out of the centroid,
 	// so one wild section cannot drag the reference point.
 	s.outOfPhase = 0
 	addToCentroid(s.cur.Centroid, v, &s.count)
-	return 0, false
+	return Segment{}, false
 }
 
 // back returns the vector fed j sections ago (j = 1 is the latest), as
@@ -367,26 +368,21 @@ func (s *Stream) Phase() int {
 	if s.n == 0 {
 		return 0
 	}
-	return len(s.segs) + 1
+	return s.closed + 1
 }
 
 // Sections returns the number of sections fed so far.
 func (s *Stream) Sections() int { return s.n }
 
-// Flush closes the open phase and returns the full segmentation with
-// short phases merged, exactly as the batch Segment reports it. The
-// stream remains usable; a later Flush reflects the additional sections.
-func (s *Stream) Flush() []Segment {
+// Flush returns the open phase as if it closed after the last section
+// fed (the zero Segment before any section). The stream remains usable;
+// the open phase's centroid is still being updated by Feed, so the
+// caller gets a snapshot and flushing mid-stream stays safe.
+func (s *Stream) Flush() Segment {
 	if s.n == 0 {
-		return nil
+		return Segment{}
 	}
-	cur := s.cur
-	cur.End = s.n
-	// The open phase's centroid is still being updated by Feed; hand the
-	// caller a snapshot so flushing mid-stream stays safe.
-	cur.Centroid = append([]float64(nil), s.cur.Centroid...)
-	segs := append(append([]Segment(nil), s.segs...), cur)
-	return mergeShort(segs, s.det.cfg.MinPhaseLen)
+	return Segment{Start: s.cur.Start, End: s.n, Centroid: append([]float64(nil), s.cur.Centroid...)}
 }
 
 // addToCentroid folds v into the running mean.

@@ -99,8 +99,8 @@ func TestRestoreStreamRejectsBadShape(t *testing.T) {
 	// A deviating run in progress, so the debounce-run checks have
 	// buffered slots to look at.
 	s.Feed([]float64{50, 50})
-	if s.outOfPhase != 1 || len(s.segs) == 0 {
-		t.Fatalf("fixture: out-of-phase %d, %d closed phases; want 1 and some", s.outOfPhase, len(s.segs))
+	if s.outOfPhase != 1 || s.closed == 0 {
+		t.Fatalf("fixture: out-of-phase %d, %d closed phases; want 1 and some", s.outOfPhase, s.closed)
 	}
 	const width = 2
 	if _, err := RestoreStream(cfg, s.State(), width); err != nil {
@@ -114,7 +114,7 @@ func TestRestoreStreamRejectsBadShape(t *testing.T) {
 		{"scale", "scale has 1", func(st *StreamState) { st.Scale = st.Scale[:1] }},
 		{"centroid", "phase centroid has 3", func(st *StreamState) { st.Cur.Centroid = append(st.Cur.Centroid, 0) }},
 		{"ring slot", "ring slot", func(st *StreamState) { st.Recent[0] = st.Recent[0][:1] }},
-		{"closed phase", "phase 1 centroid", func(st *StreamState) { st.Segs[0].Centroid = nil }},
+		{"closed phase", "closed phases over", func(st *StreamState) { st.Closed = st.N }},
 		{"negative n", "negative", func(st *StreamState) { st.N = -1 }},
 		{"negative pos", "negative", func(st *StreamState) { st.Pos = -3 }},
 		{"run too long", "debounce run", func(st *StreamState) { st.OutOfPhase = len(st.Recent) }},

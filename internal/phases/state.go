@@ -28,14 +28,18 @@ type StreamState struct {
 	// are null.
 	Recent [][]float64 `json:"recent"`
 	Pos    int         `json:"pos"`
-	// Segs are the closed phases.
+	// Closed counts the closed phases.
+	Closed int `json:"closed"`
+	// Segs is the closed-phase list that snapshots carried before
+	// Closed replaced it; only its length is restored, and State never
+	// writes it.
 	Segs []Segment `json:"segs,omitempty"`
 }
 
 // State snapshots the tracker. The snapshot shares no mutable memory
 // with the stream: every slice is copied.
 func (s *Stream) State() StreamState {
-	st := StreamState{
+	return StreamState{
 		Scale:      append([]float64(nil), s.det.scale...),
 		N:          s.n,
 		Cur:        copySegment(s.cur),
@@ -43,14 +47,8 @@ func (s *Stream) State() StreamState {
 		OutOfPhase: s.outOfPhase,
 		Recent:     copyVectors(s.recent),
 		Pos:        s.pos,
+		Closed:     s.closed,
 	}
-	if len(s.segs) > 0 {
-		st.Segs = make([]Segment, len(s.segs))
-		for i, seg := range s.segs {
-			st.Segs[i] = copySegment(seg)
-		}
-	}
-	return st
 }
 
 // RestoreStream rebuilds a tracker over width features from a
@@ -58,9 +56,11 @@ func (s *Stream) State() StreamState {
 // debounce ring length — restoring under a different debounce window
 // would silently change boundary detection, so it is an error instead.
 // So is a snapshot no tracker could have produced: a vector of another
-// width, a negative count or position, or a debounce run longer than
-// the ring or missing its buffered vectors. Feed reuses the ring slots
-// and would otherwise panic on the first section after the restore.
+// width, a negative count or position, more closed phases than sections,
+// or a debounce run longer than the ring or missing its buffered
+// vectors. Feed reuses the ring slots and would otherwise panic on the
+// first section after the restore. A snapshot that lists closed phases
+// in Segs instead of counting them restores with Closed = len(Segs).
 func RestoreStream(cfg Config, st StreamState, width int) (*Stream, error) {
 	det := NewDetectorFromScales(st.Scale, cfg)
 	if len(st.Recent) != det.cfg.MinRun {
@@ -77,10 +77,17 @@ func RestoreStream(cfg Config, st StreamState, width int) (*Stream, error) {
 	s.outOfPhase = st.OutOfPhase
 	s.recent = copyVectors(st.Recent)
 	s.pos = st.Pos
-	for _, seg := range st.Segs {
-		s.segs = append(s.segs, copySegment(seg))
-	}
+	s.closed = st.closedCount()
 	return s, nil
+}
+
+// closedCount is the snapshot's closed-phase count, from Segs when an older
+// snapshot listed them.
+func (st StreamState) closedCount() int {
+	if len(st.Segs) > 0 {
+		return len(st.Segs)
+	}
+	return st.Closed
 }
 
 // checkStream validates a snapshot's shape against the feature width
@@ -101,10 +108,13 @@ func checkStream(st StreamState, width, minRun int) error {
 			return fmt.Errorf("phases: snapshot ring slot %d has %d features, want %d", i, len(v), width)
 		}
 	}
-	for i, seg := range st.Segs {
-		if len(seg.Centroid) != width {
-			return fmt.Errorf("phases: snapshot phase %d centroid has %d features, want %d", i+1, len(seg.Centroid), width)
-		}
+	if len(st.Segs) > 0 && st.Closed != 0 && st.Closed != len(st.Segs) {
+		return fmt.Errorf("phases: snapshot counts %d closed phases but lists %d", st.Closed, len(st.Segs))
+	}
+	// Every phase holds at least one section, and the open one exists
+	// once any section was fed.
+	if c := st.closedCount(); c < 0 || (c > 0 && c >= st.N) {
+		return fmt.Errorf("phases: snapshot has %d closed phases over %d sections", c, st.N)
 	}
 	// The deviating run's vectors are the ring slots just before Pos;
 	// the run that confirms a boundary reads them back.

@@ -6,16 +6,19 @@ import (
 )
 
 // feedAll drives a fresh Stream with every row of the dataset and
-// returns the flush plus every reported boundary.
+// returns the closed phases plus the flushed open one, short phases
+// merged, and every reported boundary.
 func feedAll(det *Detector, rows [][]float64) ([]Segment, []int) {
 	s := det.Stream()
+	var segs []Segment
 	var starts []int
 	for _, r := range rows {
-		if st, ok := s.Feed(r); ok {
-			starts = append(starts, st)
+		if seg, ok := s.Feed(r); ok {
+			segs = append(segs, seg)
+			starts = append(starts, seg.End)
 		}
 	}
-	return s.Flush(), starts
+	return mergeShort(append(segs, s.Flush()), det.cfg.MinPhaseLen), starts
 }
 
 func rawRows(dlen int, det *Detector, value func(i, f int) float64) [][]float64 {
@@ -64,30 +67,34 @@ func TestStreamFlushMidway(t *testing.T) {
 	d := syntheticPhases([]int{40, 40}, 3)
 	det := NewDetector(d, DefaultConfig())
 	s := det.Stream()
+	var segs []Segment
 	raw := make([]float64, len(det.features))
 	feed := func(i int) {
 		for j, f := range det.features {
 			raw[j] = d.Value(i, f)
 		}
-		s.Feed(raw)
+		if seg, ok := s.Feed(raw); ok {
+			segs = append(segs, seg)
+		}
 	}
 	for i := 0; i < 40; i++ {
 		feed(i)
 	}
 	first := s.Flush()
-	if len(first) != 1 || first[0].End != 40 {
-		t.Fatalf("mid-stream flush: %+v", first)
+	if len(segs) != 0 || first.Start != 0 || first.End != 40 {
+		t.Fatalf("mid-stream flush: %+v after %d closed phases", first, len(segs))
 	}
+	centroid := append([]float64(nil), first.Centroid...)
 	for i := 40; i < 80; i++ {
 		feed(i)
 	}
-	second := s.Flush()
+	second := mergeShort(append(segs, s.Flush()), det.cfg.MinPhaseLen)
 	if want := det.Segment(d); !reflect.DeepEqual(second, want) {
 		t.Fatalf("resumed flush diverged:\n got %+v\nwant %+v", second, want)
 	}
 	// The early flush's centroid snapshot must not have been mutated by
 	// the later feeds (it aliased the then-open phase).
-	if len(first) != 1 || first[0].End != 40 {
+	if !reflect.DeepEqual(first.Centroid, centroid) || first.End != 40 {
 		t.Errorf("early flush mutated by later feeds: %+v", first)
 	}
 }
@@ -112,8 +119,8 @@ func TestOnlineDetectorFindsBoundary(t *testing.T) {
 	if o.Phase() != 2 {
 		t.Errorf("phase %d after one boundary, want 2", o.Phase())
 	}
-	if segs := o.Segments(); len(segs) != 2 || segs[1].End != d.Len() {
-		t.Errorf("segments: %+v", segs)
+	if open := o.stream.Flush(); open.Start != starts[0] || open.End != d.Len() {
+		t.Errorf("open phase %+v, want [%d, %d)", open, starts[0], d.Len())
 	}
 }
 

@@ -15,13 +15,15 @@
 // flags the latter.
 //
 // Relations are declarative data (counters.RelationSpec), evaluated per
-// sample with a tolerance band and aggregated per scoring window. A
-// relation's verdict moves consistent → suspect on its first violated
-// window and suspect → refuted (sticky) after RefuteWindows consecutive
-// violated windows; the session verdict is the worst relation verdict.
-// Evaluation order is fixed and serial, so verdicts are byte-identical at
-// any parallelism, and the whole checker state snapshots/restores through
-// the stream-session drain path (see state.go).
+// sample with a tolerance band and aggregated per window of
+// WindowSections sections. A relation's verdict moves consistent →
+// suspect on its first violated window and suspect → refuted (sticky)
+// after RefuteWindows consecutive violated windows; the session verdict
+// is the worst relation verdict. Windows are cut by section count alone,
+// so verdicts depend only on the section sequence — never on how a
+// producer batched its requests — and the whole checker state, open
+// window included, snapshots/restores through the stream-session drain
+// path (see state.go).
 package refute
 
 import (
@@ -126,6 +128,11 @@ type relStats struct {
 	verdict         Verdict
 }
 
+// WindowSections is the refutation window length: the stream layer
+// closes a window after every WindowSections sections counted from
+// session start, and once more when its input ends.
+const WindowSections = 32
+
 // Checker evaluates the relation catalog against a stream of samples.
 // Not safe for concurrent use; the stream processor drives it from its
 // serial fold.
@@ -135,6 +142,7 @@ type Checker struct {
 	rels    []compiled
 	stats   []relStats
 	winDev  []float64 // max deviation per relation within the open window
+	open    uint64    // samples observed in the open window
 	samples uint64
 	windows uint64
 }
@@ -316,6 +324,7 @@ func (c *Checker) Observe(row []float64, cpi float64, haveCPI bool) {
 		return
 	}
 	c.samples++
+	c.open++
 	for i := range c.rels {
 		r := &c.rels[i]
 		if r.usesCPI && !haveCPI {
@@ -352,14 +361,17 @@ type Transition struct {
 	Deviation float64
 }
 
-// EndWindow closes the current scoring window: every relation violated
-// within it advances its streak (promoting suspect → refuted at the
-// configured threshold), every clean relation resets its streak. It
-// returns the verdict transitions the window caused, in catalog order.
+// EndWindow closes the open window: every relation violated within it
+// advances its streak (promoting suspect → refuted at the configured
+// threshold), every clean relation resets its streak. It returns the
+// verdict transitions the window caused, in catalog order. A window
+// that observed no sample is left open and changes nothing, so closing
+// twice in a row is harmless.
 func (c *Checker) EndWindow() []Transition {
-	if !c.Enabled() {
+	if !c.Enabled() || c.open == 0 {
 		return nil
 	}
+	c.open = 0
 	c.windows++
 	var trans []Transition
 	for i := range c.stats {
@@ -386,6 +398,9 @@ func (c *Checker) EndWindow() []Transition {
 	}
 	return trans
 }
+
+// Windows returns the number of closed windows.
+func (c *Checker) Windows() uint64 { return c.windows }
 
 // Verdict returns the session verdict: the worst relation verdict.
 func (c *Checker) Verdict() Verdict {

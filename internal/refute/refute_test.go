@@ -375,7 +375,8 @@ func mustRelation(t *testing.T, c *Checker, name string) counters.RelationSpec {
 }
 
 // TestStateRoundTrip: snapshot → JSON → restore reproduces the checker
-// byte-identically, including mid-lifecycle verdicts.
+// byte-identically, including mid-lifecycle verdicts and a half-full
+// open window.
 func TestStateRoundTrip(t *testing.T) {
 	row := cleanRow(t, march.Core2())
 	cols := tableICols()
@@ -385,6 +386,14 @@ func TestStateRoundTrip(t *testing.T) {
 	feedRows(c, [][]float64{row, row}, 2)
 	c.Observe(bad, badCPI, true)
 	c.EndWindow()
+	// Snapshot mid-window: the open window already holds a violation,
+	// and it must survive the round trip to close the same way.
+	c.Observe(row, row[0], true)
+	c.Observe(bad, badCPI, true)
+	if st := c.State(); st.WindowSamples != 2 || st.Relations[0].WindowDeviation <= 0 {
+		t.Fatalf("fixture: open window %d samples, deviation %v; want 2 and a violation",
+			st.WindowSamples, st.Relations[0].WindowDeviation)
+	}
 
 	blob, err := c.State().MarshalBytes()
 	if err != nil {
@@ -407,10 +416,21 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	// Continuation equivalence: same future input, same future state.
-	c.Observe(bad, badCPI, true)
-	c.EndWindow()
-	restored.Observe(bad, badCPI, true)
-	restored.EndWindow()
+	// Closing the restored open window refutes, as it does the original.
+	for _, k := range []*Checker{c, restored} {
+		k.Observe(row, row[0], true)
+		if trans := k.EndWindow(); len(trans) != 1 || trans[0].Verdict != Refuted {
+			t.Fatalf("closing the window open at the snapshot: transitions %+v, want one refuted", trans)
+		}
+		if trans := k.EndWindow(); trans != nil {
+			t.Fatalf("closing an empty window: transitions %+v, want none", trans)
+		}
+		k.Observe(bad, badCPI, true)
+		k.EndWindow()
+	}
+	if c.Windows() != 4 {
+		t.Fatalf("%d closed windows, want 4 (an empty window does not count)", c.Windows())
+	}
 	b1, _ := c.State().MarshalBytes()
 	b2, _ := restored.State().MarshalBytes()
 	if !bytes.Equal(b1, b2) {

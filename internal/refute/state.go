@@ -11,8 +11,10 @@ import (
 // StateVersion is the refutation snapshot format version. Snapshots
 // declaring a newer version are rejected: they would carry fields this
 // build does not understand, and silently dropping refutation evidence
-// on restore defeats the whole layer.
-const StateVersion = 1
+// on restore defeats the whole layer. Version 2 added the open window
+// (WindowSamples, RelationState.WindowDeviation); version 1 snapshots
+// were always taken between windows and restore with it empty.
+const StateVersion = 2
 
 // RelationState is one relation's accumulated statistics, exactly as
 // snapshotted. All fields round-trip byte-identically through JSON
@@ -34,15 +36,20 @@ type RelationState struct {
 	// sample (0 = never violated).
 	LastViolation uint64  `json:"last_violation,omitempty"`
 	Verdict       Verdict `json:"verdict"`
+	// WindowDeviation is the worst excess within the open window (0 =
+	// not violated there yet).
+	WindowDeviation float64 `json:"window_deviation,omitempty"`
 }
 
 // State is a checker snapshot: everything needed to continue consistency
 // checking byte-identically after a session drain/restore.
 type State struct {
-	SchemaVersion int             `json:"schema_version"`
-	Machine       string          `json:"machine,omitempty"`
-	Samples       uint64          `json:"samples"`
-	Windows       uint64          `json:"windows"`
+	SchemaVersion int    `json:"schema_version"`
+	Machine       string `json:"machine,omitempty"`
+	Samples       uint64 `json:"samples"`
+	Windows       uint64 `json:"windows"`
+	// WindowSamples counts the samples observed in the open window.
+	WindowSamples uint64          `json:"window_samples,omitempty"`
 	Relations     []RelationState `json:"relations"`
 }
 
@@ -57,18 +64,19 @@ func (c *Checker) relationState(i int) RelationState {
 		MaxDeviation:    st.maxDeviation,
 		LastViolation:   st.lastViolation,
 		Verdict:         st.verdict,
+		WindowDeviation: c.winDev[i],
 	}
 }
 
-// State snapshots the checker. Open-window aggregation never crosses a
-// snapshot (the stream processor closes a window at the end of every
-// scoring batch), so the snapshot is complete.
+// State snapshots the checker, open window included, so a snapshot can
+// be taken at any section.
 func (c *Checker) State() State {
 	st := State{
 		SchemaVersion: StateVersion,
 		Machine:       c.machine,
 		Samples:       c.samples,
 		Windows:       c.windows,
+		WindowSamples: c.open,
 	}
 	for i := range c.rels {
 		st.Relations = append(st.Relations, c.relationState(i))
@@ -111,12 +119,23 @@ func (s State) Validate() error {
 		if math.IsNaN(r.MaxDeviation) || math.IsInf(r.MaxDeviation, 0) || r.MaxDeviation < 0 {
 			return fmt.Errorf("refute: relation %q max_deviation %v is not a finite non-negative value", r.Name, r.MaxDeviation)
 		}
-		if (r.Violations == 0) != (r.Verdict == Consistent) {
+		// A consistent relation has no violated closed window; any
+		// violation it has sits in the open window, not yet judged.
+		if r.Verdict == Consistent && (r.ViolatedWindows > 0 || (r.Violations > 0) != (r.WindowDeviation > 0)) ||
+			r.Verdict != Consistent && r.Violations == 0 {
 			return fmt.Errorf("refute: relation %q verdict %q disagrees with %d violations", r.Name, r.Verdict, r.Violations)
 		}
 		if r.LastViolation > s.Samples {
 			return fmt.Errorf("refute: relation %q last violation %d beyond %d samples", r.Name, r.LastViolation, s.Samples)
 		}
+		if math.IsNaN(r.WindowDeviation) || r.WindowDeviation < 0 || r.WindowDeviation > r.MaxDeviation ||
+			(r.WindowDeviation > 0 && (s.WindowSamples == 0 || r.Violations == 0)) {
+			return fmt.Errorf("refute: relation %q window_deviation %v does not fit its max_deviation %v and %d open-window samples",
+				r.Name, r.WindowDeviation, r.MaxDeviation, s.WindowSamples)
+		}
+	}
+	if s.WindowSamples > s.Samples {
+		return fmt.Errorf("refute: %d open-window samples of %d ingested", s.WindowSamples, s.Samples)
 	}
 	return nil
 }
@@ -187,6 +206,7 @@ func (c *Checker) RestoreState(s State) error {
 	}
 	c.samples = s.Samples
 	c.windows = s.Windows
+	c.open = s.WindowSamples
 	for i, r := range s.Relations {
 		c.stats[i] = relStats{
 			checked:         r.Checked,
@@ -197,7 +217,7 @@ func (c *Checker) RestoreState(s State) error {
 			lastViolation:   r.LastViolation,
 			verdict:         r.Verdict,
 		}
-		c.winDev[i] = 0
+		c.winDev[i] = r.WindowDeviation
 	}
 	return nil
 }

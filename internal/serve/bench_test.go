@@ -57,23 +57,20 @@ func BenchmarkServePredict(b *testing.B) {
 		}
 	}
 
-	serial := func(cache int) Config {
-		return Config{Jobs: 1, CacheSize: cache, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
+	withCache := func(cache int) Config {
+		return Config{CacheSize: cache, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
 	}
-	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, serial(0)) })
-	b.Run("tree-cached", func(b *testing.B) { run(b, tree, serial(4096)) })
-	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, serial(0)) })
-	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, serial(4096)) })
-	b.Run("ensemble-uncached-parallel", func(b *testing.B) {
-		run(b, bag, Config{Jobs: 0, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096})
-	})
+	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, withCache(0)) })
+	b.Run("tree-cached", func(b *testing.B) { run(b, tree, withCache(4096)) })
+	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, withCache(0)) })
+	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, withCache(4096)) })
 }
 
 // BenchmarkServePredictBatch measures the batch endpoint with the
 // compiled batch kernel against the per-row fallback (a model wrapped
 // so it hides Compilable/BatchPredictor), for a large batch where the
-// kernel's amortization matters. Uncached, serial: the numbers isolate
-// the prediction path, not the LRU or the worker fan-out.
+// kernel's amortization matters. Uncached: the numbers isolate the
+// prediction path, not the LRU.
 func BenchmarkServePredictBatch(b *testing.B) {
 	d := perfData(4000, 11)
 	cfg := mtree.DefaultConfig()
@@ -91,7 +88,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	}
 
 	body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 256))
-	scfg := Config{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
+	scfg := Config{CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
 
 	run := func(b *testing.B, m model.Model) {
 		reg := NewRegistry()
@@ -124,8 +121,8 @@ func BenchmarkServePredictBatch(b *testing.B) {
 // concurrent clients (run with -cpu 1,4,8 to see core scaling): every
 // goroutine posts single-row predictions against the same model, so
 // the cache shards, the atomic histogram and the endpoint counters are
-// all on the contended path. Jobs=1 keeps each request serial — the
-// parallelism under test is request concurrency, not batch fan-out.
+// all on the contended path. The parallelism under test is request
+// concurrency: each request is evaluated on its own goroutine.
 func BenchmarkServeConcurrentPredict(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()
@@ -139,7 +136,6 @@ func BenchmarkServeConcurrentPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	scfg := DefaultConfig()
-	scfg.Jobs = 1
 	scfg.RequestTimeout = 0
 	h := New(reg, scfg).Handler()
 
@@ -183,10 +179,7 @@ func BenchmarkServeConcurrentStream(b *testing.B) {
 	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 		b.Fatal(err)
 	}
-	scfg := DefaultConfig()
-	scfg.Jobs = 1
-	scfg.Stream.Window = 16
-	h := New(reg, scfg).Handler()
+	h := New(reg, DefaultConfig()).Handler()
 
 	// Pre-render the trace as 16-line request chunks.
 	const chunkLines = 16

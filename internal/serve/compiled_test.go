@@ -75,8 +75,8 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 
 // TestBatchKernelResponseIdentical: for the same request, the compiled
 // batch kernel and the per-row pointer walk return byte-identical
-// bodies — across batch sizes straddling the parallel cutoff, cache
-// off/cold/warm, serial and parallel workers, and both model kinds.
+// bodies — across batch sizes, cache off/cold/warm, and both model
+// kinds.
 func TestBatchKernelResponseIdentical(t *testing.T) {
 	d := perfData(600, 11)
 	tree := buildServeTree(t, d)
@@ -86,10 +86,9 @@ func TestBatchKernelResponseIdentical(t *testing.T) {
 	}
 
 	configs := []Config{
-		{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 1, CacheSize: 512, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 0, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 3, CacheSize: 4096, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{CacheSize: 512, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{CacheSize: 4096, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 	}
 	for _, m := range []struct {
 		name  string

@@ -285,11 +285,9 @@ func (s metricsSnapshot) renderText() []byte {
 	fmt.Fprintf(&b, "serve_cache_misses_total %d\n", s.Cache.Misses)
 	fmt.Fprintf(&b, "serve_cache_hit_rate %g\n", s.Cache.HitRate)
 	fmt.Fprintf(&b, "serve_stream_sessions %d\n", s.Streams.Sessions)
-	fmt.Fprintf(&b, "serve_stream_depth %d\n", s.Streams.Depth)
 	fmt.Fprintf(&b, "serve_stream_accepted_total %d\n", s.Streams.Accepted)
 	fmt.Fprintf(&b, "serve_stream_scored_total %d\n", s.Streams.Scored)
 	fmt.Fprintf(&b, "serve_stream_invalid_total %d\n", s.Streams.Invalid)
-	fmt.Fprintf(&b, "serve_stream_dropped_total %d\n", s.Streams.Dropped)
 	fmt.Fprintf(&b, "serve_stream_windows_total %d\n", s.Streams.Windows)
 	fmt.Fprintf(&b, "serve_stream_phase_boundaries_total %d\n", s.Streams.PhaseBoundaries)
 	fmt.Fprintf(&b, "serve_stream_drift_alarms_total %d\n", s.Streams.DriftAlarms)

@@ -140,8 +140,8 @@ func TestPredictNamedEvents(t *testing.T) {
 }
 
 // TestBatchDeterminism is the acceptance check: batch responses must be
-// byte-identical to serial Tree.Predict at any worker count, cache on or
-// off, warm or cold.
+// byte-identical to Tree.Predict row by row, cache on or off, warm or
+// cold.
 func TestBatchDeterminism(t *testing.T) {
 	d := perfData(1200, 5)
 	tree := buildTree(t, d)
@@ -149,9 +149,8 @@ func TestBatchDeterminism(t *testing.T) {
 
 	var bodies [][]byte
 	for _, cfg := range []Config{
-		{Jobs: 1, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 8, CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
-		{Jobs: 8, CacheSize: 1024, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
+		{CacheSize: 1024, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 	} {
 		reg := NewRegistry()
 		if err := reg.Register("cpi", "v1", tree, ""); err != nil {

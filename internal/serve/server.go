@@ -37,10 +37,10 @@
 // binary model files load pre-compiled), so the hot path evaluates the
 // flat-array forms; prediction-only batches additionally run the
 // zero-allocation PredictInto kernel. Both are bit-identical to the
-// pointer-walk models, and batch fan-out over internal/parallel keeps
-// responses byte-identical at any worker count; the optional LRU cache
-// keys on exact value bits by default, so it can never change a
-// response either. Request bodies are size-capped
+// pointer-walk models. Each request is evaluated on its own goroutine —
+// concurrent requests, not intra-request fan-out, fill the cores — and
+// the optional LRU cache keys on exact value bits by default, so it can
+// never change a response. Request bodies are size-capped
 // and handlers time-limited (except the streaming /v1/stream route,
 // which flushes incrementally instead — see Handler), making the hot
 // path safe to expose.
@@ -56,15 +56,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mtree"
-	"repro/internal/parallel"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
 // Config holds the service knobs.
 type Config struct {
-	// Jobs is the worker count for batch prediction (0 = all cores,
-	// 1 = serial). Responses are identical at any value.
+	// Jobs is unused: every request is evaluated on its own goroutine.
+	// It remains only so callers that still set it compile; it will be
+	// removed.
 	Jobs int
 	// CacheSize bounds the LRU prediction cache (entries); 0 disables
 	// caching.
@@ -81,9 +81,8 @@ type Config struct {
 	// NDJSON response and stateful ingestion make a buffered timeout
 	// wrapper wrong (see Handler).
 	RequestTimeout time.Duration
-	// Stream tunes the /v1/stream monitor sessions (window, phase and
-	// drift detectors). Its Jobs field is
-	// ignored: stream scoring follows the service-wide Jobs setting.
+	// Stream tunes the /v1/stream monitor sessions (phase, drift and
+	// refutation detectors).
 	Stream stream.Config
 	// SessionShards is the stripe count of the stream session table,
 	// rounded up to a power of two (0 = 16).
@@ -99,7 +98,6 @@ type Config struct {
 // DefaultConfig returns production-leaning defaults.
 func DefaultConfig() Config {
 	return Config{
-		Jobs:           0,
 		CacheSize:      4096,
 		CacheQuantum:   0,
 		MaxBodyBytes:   1 << 20, // 1 MiB
@@ -400,40 +398,36 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	ref := e.Ref()
 	// Prediction-only requests against a compiled model take the batch
-	// kernel: one PredictInto sweep (chunked across workers for large
-	// batches) instead of per-row interface dispatch. The kernel's output
-	// is bit-identical to per-row Predict, so which path runs is
-	// unobservable in the response.
+	// kernel: one PredictInto sweep instead of per-row interface
+	// dispatch. The kernel's output is bit-identical to per-row Predict,
+	// so which path runs is unobservable in the response.
 	if bp, ok := e.Model.(model.BatchPredictor); ok && !req.Contributions {
 		resp.Predictions = s.predictBatch(bp, ref, rows)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	// Ordered fan-out: parallel.Map returns results in input order, so
-	// the response is byte-identical at any worker count. The cache is
-	// consulted per row; with the default exact-bits keying a hit returns
-	// the same float the model would produce. Keys are assembled in a
-	// per-row stack buffer (AppendKey) so a cache hit costs zero
+	// The cache is consulted per row; with the default exact-bits keying
+	// a hit returns the same float the model would produce. Keys are
+	// assembled in a stack buffer (AppendKey) so a cache hit costs zero
 	// allocations; only inserting a fresh entry copies the key.
-	// Request-sized batches are usually far below the point where fan-out
-	// pays for itself; ForItems keeps them on the serial path.
-	resp.Predictions, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
-		func(i int, row dataset.Instance) (float64, error) {
-			if req.Contributions {
-				resp.Contributions[i] = e.Model.Contributions(row)
+	resp.Predictions = make([]float64, len(rows))
+	var kb [256]byte
+	for i, row := range rows {
+		if req.Contributions {
+			resp.Contributions[i] = e.Model.Contributions(row)
+		}
+		var key []byte
+		if s.cache != nil {
+			key = AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
+			if v, ok := s.cache.GetBytes(key); ok {
+				resp.Predictions[i] = v
+				continue
 			}
-			var kb [256]byte
-			var key []byte
-			if s.cache != nil {
-				key = AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
-				if v, ok := s.cache.GetBytes(key); ok {
-					return v, nil
-				}
-			}
-			v := e.Model.Predict(row)
-			s.cache.PutBytes(key, v)
-			return v, nil
-		})
+		}
+		v := e.Model.Predict(row)
+		s.cache.PutBytes(key, v)
+		resp.Predictions[i] = v
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -446,7 +440,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (s *Server) predictBatch(bp model.BatchPredictor, ref string, rows []dataset.Instance) []float64 {
 	out := make([]float64, len(rows))
 	if s.cache == nil {
-		s.kernelInto(bp, out, rows)
+		bp.PredictInto(out, rows)
 		return out
 	}
 	var kb [256]byte
@@ -465,38 +459,13 @@ func (s *Server) predictBatch(bp model.BatchPredictor, ref string, rows []datase
 		return out
 	}
 	miss := make([]float64, len(missRows))
-	s.kernelInto(bp, miss, missRows)
+	bp.PredictInto(miss, missRows)
 	for j, i := range missIdx {
 		out[i] = miss[j]
 		key := AppendKey(kb[:0], ref, rows[i], s.cfg.CacheQuantum)
 		s.cache.PutBytes(key, miss[j])
 	}
 	return out
-}
-
-// kernelInto runs the batch kernel over dst/rows, splitting large
-// batches into contiguous per-worker chunks. Chunks write disjoint dst
-// ranges and every row's arithmetic is independent, so the result is
-// identical at any worker count — the same determinism contract the
-// per-row fan-out keeps.
-func (s *Server) kernelInto(bp model.BatchPredictor, dst []float64, rows []dataset.Instance) {
-	cfg := parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows))
-	workers := cfg.Workers()
-	if workers <= 1 {
-		bp.PredictInto(dst, rows)
-		return
-	}
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	chunks := make([][2]int, workers)
-	for w := range chunks {
-		chunks[w] = [2]int{w * len(rows) / workers, (w + 1) * len(rows) / workers}
-	}
-	_, _ = parallel.Map(cfg, chunks, func(_ int, c [2]int) (struct{}, error) {
-		bp.PredictInto(dst[c[0]:c[1]], rows[c[0]:c[1]])
-		return struct{}{}, nil
-	})
 }
 
 // classifier is the optional classification surface: single trees route
@@ -562,22 +531,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := classifyResponse{Model: e.Ref(), N: len(rows)}
-	resp.Classes, _ = parallel.Map(parallel.Config{Jobs: s.cfg.Jobs}.ForItems(len(rows)), rows,
-		func(i int, row dataset.Instance) (classification, error) {
-			leaf, path := cl.Classify(row)
-			c := classification{
-				LeafID:     leaf.LeafID,
-				Prediction: leaf.Model.Predict(row),
-				TrainN:     leaf.N,
-				TrainMean:  leaf.Mean,
-				Path:       make([]classifyStep, len(path)),
-			}
-			for j, st := range path {
-				c.Path[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
-			}
-			return c, nil
-		})
+	resp := classifyResponse{Model: e.Ref(), N: len(rows), Classes: make([]classification, len(rows))}
+	for i, row := range rows {
+		leaf, path := cl.Classify(row)
+		steps := make([]classifyStep, len(path))
+		for j, st := range path {
+			steps[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
+		}
+		resp.Classes[i] = classification{
+			LeafID:     leaf.LeafID,
+			Path:       steps,
+			Prediction: leaf.Model.Predict(row),
+			TrainN:     leaf.N,
+			TrainMean:  leaf.Mean,
+		}
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

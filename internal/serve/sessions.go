@@ -87,7 +87,7 @@ func (s *Server) handleSessionsRestore(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, ErrCodeNotFound, "session %d: %v", i, err)
 			return
 		}
-		p, err := stream.RestoreProcessor(e.Model, s.streamConfig(), st.State)
+		p, err := stream.RestoreProcessor(e.Model, s.cfg.Stream, st.State)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "session %d: %v", i, err)
 			return

@@ -44,7 +44,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // timelines through one model: each session scores the full trace from
 // section zero, and both show up in the metrics snapshot.
 func TestStreamSessionQueryParam(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(0))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 	trace := streamTrace(40, 20, 100, 0, 7)
 
@@ -88,7 +88,7 @@ func TestStreamSessionQueryParam(t *testing.T) {
 // stuck ingest does — must not stop a request for session b of the
 // same model.
 func TestStreamConcurrentSessionsIndependent(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(1))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 	trace := streamTrace(40, 20, 100, 0, 7)
 
@@ -119,7 +119,7 @@ func TestStreamConcurrentSessionsIndependent(t *testing.T) {
 // a fresh timeline on the next request.
 func TestStreamSessionTTLEviction(t *testing.T) {
 	clk := newFakeClock()
-	cfg := streamConfig(0)
+	cfg := streamConfig()
 	cfg.SessionTTL = time.Minute
 	cfg.Clock = clk.Now
 	s, _, _ := newTestServer(t, cfg)
@@ -167,7 +167,7 @@ func TestStreamSessionTTLEviction(t *testing.T) {
 // byte-identical to the pre-drain listing, (2) continuing a timeline on
 // the new server emits exactly what an uninterrupted server would.
 func TestSessionsDrainRestoreRoundTrip(t *testing.T) {
-	cfg := streamConfig(1)
+	cfg := streamConfig()
 	trace := streamTrace(130, 60, 90, 0.5, 42)
 	first, second := splitLines(trace, 70)
 
@@ -248,13 +248,14 @@ func corruptTrace(total, badFrom int) string {
 // violating relation named, and the per-relation violation counters land
 // in /metrics and /v1/metrics.json.
 func TestSessionRefutationEndpoint(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(1))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 
 	if rec := postNDJSON(h, "/v1/stream?model=cpi&session=good", streamTrace(40, 20, 100, 0, 7)); rec.Code != 200 {
 		t.Fatalf("clean stream: status %d: %s", rec.Code, rec.Body)
 	}
-	bad := postNDJSON(h, "/v1/stream?model=cpi", corruptTrace(40, 0))
+	// Two refutation windows, both violated: refuted.
+	bad := postNDJSON(h, "/v1/stream?model=cpi", corruptTrace(2*refute.WindowSections, 0))
 	if bad.Code != 200 {
 		t.Fatalf("corrupt stream: status %d: %s", bad.Code, bad.Body)
 	}
@@ -293,8 +294,8 @@ func TestSessionRefutationEndpoint(t *testing.T) {
 	for _, rel := range rep.Refutation.Relations {
 		if rel.Name == "nonneg-L1IM" {
 			found = true
-			if rel.Verdict != refute.Refuted || rel.Violations != 40 {
-				t.Errorf("nonneg-L1IM: verdict %q with %d violations, want refuted with 40",
+			if rel.Verdict != refute.Refuted || rel.Violations != 64 {
+				t.Errorf("nonneg-L1IM: verdict %q with %d violations, want refuted with 64",
 					rel.Verdict, rel.Violations)
 			}
 		} else if rel.Violations != 0 {
@@ -322,15 +323,15 @@ func TestSessionRefutationEndpoint(t *testing.T) {
 		t.Errorf("verdict rollup %d consistent / %d refuted, want 1 / 1",
 			snap.Streams.RefuteConsistent, snap.Streams.RefuteRefuted)
 	}
-	if snap.Streams.RelationViolations["nonneg-L1IM"] != 40 {
-		t.Errorf("relation violation rollup %v, want nonneg-L1IM=40", snap.Streams.RelationViolations)
+	if snap.Streams.RelationViolations["nonneg-L1IM"] != 64 {
+		t.Errorf("relation violation rollup %v, want nonneg-L1IM=64", snap.Streams.RelationViolations)
 	}
 	text := get(h, "/metrics").Body.String()
 	for _, line := range []string{
 		`serve_stream_refute_sessions{verdict="consistent"} 1`,
 		`serve_stream_refute_sessions{verdict="refuted"} 1`,
-		`serve_stream_refute_violations_total 40`,
-		`serve_stream_refute_relation_violations_total{relation="nonneg-L1IM"} 40`,
+		`serve_stream_refute_violations_total 64`,
+		`serve_stream_refute_relation_violations_total{relation="nonneg-L1IM"} 64`,
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("metrics text missing %q", line)
@@ -340,13 +341,13 @@ func TestSessionRefutationEndpoint(t *testing.T) {
 
 // TestRefutationDrainRestoreDifferential is the differential acceptance
 // test for refutation state handoff: a session whose counter stream goes
-// bad mid-trace is drained *while a relation's violation streak is open*,
-// restored into a fresh server, and fed the rest of the trace. Its
-// continuation response and its full refutation report must be
-// byte-identical to an uninterrupted control run.
+// bad mid-trace is drained *in the middle of a refutation window that
+// already holds violations*, restored into a fresh server, and fed the
+// rest of the trace. Its continuation response and its full refutation
+// report must be byte-identical to an uninterrupted control run.
 func TestRefutationDrainRestoreDifferential(t *testing.T) {
-	cfg := streamConfig(1)
-	first, second := splitLines(corruptTrace(60, 20), 30)
+	cfg := streamConfig()
+	first, second := splitLines(corruptTrace(3*refute.WindowSections, 20), 30)
 
 	sA, _, _ := newTestServer(t, cfg)
 	hA := sA.Handler()
@@ -357,10 +358,11 @@ func TestRefutationDrainRestoreDifferential(t *testing.T) {
 	if drain.Code != 200 {
 		t.Fatalf("drain status %d: %s", drain.Code, drain.Body)
 	}
-	// The open streak must be in the drained state (second window, samples
-	// 16..29, contains corrupt samples and is violated but not yet refuted).
-	if !bytes.Contains(drain.Body.Bytes(), []byte(`"refutation":{`)) {
-		t.Fatalf("drained state carries no refutation snapshot: %s", drain.Body)
+	// The open window must be in the drained state: samples 0..29 of the
+	// first window, 20..29 of them corrupt, not yet judged.
+	if !bytes.Contains(drain.Body.Bytes(), []byte(`"window_samples":30,`)) ||
+		!bytes.Contains(drain.Body.Bytes(), []byte(`"window_deviation":`)) {
+		t.Fatalf("drained state carries no open refutation window: %s", drain.Body)
 	}
 
 	sB, _, _ := newTestServer(t, cfg)
@@ -403,7 +405,7 @@ func TestRefutationDrainRestoreDifferential(t *testing.T) {
 
 // TestSessionsRestoreRejects pins the all-or-nothing restore contract.
 func TestSessionsRestoreRejects(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(1))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 
 	// Unknown model: 404, nothing installed.
@@ -424,6 +426,17 @@ func TestSessionsRestoreRejects(t *testing.T) {
 		t.Errorf("non-zero dropped: status %d, want 400 (%s)", rec.Code, rec.Body)
 	}
 
+	// A v2 dump holding a pending sample, behind a valid session in the
+	// same dump: 400, and neither session is installed. Servers always
+	// scored a request's partial window before answering, so no dump they
+	// made holds one.
+	body = `{"sessions":[{"model":"cpi","session":"ok","state":{"schema_version":2,"dropped":0,"phases":{"calibration":32},"ph":{}}},` +
+		`{"model":"cpi","session":"p","state":{"schema_version":2,"dropped":0,` +
+		`"pending":[{"section":7,"events":{"L2M":0.001}}],"phases":{"calibration":32},"ph":{}}}]}`
+	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 400 || !strings.Contains(rec.Body.String(), "unscored") {
+		t.Errorf("v2 dump with a pending sample: status %d, want 400 naming it (%s)", rec.Code, rec.Body)
+	}
+
 	if n := streamSessionCount(t, h); n != 0 {
 		t.Errorf("rejected restores installed %d sessions", n)
 	}
@@ -442,28 +455,23 @@ func streamSessionCount(t *testing.T, h http.Handler) int {
 	return snap.Streams.Sessions
 }
 
-// TestSessionsRestoreFullWindowRejected restores a dump whose session
-// holds a full window of pending samples — a state no processor with
-// this config reaches, since it scores every window as it fills. The
+// TestSessionsRestoreFullWindowRejected restores a v2 dump whose
+// session holds a full 256-sample window of pending samples — a state
+// no processor reaches now that every sample is scored on arrival. The
 // restore must answer 400 and install nothing, and the next stream
 // request and the metrics scrape must still return. Both run under a
 // deadline, so a session wedged by such a dump fails the test instead
 // of hanging it.
 func TestSessionsRestoreFullWindowRejected(t *testing.T) {
-	cfg := streamConfig(1)
-	cfg.Stream.Window = 256
-	s, _, _ := newTestServer(t, cfg)
+	const window = 256
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 
-	trace := streamTrace(cfg.Stream.Window+8, 9999, 9999, 0, 3)
+	trace := streamTrace(window+8, 9999, 9999, 0, 3)
 	lines := strings.Split(strings.TrimSuffix(trace, "\n"), "\n")
 	st := stream.ProcessorState{SchemaVersion: 2}
-	for _, line := range lines[:cfg.Stream.Window] {
-		var smp stream.Sample
-		if err := json.Unmarshal([]byte(line), &smp); err != nil {
-			t.Fatal(err)
-		}
-		st.Pending = append(st.Pending, smp)
+	for _, line := range lines[:window] {
+		st.Pending = append(st.Pending, json.RawMessage(line))
 	}
 	st.Phases.Calibration = stream.DefaultConfig().Calibration
 	dump, err := json.Marshal(map[string]any{
@@ -481,7 +489,7 @@ func TestSessionsRestoreFullWindowRejected(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		var r result
-		r.stream = postNDJSON(h, "/v1/stream?model=cpi&session=s", strings.Join(lines[cfg.Stream.Window:], "\n")+"\n").Code
+		r.stream = postNDJSON(h, "/v1/stream?model=cpi&session=s", strings.Join(lines[window:], "\n")+"\n").Code
 		r.metrics = get(h, "/metrics").Code
 		done <- r
 	}()
@@ -548,15 +556,13 @@ func TestSessionsRestoreWrongWidthRejected(t *testing.T) {
 			tracker(st).Cur.Centroid = append(tracker(st).Cur.Centroid, 1)
 		}},
 		{"ring slot", 64, func(st *stream.ProcessorState) { tracker(st).Recent[0] = tracker(st).Recent[0][1:] }},
-		{"closed phase", 64, func(st *stream.ProcessorState) {
-			tracker(st).Segs[0].Centroid = tracker(st).Segs[0].Centroid[1:]
-		}},
+		{"closed phase", 64, func(st *stream.ProcessorState) { tracker(st).Closed = tracker(st).N }},
 		{"calibration vector", 16, func(st *stream.ProcessorState) { st.Phases.Buf[3] = st.Phases.Buf[3][1:] }},
 		{"negative n", 64, func(st *stream.ProcessorState) { tracker(st).N = -1 }},
 		{"negative pos", 64, func(st *stream.ProcessorState) { tracker(st).Pos = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _, _ := newTestServer(t, streamConfig(1))
+			s, _, _ := newTestServer(t, streamConfig())
 			h := s.Handler()
 			head, tail := splitLines(trace, tc.drainAt)
 			if rec := postNDJSON(h, "/v1/stream?model=cpi&session=s", head); rec.Code != 200 {
@@ -570,7 +576,7 @@ func TestSessionsRestoreWrongWidthRejected(t *testing.T) {
 				t.Fatalf("drain: %v, %d sessions: %s", err, len(dump.Sessions), drain.Body)
 			}
 			st := &dump.Sessions[0].State
-			if tc.drainAt == 64 && (st.Phases.Stream == nil || len(st.Phases.Stream.Segs) == 0) {
+			if tc.drainAt == 64 && (st.Phases.Stream == nil || st.Phases.Stream.Closed == 0) {
 				t.Fatal("fixture: drained tracker has no closed phase")
 			}
 			tc.mutate(st)
@@ -603,12 +609,12 @@ func (panicModel) Predict(dataset.Instance) float64 { panic("scoring failed") }
 // the session lock must still release the lock, so /metrics, whose
 // snapshot takes every session lock, keeps answering.
 func TestStreamScoringPanicReleasesSession(t *testing.T) {
-	_, tree, _ := newTestServer(t, streamConfig(1))
+	_, tree, _ := newTestServer(t, streamConfig())
 	reg := NewRegistry()
 	if err := reg.Register("boom", "v1", panicModel{tree}, ""); err != nil {
 		t.Fatal(err)
 	}
-	h := New(reg, streamConfig(1)).Handler()
+	h := New(reg, streamConfig()).Handler()
 	_, metrics, panicked := streamThenMetrics(t, h, "boom", streamTrace(8, 99, 99, 0, 3))
 	if panicked == nil {
 		t.Error("the stream request did not panic; the fixture model is not scoring")

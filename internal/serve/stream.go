@@ -15,11 +15,13 @@ import (
 
 // The /v1/stream endpoint is the service's online surface: clients POST
 // NDJSON counter samples and the server runs them through a persistent
-// stream.Processor — the same scoring fan-out as /v1/predict plus the
-// phase and drift monitors. Monitor state (phase tracker, Page–Hinkley
-// accumulator, EWMA CPI) survives across requests, so a producer can
-// POST sections in whatever chunks its collection loop yields and still
-// get one coherent monitoring timeline.
+// stream.Processor, which scores each sample as it is ingested and
+// advances the phase, drift and refutation monitors. Monitor state
+// (phase tracker, Page–Hinkley accumulator, EWMA CPI, open refutation
+// window) survives across requests, and refutation windows close on a
+// fixed section count, so a producer can POST sections in whatever
+// chunks its collection loop yields and get the same events — byte for
+// byte — as any other chunking of the same timeline.
 //
 // Sessions are keyed by (model ref, session id): the ?session= query
 // parameter names the timeline, so many producers can monitor through
@@ -80,11 +82,9 @@ func (ss *streamSessions) get(ref, id string, mk func() (*stream.Processor, erro
 // eviction is reclaiming abandoned sessions.
 type streamsSnapshot struct {
 	Sessions        int    `json:"sessions"`
-	Depth           int    `json:"depth"`
 	Accepted        uint64 `json:"accepted"`
 	Scored          uint64 `json:"scored"`
 	Invalid         uint64 `json:"invalid"`
-	Dropped         uint64 `json:"dropped"` // always 0 (stream.Stats.Dropped); kept for wire compatibility
 	Windows         uint64 `json:"windows"`
 	PhaseBoundaries uint64 `json:"phase_boundaries"`
 	DriftAlarms     uint64 `json:"drift_alarms"`
@@ -112,11 +112,9 @@ func (ss *streamSessions) snapshot() streamsSnapshot {
 		rep := s.p.Refutation()
 		s.mu.Unlock()
 		snap.Sessions++
-		snap.Depth += st.Depth
 		snap.Accepted += st.Accepted
 		snap.Scored += st.Scored
 		snap.Invalid += st.Invalid
-		snap.Dropped += st.Dropped
 		snap.Windows += st.Windows
 		snap.PhaseBoundaries += st.PhaseBoundaries
 		snap.DriftAlarms += st.DriftAlarms
@@ -144,14 +142,6 @@ func (ss *streamSessions) snapshot() streamsSnapshot {
 	snap.Hits, snap.Misses, snap.Evictions = total.Hits, total.Misses, total.Evictions
 	snap.Shards = stats.Shards
 	return snap
-}
-
-// streamConfig derives the processor configuration from the service
-// knobs; scoring parallelism follows the service-wide Jobs setting.
-func (s *Server) streamConfig() stream.Config {
-	cfg := s.cfg.Stream
-	cfg.Jobs = s.cfg.Jobs
-	return cfg
 }
 
 // streamErrorLine builds the in-band NDJSON error object emitted when
@@ -244,7 +234,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sess, err := s.streams.get(e.Ref(), sessionID, func() (*stream.Processor, error) {
-		return stream.NewProcessor(e.Model, s.streamConfig())
+		return stream.NewProcessor(e.Model, s.cfg.Stream)
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
@@ -268,10 +258,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	func() {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		// Every record passed the schema check above, so only scoring
-		// errors can fail here; the batch's final partial window is
-		// scored too, so the response answers for every sample it
-		// accepted.
+		// Every record passed the schema check above, and each is scored
+		// as it is ingested, so the response answers for every sample it
+		// accepted. The open refutation window stays open across
+		// requests: it closes on the session's section count alone.
 		events, ingestErr = sess.p.IngestBatch(recs)
 		stats = sess.p.Stats()
 	}()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/refute"
 	"repro/internal/stream"
 )
 
@@ -46,11 +47,9 @@ func streamTrace(total, boundary, shiftAt int, shift float64, seed int64) string
 	return b.String()
 }
 
-func streamConfig(jobs int) Config {
+func streamConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Jobs = jobs
 	cfg.CacheSize = 0
-	cfg.Stream.Window = 16
 	// Wider alarm threshold than the default so residual noise over a
 	// short trace cannot false-fire, while a +0.5 shift still trips in a
 	// couple of sections.
@@ -76,8 +75,8 @@ func splitLines(doc string, n int) (string, string) {
 // TestStreamEndToEnd is the subsystem's serve-side acceptance test: a
 // synthetic two-phase trace with an injected CPI regression goes through
 // POST /v1/stream in two chunks (monitor state must persist across
-// requests), the response must be byte-identical at -jobs 1 and 8, and
-// the phase boundary and drift alarm must land at the right sections.
+// requests), and the phase boundary and drift alarm must land at the
+// right sections.
 func TestStreamEndToEnd(t *testing.T) {
 	const (
 		total    = 130
@@ -87,25 +86,18 @@ func TestStreamEndToEnd(t *testing.T) {
 	trace := streamTrace(total, boundary, shiftAt, 0.5, 42)
 	first, second := splitLines(trace, 70)
 
-	var bodies [][]byte
-	for _, jobs := range []int{1, 8} {
-		s, _, _ := newTestServer(t, streamConfig(jobs))
-		h := s.Handler()
-		var buf bytes.Buffer
-		for _, chunk := range []string{first, second} {
-			rec := postNDJSON(h, "/v1/stream?model=cpi", chunk)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("jobs %d: status %d: %s", jobs, rec.Code, rec.Body)
-			}
-			if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-				t.Errorf("content type %q", ct)
-			}
-			buf.Write(rec.Body.Bytes())
+	s, _, _ := newTestServer(t, streamConfig())
+	h := s.Handler()
+	var body bytes.Buffer
+	for _, chunk := range []string{first, second} {
+		rec := postNDJSON(h, "/v1/stream?model=cpi", chunk)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
-		bodies = append(bodies, buf.Bytes())
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("stream responses differ between -jobs 1 and -jobs 8")
+		if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("content type %q", ct)
+		}
+		body.Write(rec.Body.Bytes())
 	}
 
 	var (
@@ -114,7 +106,7 @@ func TestStreamEndToEnd(t *testing.T) {
 		driftDir    string
 		summaries   []stream.Stats
 	)
-	dec := json.NewDecoder(bytes.NewReader(bodies[0]))
+	dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
 	for dec.More() {
 		var ev struct {
 			Type       string       `json:"type"`
@@ -156,8 +148,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	if final.Scored != total {
 		t.Errorf("scored %d sections, want %d", final.Scored, total)
 	}
-	if final.Depth != 0 {
-		t.Errorf("pending depth %d after flush, want 0", final.Depth)
+	if final.Accepted != final.Scored {
+		t.Errorf("accepted %d, scored %d: every accepted sample is scored on arrival", final.Accepted, final.Scored)
 	}
 	if final.DriftAlarms < 1 || final.PhaseBoundaries != 1 {
 		t.Errorf("final stats %+v", final)
@@ -166,7 +158,7 @@ func TestStreamEndToEnd(t *testing.T) {
 
 // TestStreamMetrics checks the /metrics stream counters after traffic.
 func TestStreamMetrics(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(0))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 	trace := streamTrace(130, 60, 90, 0.5, 42)
 	if rec := postNDJSON(h, "/v1/stream?model=cpi", trace); rec.Code != http.StatusOK {
@@ -186,21 +178,21 @@ func TestStreamMetrics(t *testing.T) {
 	if st.Sessions != 1 {
 		t.Errorf("sessions %d, want 1", st.Sessions)
 	}
-	if st.Scored != 130 || st.Depth != 0 {
-		t.Errorf("scored %d depth %d, want 130 and 0", st.Scored, st.Depth)
+	if st.Scored != 130 || st.Accepted != st.Scored {
+		t.Errorf("accepted %d scored %d, want 130 both", st.Accepted, st.Scored)
 	}
 	if st.PhaseBoundaries != 1 || st.DriftAlarms < 1 {
 		t.Errorf("boundaries %d alarms %d, want 1 and >=1", st.PhaseBoundaries, st.DriftAlarms)
 	}
-	if st.Windows < 1 {
-		t.Errorf("windows %d, want >= 1", st.Windows)
+	if want := uint64(130 / refute.WindowSections); st.Windows != want {
+		t.Errorf("windows %d, want %d (one per %d sections)", st.Windows, want, refute.WindowSections)
 	}
 }
 
 // TestStreamErrors exercises every rejection path and verifies a
 // rejected batch leaves the monitor state untouched.
 func TestStreamErrors(t *testing.T) {
-	cfg := streamConfig(0)
+	cfg := streamConfig()
 	cfg.MaxBatch = 8
 	s, _, _ := newTestServer(t, cfg)
 	h := s.Handler()
@@ -298,7 +290,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // the route streams its NDJSON directly while the default
 // RequestTimeout still guards every other endpoint.
 func TestStreamResponseFlushesIncrementally(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig(1))
+	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
 	rec := postNDJSON(h, "/v1/stream?model=cpi", streamTrace(40, 20, 100, 0, 7))
 	if rec.Code != http.StatusOK {
@@ -319,7 +311,7 @@ func TestStreamSessionsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := New(reg, streamConfig(0)).Handler()
+	h := New(reg, streamConfig()).Handler()
 	trace := streamTrace(40, 20, 100, 0, 7)
 	for _, name := range []string{"a", "b"} {
 		if rec := postNDJSON(h, "/v1/stream?model="+name, trace); rec.Code != http.StatusOK {

@@ -21,41 +21,40 @@ import (
 )
 
 // The /v1/stream wire golden: SHA-256 hashes of full response bodies and
-// of RunMonitor output, recorded from the reflection-based encoding/json
-// codec that preceded the hand-written one. Any change to how samples are
-// decoded or events encoded — a float formatted differently, an escape
-// missed, a duplicate key resolved the other way, an accept-set drift —
-// moves a hash.
+// of RunMonitor output. They were first recorded from the reflection-
+// based encoding/json codec that preceded the hand-written one, and
+// re-recorded once when refutation windows moved to a fixed section
+// count (summary stats lost depth and dropped, and corrupt traces' refute
+// events stopped depending on the chunking). Any change to how samples
+// are decoded or events encoded — a float formatted differently, an
+// escape missed, a duplicate key resolved the other way, an accept-set
+// drift — moves a hash.
 
 // wireGolden maps "<trace>/<chunking>" to the hash of every response
 // (status line plus body) of that replay, in request order.
 var wireGolden = map[string]string{
-	"clean/c16":      "be9c884bb982c153f4c6d623a73fe320e57fd4c98f43b3560a56fd204a70af3b",
-	"clean/c64":      "9aaadccbd0669e92fc32851d8f1919adc4de4385e8e7aaad3d94800dab7b3c85",
-	"clean/random":   "67456eae59743f1aa2b80de577cd6472172212e3e117b71e842ee47a56be6990",
-	"corrupt/c16":    "6a2a78257f288bf23f2216b3357a3ed9281be7fafad4dc47bc64e94b715fe1d5",
-	"corrupt/c64":    "f42dca4d6f134524aa5cf7529b4d36b85133aefe39a39c0ce3d0645169604c09",
-	"corrupt/random": "59b8913001b8cb92979876724ff697b20e7c132b06f1fb19561d663d7175d192",
-	"drift/c16":      "f1be66a24b73fd1fecf6613e9953eb615f72cb5bc4fd9cd1720de671356ad8b8",
-	"drift/c64":      "6000f2013e169e0bc9f7578a53520363aeecb754b8ecf9ef84d6c3c23c02536e",
-	"drift/random":   "aa9b74c131aa9a9d172eee7c12dd7177a551ede2f189503083708fc7e01edba8",
-	"wire/c16":       "59635198c97b29689caa54839a7b6b194d0f248256029445a5bfd5c90a89d314",
-	"wire/c64":       "940441e2cbeee6eb5b59bebea1cfff21e663130ac22619ff3980231e51a63903",
-	"wire/random":    "1e7fd56774f15892dc8a2e4c4d408a8622ba7dbd71f401a450bf4446c67611b0",
+	"clean/c16":      "4c5d1b0e33e9bc216038abed55f8243ba6f3c8170d4a341ba9ca2df97232ae22",
+	"clean/c64":      "fb15f039d280d78f6ad44016b211bc2e5ed10b5f426afe4bc11cb45089b20a56",
+	"clean/random":   "9483ab3900a7903be32855ce4f1f900b8cc8cf657a0034db01d47a0df3e70cb7",
+	"corrupt/c16":    "171ec08790543e3d6137a9c8d382ff247602fb6f832244d0ba087315ab74deca",
+	"corrupt/c64":    "f4d34c4c299db15ae83a1372d0018d548e66689207ec816da467aebdf0d70a1e",
+	"corrupt/random": "b01fa041a7a1e8592528dd34d9eafe94ba57fd3bcc25fa2b9201020215cf92e3",
+	"drift/c16":      "c5197bbeaaaf061528c7d8906963aad8b506befe3f53227d0bc231d98175395b",
+	"drift/c64":      "49ccc406f4ecdc1201c34d711e5d077104c0c506b5dd9277fb328c3a019a2fe4",
+	"drift/random":   "9117122784d023150df1f91a2406b29c5770b0260c95f7655e633d3dbe8b74e5",
+	"wire/c16":       "36b333a6e2592234a455292c5c1c66b713e12e93a8f466039ff60e25f1ebe7b4",
+	"wire/c64":       "6a8478127ba7a02940eda6abdcfeb2e2af139c32c1a8694b2386064e9f8ea348",
+	"wire/random":    "082449fe47c16dafdb4d1e3994e71f062b7d3094911582e3ad8fbefe02895a34",
 }
 
-// monitorGolden maps "<trace>/w<window>" to the hash of RunMonitor's
-// event output, its final stats and, for traces without invalid lines,
-// its text output.
+// monitorGolden maps each trace to the hash of RunMonitor's event
+// output, its final stats and, for traces without invalid lines, its
+// text output.
 var monitorGolden = map[string]string{
-	"clean/w32":   "a0bf963351e713a2e7b42dc8d805493a8b34c4802681af96f495934a020c21a2",
-	"clean/w7":    "2d4f6f7e851d560aa2461dae15726c7dc619f5b951597846eb4aadf84107e7f6",
-	"corrupt/w32": "049cbb826c6c8fb7d2349205e5538d8943db100522bd48e2d6b42827265841a8",
-	"corrupt/w7":  "9ad3af9292f6469f8bbd7343078494bc82aab838e669aa0b095e898bf77a620e",
-	"drift/w32":   "1255b5efdaf85acab748e0aca759117f04ea5517ea6d3e6dba7bf3606ca05588",
-	"drift/w7":    "b2f4e1cd35f8cf8eb48c6262321e64c973360a240f4fcaf0779be5d3154aee73",
-	"wire/w32":    "1dd4c9931efe50c4845cbbf0c24e496e846e855bc42a71d8ad51b57b8fd7185b",
-	"wire/w7":     "b39b103d7cb267ec6b33c8c9371526854ae02ab354165827777c67b57c09ea55",
+	"clean":   "cceb0576999a32e53ee23cb2ead18b6d0fbb21ad55f4fb9168940da9643fc9d1",
+	"corrupt": "8bf197bf33f50eb99b388ab65ca7be5f399407fe27efeeb28550d00783ad95c6",
+	"drift":   "23f5ccf9633e0d09a28bef6f704722d3cfa9129b5ff56b4293583039d1c3d6e2",
+	"wire":    "b154d11f6eae9d3c0f82ffe16f3b3e06015bc79d5b5da1c701d061079185d9d5",
 }
 
 // wireFixtureData is the served model and the held-out timelines the
@@ -343,9 +342,7 @@ func replayWire(t *testing.T, fx *wireFixtureData, lines [][]string, chunking st
 	if err := reg.Register("cpi", "v1", fx.tree, ""); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Jobs = 2
-	h := New(reg, cfg).Handler()
+	h := New(reg, DefaultConfig()).Handler()
 	type cursor struct{ pos, next int }
 	chunks := make([][]int, len(lines))
 	for si := range lines {
@@ -441,9 +438,8 @@ var wireInvalidLines = []string{
 }
 
 // TestRunMonitorWireGolden feeds every trace, all sessions back to back,
-// through RunMonitor at two window sizes and checks the event output
-// (and the text output where no invalid line is skipped) against the
-// recorded hashes.
+// through RunMonitor and checks the event output (and the text output
+// where no invalid line is skipped) against the recorded hashes.
 func TestRunMonitorWireGolden(t *testing.T) {
 	fx := loadWireFixture(t)
 	got := map[string]string{}
@@ -459,25 +455,21 @@ func TestRunMonitorWireGolden(t *testing.T) {
 			}
 		}
 		in := strings.Join(all, "\n") + "\n"
-		for _, window := range []int{7, 32} {
-			cfg := stream.DefaultMonitorConfig()
-			cfg.Jobs = 2
-			cfg.Window = window
-			cfg.RenderEvery = 16
-			var text, events strings.Builder
-			st, err := stream.RunMonitor(fx.tree, cfg, strings.NewReader(in), &text, &events)
-			if err != nil {
-				t.Fatalf("%s/w%d: %v", trace, window, err)
-			}
-			hash := sha256.New()
-			io.WriteString(hash, events.String())
-			stats, _ := json.Marshal(st)
-			hash.Write(stats)
-			if trace != "wire" {
-				io.WriteString(hash, text.String())
-			}
-			got[fmt.Sprintf("%s/w%d", trace, window)] = fmt.Sprintf("%x", hash.Sum(nil))
+		cfg := stream.DefaultMonitorConfig()
+		cfg.RenderEvery = 16
+		var text, events strings.Builder
+		st, err := stream.RunMonitor(fx.tree, cfg, strings.NewReader(in), &text, &events)
+		if err != nil {
+			t.Fatalf("%s: %v", trace, err)
 		}
+		hash := sha256.New()
+		io.WriteString(hash, events.String())
+		stats, _ := json.Marshal(st)
+		hash.Write(stats)
+		if trace != "wire" {
+			io.WriteString(hash, text.String())
+		}
+		got[trace] = fmt.Sprintf("%x", hash.Sum(nil))
 	}
 	checkGolden(t, monitorGolden, got)
 }
@@ -487,7 +479,7 @@ func TestRunMonitorWireGolden(t *testing.T) {
 // failures win over schema failures anywhere in the body, and the first
 // failing line names itself.
 func TestStreamAdversarialBodies(t *testing.T) {
-	cfg := streamConfig(1)
+	cfg := streamConfig()
 	cfg.MaxBatch = 8
 	cfg.MaxBodyBytes = 4096
 	s, _, _ := newTestServer(t, cfg)

@@ -51,10 +51,13 @@ func (mon *Monitor) Processor() *Processor { return mon.p }
 // events to eventsOut as NDJSON (one event per line, in order) and
 // rolling human-readable status lines to textOut. Either writer may be
 // nil. It returns when the input ends (a tailing reader simply never
-// ends until closed).
+// ends until closed). At the end of input it calls Flush, so a trailing
+// partial refutation window still gets its verdict.
 //
 // For a fixed input byte stream the bytes written to eventsOut and
-// textOut are identical at any cfg.Jobs value.
+// textOut are fixed too. Apart from those of the final Flush, the events
+// are what /v1/stream returns for the same samples in any request
+// chunking.
 func RunMonitor(m model.Model, cfg MonitorConfig, r io.Reader, textOut, eventsOut io.Writer) (Stats, error) {
 	mon, err := NewMonitor(m, cfg)
 	if err != nil {
@@ -72,6 +75,7 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 	dec := NewDecoder(r)
 	lastRendered := 0
 	var line []byte
+	var events []Event // reused for every sample's events
 
 	emit := func(events []Event) error {
 		for i := range events {
@@ -99,19 +103,18 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 					ev.Section, ev.Verdict, ev.Relation, ev.Deviation)
 			}
 		}
-		if cfg.RenderEvery > 0 {
-			if st := p.Stats(); int(st.Scored)-lastRendered >= cfg.RenderEvery {
-				lastRendered = int(st.Scored)
-				if st.HaveObserved {
-					fmt.Fprintf(textOut, "section %6d  obs CPI %.3f  pred CPI %.3f  resid %+.3f  phase %d  alarms %d\n",
-						int(st.Scored)-1, st.EwmaObserved, st.EwmaPredicted,
-						st.EwmaObserved-st.EwmaPredicted, st.Phase, st.DriftAlarms)
-				} else {
-					// Prediction-only stream: no sample ever carried a cpi
-					// field, so there is no observation or residual to show.
-					fmt.Fprintf(textOut, "section %6d  obs CPI n/a  pred CPI %.3f  phase %d  alarms %d\n",
-						int(st.Scored)-1, st.EwmaPredicted, st.Phase, st.DriftAlarms)
-				}
+		if cfg.RenderEvery > 0 && int(p.scored)-lastRendered >= cfg.RenderEvery {
+			st := p.Stats()
+			lastRendered = int(st.Scored)
+			if st.HaveObserved {
+				fmt.Fprintf(textOut, "section %6d  obs CPI %.3f  pred CPI %.3f  resid %+.3f  phase %d  alarms %d\n",
+					int(st.Scored)-1, st.EwmaObserved, st.EwmaPredicted,
+					st.EwmaObserved-st.EwmaPredicted, st.Phase, st.DriftAlarms)
+			} else {
+				// Prediction-only stream: no sample ever carried a cpi
+				// field, so there is no observation or residual to show.
+				fmt.Fprintf(textOut, "section %6d  obs CPI n/a  pred CPI %.3f  phase %d  alarms %d\n",
+					int(st.Scored)-1, st.EwmaPredicted, st.Phase, st.DriftAlarms)
 			}
 		}
 		return nil
@@ -133,7 +136,7 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 			}
 			return p.Stats(), err
 		}
-		events, err := p.IngestRecord(rec)
+		events, err = p.appendRecord(events[:0], &rec)
 		if err != nil {
 			if cfg.SkipInvalid {
 				fmt.Fprintf(textOut, "skipping line %d: %v\n", dec.Line(), err)
@@ -145,10 +148,7 @@ func (mon *Monitor) Run(r io.Reader, textOut, eventsOut io.Writer) (Stats, error
 			return p.Stats(), err
 		}
 	}
-	events, err := p.Flush()
-	if err != nil {
-		return p.Stats(), err
-	}
+	events, _ = p.Flush() // Flush never fails
 	if err := emit(events); err != nil {
 		return p.Stats(), err
 	}

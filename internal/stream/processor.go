@@ -5,20 +5,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/phases"
 	"repro/internal/refute"
 )
 
 // Config tunes a Processor.
 type Config struct {
-	// Jobs is the scoring worker count (0 = all cores, 1 = serial).
-	// Events are byte-identical at any value.
+	// Jobs is unused: every sample is scored as it arrives, on the
+	// caller's goroutine. It remains only so callers that still set it
+	// compile; it will be removed.
 	Jobs int
-	// Window is the number of pending samples scored per parallel
-	// batch. Larger windows amortize fan-out overhead; the window never
-	// delays monitor state, which always advances in sample order.
-	Window int
 	// Calibration is the number of leading sections the phase tracker
 	// uses to estimate counter noise before reporting boundaries.
 	Calibration int
@@ -40,8 +36,6 @@ type Config struct {
 // DefaultConfig returns monitoring-friendly defaults.
 func DefaultConfig() Config {
 	return Config{
-		Jobs:          0,
-		Window:        32,
 		Calibration:   32,
 		Phases:        phases.DefaultConfig(),
 		PH:            DefaultPHConfig(),
@@ -51,9 +45,6 @@ func DefaultConfig() Config {
 }
 
 func (c Config) sanitized() Config {
-	if c.Window < 1 {
-		c.Window = DefaultConfig().Window
-	}
 	if c.Calibration < 2 {
 		c.Calibration = DefaultConfig().Calibration
 	}
@@ -92,8 +83,8 @@ type Event struct {
 	MeanResidual float64 `json:"mean_residual,omitempty"`
 	RunLength    int     `json:"run_length,omitempty"`
 
-	// refute fields: a counter-consistency relation changed verdict at
-	// the end of the window containing Section.
+	// refute fields: a counter-consistency relation changed verdict when
+	// the refutation window ending at Section closed.
 	Relation  string         `json:"relation,omitempty"`
 	Verdict   refute.Verdict `json:"verdict,omitempty"`
 	Deviation float64        `json:"deviation,omitempty"`
@@ -102,11 +93,11 @@ type Event struct {
 // Stats is a monitor state snapshot, exposed on /metrics and in CLI
 // summaries.
 type Stats struct {
-	Accepted        uint64 `json:"accepted"`
-	Scored          uint64 `json:"scored"`
-	Invalid         uint64 `json:"invalid"`
-	Depth           int    `json:"depth"`
-	Dropped         uint64 `json:"dropped"` // always 0, no sample is dropped; kept for wire compatibility
+	// Accepted equals Scored: every accepted sample is scored on arrival.
+	Accepted uint64 `json:"accepted"`
+	Scored   uint64 `json:"scored"`
+	Invalid  uint64 `json:"invalid"`
+	// Windows counts the closed refutation windows.
 	Windows         uint64 `json:"windows"`
 	PhaseBoundaries uint64 `json:"phase_boundaries"`
 	DriftAlarms     uint64 `json:"drift_alarms"`
@@ -136,19 +127,15 @@ type Processor struct {
 	ph      *PageHinkley
 	refuter *refute.Checker
 
-	// pending holds the accepted but unscored records in arrival order,
-	// always fewer than cfg.Window between calls.
-	pending []Record
 	// feat is the phase tracker's input vector, refilled for every
 	// sample; the tracker copies what it keeps.
 	feat []float64
-	// score is scoreRecord bound once, so scoring a window allocates no
-	// closure.
-	score func(int, Record) (scoredSample, error)
+	// bench is the last scored sample's label, which anchors the refute
+	// events of a window closed by Flush.
+	bench string
 
 	scored   uint64
 	invalid  atomic.Uint64
-	windows  uint64
 	bounds   uint64
 	alarms   uint64
 	havePred bool
@@ -168,18 +155,15 @@ func NewProcessor(m model.Model, cfg Config) (*Processor, error) {
 		return nil, err
 	}
 	cfg = cfg.sanitized()
-	p := &Processor{
+	return &Processor{
 		m:       m,
 		sc:      sc,
 		cfg:     cfg,
-		pending: make([]Record, 0, cfg.Window),
 		feat:    make([]float64, len(sc.featIdx)),
 		online:  phases.NewOnline(cfg.Phases, cfg.Calibration),
 		ph:      NewPageHinkley(cfg.PH),
 		refuter: refute.NewChecker(cfg.Refute, sc.desc.AttrNames, sc.targetIdx, sc.desc.Machine),
-	}
-	p.score = p.scoreRecord
-	return p, nil
+	}, nil
 }
 
 // Check validates a sample against the model schema without ingesting
@@ -192,17 +176,16 @@ func (p *Processor) Check(s Sample) error {
 	return p.sc.check(&s)
 }
 
-// Ingest validates and buffers one sample, then scores every full
-// window. The returned events cover all sections scored by this call
-// (possibly none, while the window fills). Invalid samples are counted
-// and returned as an error without touching monitor state.
+// Ingest validates and scores one sample, returning the events it
+// caused. Invalid samples are counted and returned as an error without
+// touching monitor state.
 func (p *Processor) Ingest(s Sample) ([]Event, error) {
 	rec, err := p.record(&s)
 	if err != nil {
 		p.invalid.Add(1)
 		return nil, err
 	}
-	return p.ingest(rec)
+	return p.score(nil, &rec), nil
 }
 
 // IngestChecked is Ingest for a sample that already passed Check, for
@@ -214,7 +197,7 @@ func (p *Processor) IngestChecked(s Sample) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.ingest(rec)
+	return p.score(nil, &rec), nil
 }
 
 // record validates a sample and resolves it onto the schema's layout.
@@ -230,6 +213,11 @@ func (p *Processor) record(s *Sample) (Record, error) {
 // another schema's width, is counted invalid and returned as an error
 // without touching monitor state.
 func (p *Processor) IngestRecord(rec Record) ([]Event, error) {
+	return p.appendRecord(nil, &rec)
+}
+
+// appendRecord is IngestRecord appending the events to events.
+func (p *Processor) appendRecord(events []Event, rec *Record) ([]Event, error) {
 	err := rec.Err
 	if err == nil && len(rec.Row) != len(p.sc.desc.AttrNames) {
 		err = fmt.Errorf("stream: record has %d columns, model %s schema has %d",
@@ -237,211 +225,156 @@ func (p *Processor) IngestRecord(rec Record) ([]Event, error) {
 	}
 	if err != nil {
 		p.invalid.Add(1)
-		return nil, err
-	}
-	return p.ingest(rec)
-}
-
-// IngestBatch ingests recs (see IngestRecord) in order, then scores the
-// final partial window as Flush does, so a batch caller gets an answer
-// for every record. On an error it stops and returns the events of the
-// records before it.
-func (p *Processor) IngestBatch(recs []Record) ([]Event, error) {
-	var events []Event
-	for i := range recs {
-		evs, err := p.IngestRecord(recs[i])
-		if err != nil {
-			return events, err
-		}
-		events = appendEvents(events, evs)
-	}
-	evs, err := p.Flush()
-	if err != nil {
 		return events, err
 	}
-	return appendEvents(events, evs), nil
+	return p.score(events, rec), nil
 }
 
-// ingest appends one record to the pending window and scores the
-// window once it is full.
-func (p *Processor) ingest(rec Record) ([]Event, error) {
-	p.pending = append(p.pending, rec)
-	if len(p.pending) < p.cfg.Window {
-		return nil, nil
-	}
-	return p.scorePending()
-}
-
-// Flush scores whatever is pending regardless of window fill.
-func (p *Processor) Flush() ([]Event, error) { return p.scorePending() }
-
-// scorePending scores the pending records as one batch and empties the
-// window, clearing the slots so they stop referencing their rows.
-func (p *Processor) scorePending() ([]Event, error) {
-	events, err := p.scoreBatch(p.pending)
-	clear(p.pending)
-	p.pending = p.pending[:0]
-	return events, err
-}
-
-// appendEvents appends src to dst, handing src back as is when dst is
-// empty — the common case of one window per call copies nothing.
-func appendEvents(dst, src []Event) []Event {
-	if len(dst) == 0 {
-		return src
-	}
-	return append(dst, src...)
-}
-
-// scoredSample carries one record's parallel scoring result into the
-// serial monitor fold.
-type scoredSample struct {
-	rec    Record
-	pred   float64
-	top    model.Contribution
-	hasTop bool
-}
-
-// scoreRecord is the parallel half of scoring: the prediction and, when
-// enabled, the top contributor, with no allocation.
-func (p *Processor) scoreRecord(_ int, rec Record) (scoredSample, error) {
-	out := scoredSample{rec: rec, pred: p.m.Predict(rec.Row)}
-	if p.cfg.Contributions {
-		out.top, out.hasTop = p.m.TopContribution(rec.Row)
-	}
-	return out, nil
-}
-
-// scoreBatch fans the batch out through parallel.Map (ordered, so the
-// fold below sees sample order regardless of worker count), then
-// advances the monitors serially.
-func (p *Processor) scoreBatch(batch []Record) ([]Event, error) {
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	scoredBatch, err := parallel.Map(parallel.Config{Jobs: p.cfg.Jobs}.ForItems(len(batch)), batch, p.score)
-	if err != nil {
-		return nil, fmt.Errorf("stream: scoring window: %w", err)
-	}
-	p.windows++
-
+// IngestBatch ingests recs (see IngestRecord) in order into one events
+// slice. On an error it stops and returns the events of the records
+// before it.
+func (p *Processor) IngestBatch(recs []Record) ([]Event, error) {
 	var events []Event
 	if p.cfg.EmitSamples {
 		// One sample event per section, plus room for the occasional
 		// phase, drift or refute event.
-		events = make([]Event, 0, len(scoredBatch)+len(scoredBatch)/4+1)
+		events = make([]Event, 0, len(recs)+len(recs)/4+1)
 	}
-	for i := range scoredBatch {
-		ss := &scoredBatch[i]
-		sec := int(p.scored)
-		p.scored++
+	for i := range recs {
+		var err error
+		if events, err = p.appendRecord(events, &recs[i]); err != nil {
+			return events, err
+		}
+	}
+	return events, nil
+}
 
-		// Phase tracking first, so a boundary confirmed by this section
-		// is reflected in the section's own phase number.
-		p.sc.featureVector(p.feat, ss.rec.Row)
-		for _, start := range p.online.Feed(p.feat) {
-			p.bounds++
+// Flush marks the end of input: it closes the open refutation window if
+// any section arrived since the last one closed, so a stream whose
+// length is not a multiple of refute.WindowSections still gets a verdict
+// for its tail. The error is always nil.
+func (p *Processor) Flush() ([]Event, error) {
+	return p.closeWindow(nil, int(p.scored)-1, p.bench), nil
+}
+
+// score scores one record, advances the monitors in sample order and
+// appends the events it caused to events. Refutation windows close
+// every refute.WindowSections sections counted from session start, so
+// no event depends on how the samples were batched into calls.
+func (p *Processor) score(events []Event, rec *Record) []Event {
+	pred := p.m.Predict(rec.Row)
+	sec := int(p.scored)
+	p.scored++
+	p.bench = rec.Bench
+
+	// Phase tracking first, so a boundary confirmed by this section is
+	// reflected in the section's own phase number.
+	p.sc.featureVector(p.feat, rec.Row)
+	for _, start := range p.online.Feed(p.feat) {
+		p.bounds++
+		events = append(events, Event{
+			Type:       "phase",
+			Section:    sec,
+			Bench:      rec.Bench,
+			Phase:      p.online.Phase(),
+			PhaseStart: start,
+		})
+	}
+
+	if !p.havePred {
+		p.havePred = true
+		p.ewmaPred = pred
+	} else {
+		p.ewmaPred += ewmaAlpha * (pred - p.ewmaPred)
+	}
+	// The observed EWMA seeds on the first sample that actually carries
+	// a cpi field, however late it arrives; until then HaveObserved
+	// stays false and renderers must not show it.
+	if rec.HasCPI {
+		if !p.haveObs {
+			p.haveObs = true
+			p.ewmaObs = rec.CPI
+		} else {
+			p.ewmaObs += ewmaAlpha * (rec.CPI - p.ewmaObs)
+		}
+	}
+
+	if p.cfg.EmitSamples {
+		ev := Event{
+			Type:      "sample",
+			Section:   sec,
+			Bench:     rec.Bench,
+			Phase:     p.online.Phase(),
+			Predicted: pred,
+		}
+		if p.cfg.Contributions {
+			if top, ok := p.m.TopContribution(rec.Row); ok {
+				ev.TopEvent = top.Name
+				ev.TopFraction = top.Fraction
+			}
+		}
+		if rec.HasCPI {
+			obs := rec.CPI
+			res := obs - pred
+			ev.Observed = &obs
+			ev.Residual = &res
+		}
+		events = append(events, ev)
+	}
+
+	if rec.HasCPI {
+		if alarm, ok := p.ph.Feed(rec.CPI - pred); ok {
+			p.alarms++
 			events = append(events, Event{
-				Type:       "phase",
-				Section:    sec,
-				Bench:      ss.rec.Bench,
-				Phase:      p.online.Phase(),
-				PhaseStart: start,
+				Type:         "drift",
+				Section:      sec,
+				Bench:        rec.Bench,
+				Phase:        p.online.Phase(),
+				Direction:    alarm.Direction,
+				Stat:         alarm.Stat,
+				MeanResidual: alarm.Mean,
+				RunLength:    alarm.Samples,
 			})
 		}
-
-		if !p.havePred {
-			p.havePred = true
-			p.ewmaPred = ss.pred
-		} else {
-			p.ewmaPred += ewmaAlpha * (ss.pred - p.ewmaPred)
-		}
-		// The observed EWMA seeds on the first sample that actually
-		// carries a cpi field, however late it arrives; until then
-		// HaveObserved stays false and renderers must not show it.
-		if ss.rec.HasCPI {
-			if !p.haveObs {
-				p.haveObs = true
-				p.ewmaObs = ss.rec.CPI
-			} else {
-				p.ewmaObs += ewmaAlpha * (ss.rec.CPI - p.ewmaObs)
-			}
-		}
-
-		if p.cfg.EmitSamples {
-			ev := Event{
-				Type:      "sample",
-				Section:   sec,
-				Bench:     ss.rec.Bench,
-				Phase:     p.online.Phase(),
-				Predicted: ss.pred,
-			}
-			if ss.hasTop {
-				ev.TopEvent = ss.top.Name
-				ev.TopFraction = ss.top.Fraction
-			}
-			if ss.rec.HasCPI {
-				obs := ss.rec.CPI
-				res := obs - ss.pred
-				ev.Observed = &obs
-				ev.Residual = &res
-			}
-			events = append(events, ev)
-		}
-
-		if ss.rec.HasCPI {
-			if alarm, ok := p.ph.Feed(ss.rec.CPI - ss.pred); ok {
-				p.alarms++
-				events = append(events, Event{
-					Type:         "drift",
-					Section:      sec,
-					Bench:        ss.rec.Bench,
-					Phase:        p.online.Phase(),
-					Direction:    alarm.Direction,
-					Stat:         alarm.Stat,
-					MeanResidual: alarm.Mean,
-					RunLength:    alarm.Samples,
-				})
-			}
-		}
-
-		// Consistency checking last: the relations judge the sample's
-		// counters as reported, independent of what the model predicted.
-		var obs float64
-		if ss.rec.HasCPI {
-			obs = ss.rec.CPI
-		}
-		p.refuter.Observe(ss.rec.Row, obs, ss.rec.HasCPI)
 	}
 
-	// Every scoring batch closes one consistency window, so refutation
-	// state never straddles a batch boundary and session snapshots taken
-	// between batches are complete. Verdict transitions become events
-	// anchored at the window's last section.
-	lastSec := int(p.scored) - 1
-	last := &scoredBatch[len(scoredBatch)-1]
+	// Consistency checking last: the relations judge the sample's
+	// counters as reported, independent of what the model predicted.
+	var obs float64
+	if rec.HasCPI {
+		obs = rec.CPI
+	}
+	p.refuter.Observe(rec.Row, obs, rec.HasCPI)
+	if p.scored%refute.WindowSections == 0 {
+		events = p.closeWindow(events, sec, rec.Bench)
+	}
+	return events
+}
+
+// closeWindow closes the open refutation window and appends its verdict
+// transitions as refute events anchored at the window's last section.
+func (p *Processor) closeWindow(events []Event, sec int, bench string) []Event {
 	for _, tr := range p.refuter.EndWindow() {
 		events = append(events, Event{
 			Type:      "refute",
-			Section:   lastSec,
-			Bench:     last.rec.Bench,
+			Section:   sec,
+			Bench:     bench,
 			Phase:     p.online.Phase(),
 			Relation:  tr.Relation,
 			Verdict:   tr.Verdict,
 			Deviation: tr.Deviation,
 		})
 	}
-	return events, nil
+	return events
 }
 
 // Stats snapshots the monitor state.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Accepted:        p.scored + uint64(len(p.pending)),
+		Accepted:        p.scored,
 		Scored:          p.scored,
 		Invalid:         p.invalid.Load(),
-		Depth:           len(p.pending),
-		Windows:         p.windows,
+		Windows:         p.refuter.Windows(),
 		PhaseBoundaries: p.bounds,
 		DriftAlarms:     p.alarms,
 		Phase:           p.online.Phase(),

@@ -1,17 +1,19 @@
 // Package stream is the online layer over the batch pipeline: it ingests
-// per-section counter samples as NDJSON, scores them in windows through any
-// model.Model with the same deterministic fan-out as the batch stages,
-// and runs two online monitors over the scored sequence — an incremental
-// phase tracker (internal/phases) and a Page–Hinkley drift detector over
-// the predicted-vs-observed CPI residual. It turns the paper's
-// regression-detection use case ("did the machine stop behaving the way
-// the trained model says?") into a continuous process instead of an
-// offline comparison.
+// per-section counter samples as NDJSON, scores each one through any
+// model.Model as it arrives, and runs three online monitors over the
+// scored sequence — an incremental phase tracker (internal/phases), a
+// Page–Hinkley drift detector over the predicted-vs-observed CPI
+// residual, and the counter-consistency checker (internal/refute). It
+// turns the paper's regression-detection use case ("did the machine stop
+// behaving the way the trained model says?") into a continuous process
+// instead of an offline comparison.
 //
-// Determinism contract: for a fixed input sample sequence the emitted
-// event stream is byte-identical at any worker count. Scoring fans out
-// through parallel.Map (ordered results); all monitor state advances
-// serially in input order afterwards.
+// Determinism contract: every event is a function of the session's
+// sample sequence alone. Monitor state advances in input order, one
+// sample at a time, and refutation windows close every
+// refute.WindowSections sections counted from session start, so how a
+// producer splits its samples into calls or requests — or where a
+// session is drained and restored — never changes an event.
 package stream
 
 import (
@@ -283,22 +285,6 @@ func (sc *Schema) record(s *Sample) (Record, error) {
 		rec.CPI, rec.HasCPI = *s.CPI, true
 	}
 	return rec, nil
-}
-
-// sample renders a pending record back into the map form. The record
-// does not remember which events its producer left out, so the map
-// lists every feature column (an absent event is 0 either way).
-func (sc *Schema) sample(rec *Record) Sample {
-	s := Sample{Bench: rec.Bench, Section: rec.Section,
-		Events: make(map[string]float64, len(sc.featIdx))}
-	for _, f := range sc.featIdx {
-		s.Events[sc.desc.AttrNames[f]] = rec.Row[f]
-	}
-	if rec.HasCPI {
-		cpi := rec.CPI
-		s.CPI = &cpi
-	}
-	return s
 }
 
 // featureVector fills dst with the raw non-target values of a

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/model"
@@ -11,8 +12,10 @@ import (
 // Serializable processor state, for the serve layer's session
 // snapshot/restore: a live monitor session can be drained on one
 // replica and restored on another, continuing its timeline exactly —
-// same section numbering, same phase, same drift accumulator, same
-// pending samples. All floats survive the JSON round trip bit-exactly
+// same section numbering, same phase, same drift accumulator, same open
+// refutation window. Every sample is scored on arrival, so a snapshot
+// can be taken between any two sections. All floats survive the JSON
+// round trip bit-exactly
 // (Go marshals float64 in shortest-round-trip form),
 // so Stats of a drained-and-restored processor is byte-identical to
 // the original's and subsequent events match an uninterrupted run.
@@ -46,10 +49,9 @@ func (p *PageHinkley) RestoreState(st PHState) {
 type ProcessorState struct {
 	// SchemaVersion guards the wire format; bump on breaking changes.
 	SchemaVersion int `json:"schema_version"`
-	// Counters, mirroring Stats.
+	// Counters, mirroring Stats (Windows lives in Refutation).
 	Scored          uint64 `json:"scored"`
 	Invalid         uint64 `json:"invalid"`
-	Windows         uint64 `json:"windows"`
 	PhaseBoundaries uint64 `json:"phase_boundaries"`
 	DriftAlarms     uint64 `json:"drift_alarms"`
 	// Rolling CPI means and their seeding flags.
@@ -57,13 +59,17 @@ type ProcessorState struct {
 	HaveObs  bool    `json:"have_obs"`
 	EwmaPred float64 `json:"ewma_pred"`
 	EwmaObs  float64 `json:"ewma_obs"`
-	// Pending are the accepted but unscored samples (oldest first),
-	// always fewer than the window.
-	Pending []Sample `json:"pending,omitempty"`
-	// Dropped is always 0: no processor drops a sample. It stays only so
-	// existing dumps decode and the wire format is unchanged; a restore
-	// rejects any other value.
-	Dropped uint64 `json:"dropped"`
+	// Bench is the last scored sample's label.
+	Bench string `json:"bench,omitempty"`
+	// Windows, Pending and Dropped are v1/v2 fields, decoded only so
+	// older dumps restore; State never writes them. Windows duplicated
+	// Refutation.Windows (a v1 dump has none, and its window count
+	// restarts with its checking). A restore rejects pending samples and a
+	// non-zero drop count: they come from a processor that batched its
+	// scoring, and this one has no window to put them in.
+	Windows uint64            `json:"windows,omitempty"`
+	Pending []json.RawMessage `json:"pending,omitempty"`
+	Dropped uint64            `json:"dropped,omitempty"`
 	// Monitor internals.
 	Phases phases.OnlineState `json:"phases"`
 	PH     PHState            `json:"ph"`
@@ -73,18 +79,16 @@ type ProcessorState struct {
 }
 
 // processorStateVersion is the current ProcessorState wire version.
-// Version 1 (PR 9) lacked the refutation field; v1 snapshots still
-// restore, with consistency checking starting fresh.
-const processorStateVersion = 2
+// Version 1 lacked the refutation field; v1 snapshots still restore,
+// with consistency checking starting fresh. Version 3 dropped the
+// pending window and the drop count, and counts closed phases instead
+// of listing them (phases.StreamState.Closed).
+const processorStateVersion = 3
 
 // State snapshots the processor. The caller must hold whatever lock
 // serializes Ingest calls (the processor itself is not concurrency-
 // safe, and neither is this).
 func (p *Processor) State() ProcessorState {
-	var pending []Sample
-	for i := range p.pending {
-		pending = append(pending, p.sc.sample(&p.pending[i]))
-	}
 	var ref *refute.State
 	if p.refuter.Enabled() {
 		st := p.refuter.State()
@@ -95,14 +99,13 @@ func (p *Processor) State() ProcessorState {
 		Refutation:      ref,
 		Scored:          p.scored,
 		Invalid:         p.invalid.Load(),
-		Windows:         p.windows,
 		PhaseBoundaries: p.bounds,
 		DriftAlarms:     p.alarms,
 		HavePred:        p.havePred,
 		HaveObs:         p.haveObs,
 		EwmaPred:        p.ewmaPred,
 		EwmaObs:         p.ewmaObs,
-		Pending:         pending,
+		Bench:           p.bench,
 		Phases:          p.online.State(),
 		PH:              p.ph.State(),
 	}
@@ -110,10 +113,9 @@ func (p *Processor) State() ProcessorState {
 
 // RestoreProcessor rebuilds a processor for model m under cfg from a
 // drained snapshot. The model and configuration must match what the
-// drained processor ran with (same schema, window, detector tuning);
-// mismatches that are detectable — wrong schema, a pending list that
-// fills a whole window, a non-zero drop count, debounce-ring drift —
-// are errors.
+// drained processor ran with (same schema, detector tuning); mismatches
+// that are detectable — wrong schema, pending samples or a non-zero
+// drop count from an older dump, debounce-ring drift — are errors.
 func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor, error) {
 	if st.SchemaVersion < 1 || st.SchemaVersion > processorStateVersion {
 		return nil, fmt.Errorf("stream: unsupported processor state version %d (want 1..%d)",
@@ -123,20 +125,11 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 	if err != nil {
 		return nil, err
 	}
-	// A processor with this config scores every full window as it
-	// fills, so it never holds Window pending samples.
-	if len(st.Pending) >= p.cfg.Window {
-		return nil, fmt.Errorf("stream: %d pending samples fill the %d-sample window", len(st.Pending), p.cfg.Window)
+	if len(st.Pending) != 0 {
+		return nil, fmt.Errorf("stream: snapshot holds %d unscored samples; replay them to the restored session instead", len(st.Pending))
 	}
 	if st.Dropped != 0 {
 		return nil, fmt.Errorf("stream: snapshot reports %d dropped samples, want 0", st.Dropped)
-	}
-	for i := range st.Pending {
-		rec, err := p.record(&st.Pending[i])
-		if err != nil {
-			return nil, fmt.Errorf("stream: pending sample %d does not fit the model schema: %w", i, err)
-		}
-		p.pending = append(p.pending, rec)
 	}
 	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases, len(p.sc.featIdx))
 	if err != nil {
@@ -151,7 +144,7 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 	}
 	p.scored = st.Scored
 	p.invalid.Store(st.Invalid)
-	p.windows = st.Windows
+	p.bench = st.Bench
 	p.bounds = st.PhaseBoundaries
 	p.alarms = st.DriftAlarms
 	p.havePred, p.haveObs = st.HavePred, st.HaveObs

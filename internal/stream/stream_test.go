@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mtree"
+	"repro/internal/refute"
 )
 
 // perfData builds the CPI-like training set used across serve and
@@ -83,10 +84,8 @@ func twoPhaseTrace(w io.Writer, total, phaseLen, shiftAt int, shift float64, see
 	return nil
 }
 
-func testConfig(jobs int) MonitorConfig {
+func testConfig() MonitorConfig {
 	cfg := DefaultMonitorConfig()
-	cfg.Jobs = jobs
-	cfg.Window = 16
 	cfg.PH.Lambda = 0.5
 	cfg.RenderEvery = 25
 	return cfg
@@ -94,8 +93,7 @@ func testConfig(jobs int) MonitorConfig {
 
 // TestMonitorEndToEnd is the acceptance scenario: a synthetic two-phase
 // trace with an injected CPI shift must yield the phase boundary near
-// the true section and the drift alarm right after the shift — and the
-// full event + text output must be byte-identical at jobs 1 and 8.
+// the true section and the drift alarm right after the shift.
 func TestMonitorEndToEnd(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	var trace bytes.Buffer
@@ -108,29 +106,11 @@ func TestMonitorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type run struct {
-		events, text bytes.Buffer
-		stats        Stats
+	var events bytes.Buffer
+	st, err := RunMonitor(tree, testConfig(), bytes.NewReader(trace.Bytes()), nil, &events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runs := map[int]*run{}
-	for _, jobs := range []int{1, 8} {
-		r := &run{}
-		st, err := RunMonitor(tree, testConfig(jobs), bytes.NewReader(trace.Bytes()), &r.text, &r.events)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		r.stats = st
-		runs[jobs] = r
-	}
-
-	if !bytes.Equal(runs[1].events.Bytes(), runs[8].events.Bytes()) {
-		t.Error("event stream differs between jobs=1 and jobs=8")
-	}
-	if !bytes.Equal(runs[1].text.Bytes(), runs[8].text.Bytes()) {
-		t.Error("text output differs between jobs=1 and jobs=8")
-	}
-
-	st := runs[1].stats
 	if st.Scored != total {
 		t.Fatalf("scored %d sections, want %d", st.Scored, total)
 	}
@@ -142,7 +122,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 	}
 
 	var phaseStarts, driftSections []int
-	dec := json.NewDecoder(bytes.NewReader(runs[1].events.Bytes()))
+	dec := json.NewDecoder(bytes.NewReader(events.Bytes()))
 	for {
 		var ev Event
 		if err := dec.Decode(&ev); err == io.EOF {
@@ -181,7 +161,7 @@ func TestNoDriftWithoutShift(t *testing.T) {
 	if err := twoPhaseTrace(&trace, 130, 60, 130, 0, 99); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunMonitor(tree, testConfig(1), &trace, nil, nil)
+	st, err := RunMonitor(tree, testConfig(), &trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,26 +173,63 @@ func TestNoDriftWithoutShift(t *testing.T) {
 	}
 }
 
-// TestWindowingDoesNotChangeEvents pins that the scoring batch size is
-// invisible in the output: windows are a throughput knob like jobs.
+// TestWindowingDoesNotChangeEvents pins that the ingestion batch size
+// is invisible in the output: a Processor fed the trace in IngestBatch
+// batches of 1, 7 or 64 samples, closed by Flush at the end of input,
+// emits exactly the events RunMonitor writes for the same trace.
 func TestWindowingDoesNotChangeEvents(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	var trace bytes.Buffer
 	if err := twoPhaseTrace(&trace, 100, 50, 80, 0.5, 7); err != nil {
 		t.Fatal(err)
 	}
-	var outs []string
-	for _, window := range []int{1, 7, 64} {
-		cfg := testConfig(4)
-		cfg.Window = window
-		var events bytes.Buffer
-		if _, err := RunMonitor(tree, cfg, bytes.NewReader(trace.Bytes()), nil, &events); err != nil {
+	cfg := testConfig()
+	var want bytes.Buffer
+	if _, err := RunMonitor(tree, cfg, bytes.NewReader(trace.Bytes()), nil, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 7, 64} {
+		p, err := NewProcessor(tree, cfg.Config)
+		if err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, events.String())
-	}
-	if outs[0] != outs[1] || outs[0] != outs[2] {
-		t.Error("event stream depends on window size")
+		dec := NewDecoder(bytes.NewReader(trace.Bytes()))
+		var recs []Record
+		for {
+			rec, err := dec.NextRecord(p.sc)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		var got []byte
+		emit := func(evs []Event) {
+			for i := range evs {
+				if got, err = AppendEvent(got, &evs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for len(recs) > 0 {
+			n := min(len(recs), batch)
+			evs, err := p.IngestBatch(recs[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit(evs)
+			recs = recs[n:]
+		}
+		flushed, err := p.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		emit(flushed)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("batch %d: event stream differs from RunMonitor's", batch)
+		}
 	}
 }
 
@@ -225,8 +242,7 @@ func TestMonitorSkipsInvalidLines(t *testing.T) {
 		`{"events":{"L1IM":0.01,"L2M":0.001,"DtlbLdM":0.0001},"cpi":0.67}`,
 		``,
 	}, "\n")
-	cfg := testConfig(1)
-	cfg.Window = 1
+	cfg := testConfig()
 	var text bytes.Buffer
 	st, err := RunMonitor(tree, cfg, strings.NewReader(in), &text, nil)
 	if err != nil {
@@ -249,9 +265,8 @@ func TestMonitorSkipsInvalidLines(t *testing.T) {
 // spinning on the same error forever.
 func TestMonitorAbortsOnUnrecoverableReadError(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.SkipInvalid = true
-	cfg.Window = 1
 	in := `{"events":{"L1IM":0.01,"L2M":0.001,"DtlbLdM":0.0001},"cpi":0.67}` + "\n" +
 		strings.Repeat("x", MaxLineBytes+1) + "\n"
 	st, err := RunMonitor(tree, cfg, strings.NewReader(in), io.Discard, nil)
@@ -286,8 +301,7 @@ func TestDecoderFailureIsSticky(t *testing.T) {
 // render a zero EWMA as a real measurement.
 func TestMonitorRendersNAWithoutObservedCPI(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
-	cfg := testConfig(1)
-	cfg.Window = 1
+	cfg := testConfig()
 	cfg.RenderEvery = 2
 	in := strings.Repeat(`{"events":{"L1IM":0.01,"L2M":0.001,"DtlbLdM":0.0001}}`+"\n", 6)
 	var text bytes.Buffer
@@ -311,10 +325,7 @@ func TestMonitorRendersNAWithoutObservedCPI(t *testing.T) {
 // drag up from an arbitrary zero.
 func TestEwmaObservedSeedsOnFirstObservation(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
-	cfg := DefaultConfig()
-	cfg.Jobs = 1
-	cfg.Window = 1
-	p, err := NewProcessor(tree, cfg)
+	p, err := NewProcessor(tree, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +353,7 @@ func TestEwmaObservedSeedsOnFirstObservation(t *testing.T) {
 
 func TestMonitorAbortsOnInvalidWhenStrict(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.SkipInvalid = false
 	_, err := RunMonitor(tree, cfg, strings.NewReader("junk\n"), nil, nil)
 	if err == nil {
@@ -450,10 +461,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 		samples = append(samples, s)
 	}
 
-	run := func(b *testing.B, jobs int, contribs, emit bool) {
+	run := func(b *testing.B, contribs, emit bool) {
 		cfg := DefaultConfig()
-		cfg.Jobs = jobs
-		cfg.Window = 64
 		cfg.Contributions = contribs
 		cfg.EmitSamples = emit
 		b.ReportAllocs()
@@ -474,22 +483,19 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, true, true) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0, true, true) })
-	b.Run("serial-nocontrib", func(b *testing.B) { run(b, 1, false, true) })
+	b.Run("default", func(b *testing.B) { run(b, true, true) })
+	b.Run("nocontrib", func(b *testing.B) { run(b, false, true) })
 	// Scoring and monitoring without the per-sample event output.
-	b.Run("serial-nosamples", func(b *testing.B) { run(b, 1, true, false) })
+	b.Run("nosamples", func(b *testing.B) { run(b, true, false) })
 }
 
 // TestIngestBatchAllocsPerWindow pins allocation-free scoring: after
 // calibration, on a trace without phase boundaries, IngestBatch with
-// contributions on and sample events off allocates at most once per
-// scored window (parallel.Map's result slice), whatever the batch size.
+// contributions on and sample events off allocates nothing, whether the
+// batch closes one refutation window or many.
 func TestIngestBatchAllocsPerWindow(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	cfg := DefaultConfig()
-	cfg.Jobs = 1
-	cfg.Window = 16
 	cfg.EmitSamples = false
 	cfg.Contributions = true
 	p, err := NewProcessor(tree, cfg)
@@ -520,15 +526,15 @@ func TestIngestBatchAllocsPerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.Stats()
-	for _, windows := range []int{1, 4, 16} {
-		batch := recs[warm : warm+windows*cfg.Window]
+	for _, n := range []int{1, 16, 4 * refute.WindowSections} {
+		batch := recs[warm : warm+n]
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := p.IngestBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > float64(windows) {
-			t.Errorf("%d-window batch: %v allocations per call, want at most %d (one per window)", windows, allocs, windows)
+		if allocs != 0 {
+			t.Errorf("%d-sample batch: %v allocations per call, want 0", n, allocs)
 		}
 	}
 	if after := p.Stats(); after.PhaseBoundaries != before.PhaseBoundaries || after.DriftAlarms != before.DriftAlarms {
