@@ -154,9 +154,10 @@ crossarch-smoke:
 
 # End-to-end smoke test of the prediction service: build cmd/serve, start
 # it with a self-trained demo model, wait for /healthz, POST the same
-# prediction twice (the second must hit the LRU cache), assert HTTP 200,
-# and print the /metrics report (request counts, latency quantiles, cache
-# hit rate). Then hand a stream session off through the real binary:
+# contributions prediction twice, assert HTTP 200 both times and that the
+# second hit the LRU cache (/metrics must read serve_cache_hits_total 1),
+# and POST a body with trailing data after its JSON value, which must
+# answer HTTP 400. Then hand a stream session off through the real binary:
 # stream a short NDJSON chunk to session s, drain every session, restore
 # the dump, and stream the next chunk to s, which must answer HTTP 200
 # and end in a "summary" line that counts both chunks. Every curl carries --max-time, so a
@@ -184,6 +185,14 @@ serve-smoke:
 	  test "$$code" = 200 || { echo "serve-smoke: predict returned HTTP $$code"; cat $(SMOKE_BIN).predict.json; exit 1; }; \
 	done; \
 	echo "serve-smoke: predict OK (2x HTTP 200):"; cat $(SMOKE_BIN).predict.json; \
+	$(SMOKE_CURL) http://$(SMOKE_ADDR)/metrics | grep -qx 'serve_cache_hits_total 1' || \
+	  { echo "serve-smoke: the repeated predict did not hit the cache:"; $(SMOKE_CURL) http://$(SMOKE_ADDR)/metrics | grep '^serve_cache'; exit 1; }; \
+	code=$$($(SMOKE_CURL) -o $(SMOKE_BIN).trailing.json -w '%{http_code}' \
+	  -X POST -H 'Content-Type: application/json' \
+	  -d '{"model":"demo","events":[{"L2M":0.004}]} {"model":"nope"}' \
+	  http://$(SMOKE_ADDR)/v1/predict); \
+	test "$$code" = 400 || { echo "serve-smoke: predict with trailing data returned HTTP $$code, want 400"; cat $(SMOKE_BIN).trailing.json; exit 1; }; \
+	echo "serve-smoke: cache hit and trailing-data rejection OK"; \
 	for i in 0 1 2 3 4; do \
 	  printf '{"section":%d,"events":{"L2M":0.00%d,"L1IM":0.002},"cpi":1.4}\n' $$i $$((i+1)); \
 	done > $(SMOKE_BIN).chunk1.ndjson; \

@@ -109,8 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	tcfg.Schema = loadgen.Schema{Attrs: info.Attrs, Target: info.Target}
 	if !info.Classifiable && tcfg.Mix.Classify > 0 {
-		fmt.Fprintf(stderr, "loadgen: model %s (%s) is not classifiable; dropping classify traffic from the mix\n",
-			info.Name, info.Evaluator)
+		fmt.Fprintf(stderr, "loadgen: model %s is not classifiable; dropping classify traffic from the mix\n", info.Name)
 		tcfg.Mix.Classify = 0
 	}
 

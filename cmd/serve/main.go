@@ -8,7 +8,7 @@
 // id + decision path), /v1/stream (NDJSON ingestion into a persistent
 // per-session phase/drift/refutation monitor that scores every sample on
 // arrival), /v1/models (listing) and
-// /v1/models/{ref} (schema, versions, source format, evaluator kind),
+// /v1/models/{ref} (schema, versions, source format, classifiability),
 // /healthz, /metrics (text exposition) and /v1/metrics.json (structured
 // per-route counters + latency histograms). Errors are uniform
 // {"error":{"code","message"}} envelopes with stable codes.
@@ -16,7 +16,7 @@
 // Usage:
 //
 //	serve -model cpi=tree.json [-model cpi@v2=tree2.json] [-addr :8080]
-//	      [-cache 4096] [-cache-quantum 0] [-timeout 10s]
+//	      [-cache 4096] [-timeout 10s]
 //	      [-max-body 1048576] [-max-batch 4096]
 //	      [-session-ttl 15m] [-session-shards 16]
 //	      [-pprof 127.0.0.1:6060]
@@ -127,8 +127,7 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		jobs      = fs.Int("jobs", 0, "-demo training workers (0 = all cores, 1 = serial; the model is identical)")
-		cacheSize = fs.Int("cache", 4096, "LRU prediction cache entries (0 disables)")
-		quantum   = fs.Float64("cache-quantum", 0, "cache key quantization step (0 = exact bits, hits cannot change responses)")
+		cacheSize = fs.Int("cache", 4096, "LRU prediction cache entries, keyed on exact value bits (0 disables)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request handler timeout (0 disables; /v1/stream streams and is exempt)")
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
@@ -178,7 +177,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 
 	cfg := serve.DefaultConfig()
 	cfg.CacheSize = *cacheSize
-	cfg.CacheQuantum = *quantum
 	cfg.MaxBodyBytes = *maxBody
 	cfg.MaxBatch = *maxBatch
 	cfg.RequestTimeout = *timeout

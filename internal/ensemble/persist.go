@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
+	"repro/internal/model"
 	"repro/internal/mtree"
 )
 
@@ -77,5 +79,23 @@ func ReadJSON(r io.Reader) (*Bagger, error) {
 		}
 		b.Trees = append(b.Trees, t)
 	}
+	if err := sameSchema(b.Trees); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// sameSchema requires every member to share member 0's target and
+// attribute columns: the ensemble evaluates one row against all of
+// them, so a wider member would read past the row.
+func sameSchema[T model.Model](members []T) error {
+	want := members[0].Describe()
+	for i, m := range members[1:] {
+		d := m.Describe()
+		if d.Target != want.Target || !slices.Equal(d.AttrNames, want.AttrNames) {
+			return fmt.Errorf("ensemble: member %d schema (target %q, attrs %v) differs from member 0's (target %q, attrs %v)",
+				i+1, d.Target, d.AttrNames, want.Target, want.AttrNames)
+		}
+	}
+	return nil
 }

@@ -119,5 +119,8 @@ func ReadBinaryFile(f *binfmt.File) (*CompiledBagger, error) {
 		}
 		c.trees[i] = t
 	}
+	if err := sameSchema(c.trees); err != nil {
+		return nil, err
+	}
 	return c, nil
 }

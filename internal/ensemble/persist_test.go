@@ -50,3 +50,31 @@ func TestEnsembleReadRejectsBadEnvelope(t *testing.T) {
 		t.Error("empty ensemble accepted")
 	}
 }
+
+// TestEnsembleReadRejectsMixedSchemas: a member whose schema differs
+// from member 0's is rejected by both loaders — evaluating one row
+// against it would read past the row or misread its columns.
+func TestEnsembleReadRejectsMixedSchemas(t *testing.T) {
+	d := noisyPiecewise(800, 7)
+	b, err := Train(d, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := *b.Trees[1]
+	wide.AttrNames = append(append([]string(nil), wide.AttrNames...), "extra")
+	b.Trees[1] = &wide
+
+	var js, bin bytes.Buffer
+	if err := b.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJSON(&js); err == nil || !strings.Contains(err.Error(), "member 1 schema") {
+		t.Errorf("JSON loader accepted a mixed-schema ensemble: %v", err)
+	}
+	if err := b.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(bin.Bytes()); err == nil || !strings.Contains(err.Error(), "member 1 schema") {
+		t.Errorf("binary loader accepted a mixed-schema ensemble: %v", err)
+	}
+}

@@ -423,9 +423,6 @@ func TestFetchModelInfo(t *testing.T) {
 	if info.Target != "CPI" || len(info.Attrs) != 4 || !info.Classifiable {
 		t.Errorf("model info: %+v", info)
 	}
-	if info.Evaluator != "compiled" {
-		t.Errorf("evaluator %q, want compiled", info.Evaluator)
-	}
 	if _, err := loadgen.FetchModelInfo(nil, base, "ghost"); err == nil {
 		t.Error("missing model did not error")
 	}

@@ -160,7 +160,6 @@ type ModelInfo struct {
 	Attrs        []string `json:"attrs"`
 	Target       string   `json:"target"`
 	Trees        int      `json:"trees"`
-	Evaluator    string   `json:"evaluator"`
 	Classifiable bool     `json:"classifiable"`
 }
 

@@ -110,9 +110,9 @@ type Model interface {
 // faster, semantically identical form — the pointer-linked M5' tree and
 // the bagged ensemble both compile to flat-array evaluators whose
 // predictions are bit-identical to their own. The serving registry
-// compiles every Compilable model at registration, so the hot path
-// always runs the flat form while training, analysis and persistence
-// keep the original.
+// compiles every Compilable model at registration, and rejects a model
+// that does not end up a BatchPredictor, so the hot path always runs the
+// flat form while training, analysis and persistence keep the original.
 type Compilable interface {
 	// CompileModel returns the compiled equivalent. Predictions,
 	// contributions and descriptions of the result must match the

@@ -3,12 +3,35 @@ package modelio
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/model"
+	"repro/internal/mtree"
 )
+
+// evaluate runs every per-row query the service makes on a zero row of
+// the model's width; a model that loads must answer them all.
+func evaluate(m model.Model) {
+	row := make(dataset.Instance, len(m.Describe().AttrNames))
+	m.Predict(row)
+	m.Contributions(row)
+	m.TopContribution(row)
+	if bp, ok := m.(model.BatchPredictor); ok {
+		bp.PredictInto(make([]float64, 1), []dataset.Instance{row})
+	}
+	if cl, ok := m.(interface {
+		Classify(dataset.Instance) (*mtree.Node, []mtree.PathStep)
+	}); ok {
+		cl.Classify(row)
+	}
+}
 
 // FuzzModelReadBinary hammers the model loader with arbitrary bytes —
 // mostly mutations of real binary model files (the checked-in corpus
 // under testdata/fuzz/ holds a valid tree, a valid ensemble and several
-// corruptions). The loader must never panic, and any model it accepts
+// corruptions). The loader must never panic; any model it accepts must
+// evaluate a zero row of its width (Predict, Contributions, and Classify
+// for trees) as loaded and as the serving registry compiles it, and
 // must re-persist in the binary format to a stable fixed point
 // (write→read→write byte-identical) — the structural validation in
 // mtree/ensemble ReadBinary is what stands between a flipped section
@@ -24,6 +47,10 @@ func FuzzModelReadBinary(f *testing.F) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		evaluate(m)
+		if c, ok := m.(model.Compilable); ok {
+			evaluate(c.CompileModel())
 		}
 		var first bytes.Buffer
 		if err := Write(&first, m, FormatBinary); err != nil {

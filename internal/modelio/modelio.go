@@ -38,19 +38,29 @@ func Load(r io.Reader) (model.Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("modelio: reading model: %w", err)
 	}
+	m, _, err := Decode(data)
+	return m, err
+}
+
+// Decode parses one persisted model from its bytes and reports the
+// format it was stored in (FormatJSON or FormatBinary).
+func Decode(data []byte) (m model.Model, format string, err error) {
 	if binfmt.Sniff(data) {
-		return loadBinary(data)
+		m, err = loadBinary(data)
+		return m, FormatBinary, err
 	}
 	var probe struct {
 		Kind string `json:"kind"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("modelio: not a JSON or binary model file: %w", err)
+		return nil, "", fmt.Errorf("modelio: not a JSON or binary model file: %w", err)
 	}
 	if probe.Kind == ensemble.Kind {
-		return ensemble.ReadJSON(bytes.NewReader(data))
+		m, err = ensemble.ReadJSON(bytes.NewReader(data))
+	} else {
+		m, err = mtree.ReadJSON(bytes.NewReader(data))
 	}
-	return mtree.ReadJSON(bytes.NewReader(data))
+	return m, FormatJSON, err
 }
 
 // loadBinary parses a binary container and dispatches on its payload
@@ -76,22 +86,6 @@ func loadBinary(data []byte) (model.Model, error) {
 	default:
 		return nil, fmt.Errorf("modelio: binary model file has unknown payload kind %d", f.Kind)
 	}
-}
-
-// SniffFile reports which on-disk format the file at path uses
-// (FormatJSON or FormatBinary) without parsing the whole model.
-func SniffFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("modelio: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, len(binfmt.Magic))
-	n, _ := io.ReadFull(f, head)
-	if binfmt.Sniff(head[:n]) {
-		return FormatBinary, nil
-	}
-	return FormatJSON, nil
 }
 
 // LoadFile loads one persisted model from a file path.

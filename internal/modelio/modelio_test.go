@@ -3,6 +3,7 @@ package modelio
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-// TestWriteLoadRoundTrip drives Write/WriteFile/LoadFile/SniffFile
+// TestWriteLoadRoundTrip drives Write/WriteFile/LoadFile/Decode
 // through every format for both model kinds, including the
 // compiled-form bridges: a compiled tree must decompile for JSON and
 // write natively for binary, and either file must load back to a model
@@ -123,12 +124,12 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		if err := WriteFile(path, tc.m, tc.format); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		format, err := SniffFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: sniff: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if format != tc.format {
-			t.Errorf("%s: sniffed %q, want %q", tc.name, format, tc.format)
+		if _, format, err := Decode(data); err != nil || format != tc.format {
+			t.Errorf("%s: decoded format %q (err %v), want %q", tc.name, format, err, tc.format)
 		}
 		got, err := LoadFile(path)
 		if err != nil {
@@ -156,11 +157,5 @@ func TestWriteErrors(t *testing.T) {
 	}
 	if err := WriteFile("/nonexistent/dir/model.json", tree, FormatJSON); err == nil {
 		t.Error("uncreatable path accepted")
-	}
-}
-
-func TestSniffFileMissing(t *testing.T) {
-	if _, err := SniffFile("/nonexistent/model.json"); err == nil {
-		t.Error("missing file sniffed")
 	}
 }

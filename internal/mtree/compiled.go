@@ -59,15 +59,14 @@ type CompiledTree struct {
 }
 
 // walkNode is the hot-path view of one node: threshold, split attribute
-// (-1 for leaves) and child indices (child[0] left, child[1] right),
-// padded to 32 bytes so a record never straddles a cache line — the
-// walk is a dependent load chain, and a straddling node would pay two
-// fills per step.
+// (-1 for leaves) and child indices (child[0] left, child[1] right), 24
+// bytes per record. Records are not cache-line aligned, so one may
+// straddle two lines; the walk is a dependent load chain, and packing
+// keeps each step to one record instead of four array reads.
 type walkNode struct {
 	thr   float64
 	attr  int32
 	child [2]int32
-	_     int32
 }
 
 // buildWalk derives the packed walk records from the flat arrays.
@@ -93,7 +92,9 @@ var _ model.BatchPredictor = (*CompiledTree)(nil)
 const compiledPathInline = 64
 
 // Compile flattens a trained tree. The result shares no state with t.
-// Returns nil for a nil tree or a tree without a root.
+// Returns nil for a nil tree or a tree without a root. Every interior
+// node must have both children, as in every tree Build returns and
+// ReadJSON accepts.
 func Compile(t *Tree) *CompiledTree {
 	if t == nil || t.Root == nil {
 		return nil
@@ -143,10 +144,7 @@ func Compile(t *Tree) *CompiledTree {
 				c.lmNames[i] = append([]string(nil), m.Names...)
 			}
 		}
-		// Only a node with both children is compiled as interior; a
-		// half-linked node (possible in hand-written JSON) canonicalizes
-		// to a leaf instead of compiling an unwalkable split.
-		if n.Left != nil && n.Right != nil {
+		if !n.IsLeaf() {
 			c.splitAttr[i] = int32(n.SplitAttr)
 			c.threshold[i] = n.Threshold
 			c.left[i] = flatten(n.Left)
@@ -155,15 +153,7 @@ func Compile(t *Tree) *CompiledTree {
 		return i
 	}
 	flatten(t.Root)
-	c.lmOff[next] = int32(len(c.lmCoefs))
-	// Half-linked subtrees are canonicalized away above, so fewer than
-	// countNodes slots may be used; trim to the visited prefix.
-	n := int(next)
-	c.splitAttr, c.threshold = c.splitAttr[:n], c.threshold[:n]
-	c.left, c.right = c.left[:n], c.right[:n]
-	c.nodeN, c.sd, c.mean, c.leafID = c.nodeN[:n], c.sd[:n], c.mean[:n], c.leafID[:n]
-	c.lmOff, c.lmIntercept = c.lmOff[:n+1], c.lmIntercept[:n]
-	c.hasLM, c.lmNames = c.hasLM[:n], c.lmNames[:n]
+	c.lmOff[nodes] = int32(len(c.lmCoefs))
 	c.numLeaves, c.depth = c.scanShape()
 	c.buildWalk()
 	return c

@@ -73,6 +73,10 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 	if tj.Root == nil {
 		return nil, fmt.Errorf("mtree: decoded tree has no root")
 	}
+	root, err := fromNodeJSON(tj.Root)
+	if err != nil {
+		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
+	}
 	t := &Tree{
 		Config:     tj.Config,
 		TargetName: tj.TargetName,
@@ -80,7 +84,12 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		TrainN:     tj.TrainN,
 		GlobalSD:   tj.GlobalSD,
 		Machine:    tj.Machine,
-		Root:       fromNodeJSON(tj.Root),
+		Root:       root,
+	}
+	// The binary loader's validator, run on the compiled form: a tree
+	// that passes evaluates any row of its width without panicking.
+	if err := Compile(t).validate(); err != nil {
+		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
 	}
 	return t, nil
 }
@@ -123,9 +132,20 @@ func toNodeJSON(n *Node) *nodeJSON {
 	return nj
 }
 
-func fromNodeJSON(nj *nodeJSON) *Node {
+// fromNodeJSON rebuilds the node graph, rejecting the shapes only JSON
+// can express and the compiled form cannot: a node with a single child,
+// a model whose attrs and coefs arrays differ in length, and an index
+// too large for int32. The shared validator runs on the compiled form,
+// so it cannot see them.
+func fromNodeJSON(nj *nodeJSON) (*Node, error) {
 	if nj == nil {
-		return nil
+		return nil, nil
+	}
+	if (nj.Left == nil) != (nj.Right == nil) {
+		return nil, fmt.Errorf("node with split_attr %d has one child; want zero or two", nj.SplitAttr)
+	}
+	if int(int32(nj.SplitAttr)) != nj.SplitAttr {
+		return nil, fmt.Errorf("split_attr %d out of range", nj.SplitAttr)
 	}
 	n := &Node{
 		SplitAttr: nj.SplitAttr,
@@ -134,10 +154,23 @@ func fromNodeJSON(nj *nodeJSON) *Node {
 		SD:        nj.SD,
 		Mean:      nj.Mean,
 		LeafID:    nj.LeafID,
-		Left:      fromNodeJSON(nj.Left),
-		Right:     fromNodeJSON(nj.Right),
+	}
+	var err error
+	if n.Left, err = fromNodeJSON(nj.Left); err != nil {
+		return nil, err
+	}
+	if n.Right, err = fromNodeJSON(nj.Right); err != nil {
+		return nil, err
 	}
 	if nj.Model != nil {
+		if len(nj.Model.Attrs) != len(nj.Model.Coefs) {
+			return nil, fmt.Errorf("node model has %d attrs but %d coefs", len(nj.Model.Attrs), len(nj.Model.Coefs))
+		}
+		for _, a := range nj.Model.Attrs {
+			if int(int32(a)) != a {
+				return nil, fmt.Errorf("node model attr %d out of range", a)
+			}
+		}
 		n.Model = &linreg.Model{
 			Intercept: nj.Model.Intercept,
 			Attrs:     nj.Model.Attrs,
@@ -145,5 +178,5 @@ func fromNodeJSON(nj *nodeJSON) *Node {
 			Names:     nj.Model.Names,
 		}
 	}
-	return n
+	return n, nil
 }

@@ -205,7 +205,7 @@ func ReadBinaryFile(f *binfmt.File) (*CompiledTree, error) {
 	if c.lmNames, err = decodeNames(namesRaw, meta.Nodes); err != nil {
 		return fail(err)
 	}
-	if err := c.validate(meta.Nodes); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, fmt.Errorf("mtree: binary tree: %w", err)
 	}
 	c.numLeaves, c.depth = c.scanShape()
@@ -213,22 +213,31 @@ func ReadBinaryFile(f *binfmt.File) (*CompiledTree, error) {
 	return c, nil
 }
 
-// validate cross-checks the loaded arrays so a corrupt file cannot
-// produce a tree whose evaluation walks out of bounds or loops forever.
-func (c *CompiledTree) validate(nodes int) error {
+// validate cross-checks the flat arrays so a corrupt file cannot produce
+// a tree whose evaluation walks out of bounds or loops forever. It is
+// the one validator for both formats: ReadBinaryFile runs it on the
+// loaded sections and ReadJSON on the compiled decoded tree. Beyond
+// section shape it requires every node to carry a linear model and
+// every split and model attribute to index a schema column, so any
+// accepted tree evaluates a row of its width.
+func (c *CompiledTree) validate() error {
+	nodes := len(c.splitAttr)
+	if nodes == 0 {
+		return fmt.Errorf("tree has no nodes")
+	}
 	type arr struct {
 		name string
 		len  int
 	}
 	for _, a := range []arr{
-		{"split_attr", len(c.splitAttr)}, {"threshold", len(c.threshold)},
+		{"threshold", len(c.threshold)},
 		{"left", len(c.left)}, {"right", len(c.right)},
 		{"node_n", len(c.nodeN)}, {"sd", len(c.sd)}, {"mean", len(c.mean)},
 		{"leaf_id", len(c.leafID)}, {"lm_intercept", len(c.lmIntercept)},
 		{"has_lm", len(c.hasLM)},
 	} {
 		if a.len != nodes {
-			return fmt.Errorf("section %s has %d entries, meta declares %d nodes", a.name, a.len, nodes)
+			return fmt.Errorf("section %s has %d entries, split_attr has %d nodes", a.name, a.len, nodes)
 		}
 	}
 	if len(c.lmOff) != nodes+1 {
@@ -248,9 +257,24 @@ func (c *CompiledTree) validate(nodes int) error {
 	if int(c.lmOff[nodes]) != len(c.lmCoefs) {
 		return fmt.Errorf("section lm_off ends at %d, lm_coefs has %d entries", c.lmOff[nodes], len(c.lmCoefs))
 	}
+	width := int32(len(c.attrNames))
+	for j, a := range c.lmAttrs {
+		if a < 0 || a >= width {
+			return fmt.Errorf("model term %d reads attribute %d outside the %d-column schema", j, a, width)
+		}
+	}
 	for i := 0; i < nodes; i++ {
+		if c.hasLM[i] == 0 {
+			return fmt.Errorf("node %d has no linear model", i)
+		}
 		if c.splitAttr[i] < 0 {
+			if c.left[i] != 0 || c.right[i] != 0 {
+				return fmt.Errorf("leaf node %d has child links", i)
+			}
 			continue
+		}
+		if c.splitAttr[i] >= width {
+			return fmt.Errorf("node %d splits on attribute %d outside the %d-column schema", i, c.splitAttr[i], width)
 		}
 		for _, ch := range [2]int32{c.left[i], c.right[i]} {
 			// Children must follow their parent (preorder layout); the

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/linreg"
 	"repro/internal/mtree"
 	"repro/internal/proptest"
 )
@@ -120,5 +122,90 @@ func TestBinaryKindConfusion(t *testing.T) {
 	b[6] = 2 // binfmt.KindEnsemble
 	if _, err := mtree.ReadBinary(b); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("ensemble-kinded file accepted by tree loader: %v", err)
+	}
+}
+
+// TestLoadersRejectInvalidStructure: both loaders run one validator, so
+// a tree whose split or model reads a column outside its schema, whose
+// model terms do not pair up, or whose node lacks a model is rejected
+// by JSON and binary alike instead of loading and panicking on the
+// first prediction. Two shapes only JSON can carry (a single child and
+// an index beyond int32) are rejected by the JSON loader.
+func TestLoadersRejectInvalidStructure(t *testing.T) {
+	lm := func(attrs []int, coefs []float64) *linreg.Model {
+		return &linreg.Model{Intercept: 1, Attrs: attrs, Coefs: coefs}
+	}
+	valid := func() *mtree.Tree {
+		return &mtree.Tree{
+			Config:     mtree.Config{MinLeaf: 4, SDThresholdFraction: 0.05},
+			TargetName: "CPI",
+			AttrNames:  []string{"CPI", "L2M"},
+			Root: &mtree.Node{
+				SplitAttr: 1, Threshold: 0.5, Model: lm([]int{1}, []float64{2}), N: 4,
+				Left:  &mtree.Node{SplitAttr: -1, Model: lm([]int{1}, []float64{3}), N: 2, LeafID: 1},
+				Right: &mtree.Node{SplitAttr: -1, Model: lm(nil, nil), N: 2, LeafID: 2},
+			},
+		}
+	}
+	cases := []struct {
+		name       string
+		mutate     func(*mtree.Tree)
+		jsonOnly   bool
+		wantSubstr string
+	}{
+		{"split attr past schema", func(t *mtree.Tree) { t.Root.SplitAttr = 7 }, false, "attribute 7"},
+		{"interior node without split attr", func(t *mtree.Tree) { t.Root.SplitAttr = -1 }, false, "child links"},
+		{"leaf model attr past schema", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{9} }, false, "attribute 9"},
+		{"negative leaf model attr", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{-1} }, false, "attribute -1"},
+		{"more attrs than coefs", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{1, 1} }, false, ""},
+		{"leaf without model", func(t *mtree.Tree) { t.Root.Right.Model = nil }, false, "no linear model"},
+		{"interior node without model", func(t *mtree.Tree) { t.Root.Model = nil }, false, "no linear model"},
+		{"one child", func(t *mtree.Tree) { t.Root.Right = nil }, true, "one child"},
+		{"split attr beyond int32", func(t *mtree.Tree) { t.Root.SplitAttr = 1<<32 + 1 }, true, "out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := valid()
+			tc.mutate(tree)
+			var js bytes.Buffer
+			if err := tree.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mtree.ReadJSON(&js); err == nil || !strings.Contains(err.Error(), tc.wantSubstr) {
+				t.Errorf("JSON loader: error %v, want one mentioning %q", err, tc.wantSubstr)
+			}
+			if tc.jsonOnly {
+				return
+			}
+			var bin bytes.Buffer
+			if err := tree.WriteBinary(&bin); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mtree.ReadBinary(bin.Bytes()); err == nil || !strings.Contains(err.Error(), tc.wantSubstr) {
+				t.Errorf("binary loader: error %v, want one mentioning %q", err, tc.wantSubstr)
+			}
+		})
+	}
+
+	// The unmutated fixture loads through both and evaluates.
+	tree := valid()
+	var js, bin bytes.Buffer
+	if err := tree.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	jt, err := mtree.ReadJSON(&js)
+	if err != nil {
+		t.Fatalf("valid fixture rejected by JSON loader: %v", err)
+	}
+	bt, err := mtree.ReadBinary(bin.Bytes())
+	if err != nil {
+		t.Fatalf("valid fixture rejected by binary loader: %v", err)
+	}
+	row := dataset.Instance{0, 0.25}
+	if jt.Predict(row) != 1.75 || bt.Predict(row) != 1.75 {
+		t.Errorf("fixture predicts %v (JSON) / %v (binary), want 1.75", jt.Predict(row), bt.Predict(row))
 	}
 }

@@ -63,41 +63,25 @@ func worse(a, b Verdict) bool {
 	return rank(a) > rank(b)
 }
 
-// Config tunes the checker. The zero value means "defaults" (checking
-// enabled); set Disabled to opt out entirely.
+// Config tunes the checker. The zero value enables checking; set
+// Disabled to opt out entirely.
 type Config struct {
 	// Disabled turns consistency checking off.
 	Disabled bool
-	// AbsTol and RelTol define the tolerance band: a relation is violated
-	// when its deviation exceeds AbsTol + RelTol*scale, where scale is the
-	// larger magnitude of the two sides (at least 1). The defaults
-	// (1e-9/1e-9) absorb float summation error on clean streams while
-	// catching any real single-counter corruption.
-	AbsTol float64
-	RelTol float64
-	// RefuteWindows is the number of consecutive violated windows that
-	// promote a relation from suspect to refuted (default 2).
-	RefuteWindows int
 }
 
+// The tolerance band: a relation is violated when its deviation exceeds
+// AbsTol + RelTol*scale, where scale is the larger magnitude of the two
+// sides (at least 1). It absorbs float summation error on clean streams
+// while catching any real single-counter corruption.
 const (
-	defaultAbsTol        = 1e-9
-	defaultRelTol        = 1e-9
-	defaultRefuteWindows = 2
+	AbsTol = 1e-9
+	RelTol = 1e-9
 )
 
-func (c Config) withDefaults() Config {
-	if c.AbsTol <= 0 {
-		c.AbsTol = defaultAbsTol
-	}
-	if c.RelTol <= 0 {
-		c.RelTol = defaultRelTol
-	}
-	if c.RefuteWindows <= 0 {
-		c.RefuteWindows = defaultRefuteWindows
-	}
-	return c
-}
+// RefuteWindows is the number of consecutive violated windows that
+// promote a relation from suspect to refuted.
+const RefuteWindows = 2
 
 // cpiCol is the compiled term index meaning "read the observed CPI
 // argument instead of a row column".
@@ -137,7 +121,6 @@ const WindowSections = 32
 // Not safe for concurrent use; the stream processor drives it from its
 // serial fold.
 type Checker struct {
-	cfg     Config
 	machine string
 	rels    []compiled
 	stats   []relStats
@@ -227,8 +210,7 @@ func Catalog(cols []string, target int, spec *march.MachineSpec) []counters.Rela
 // carry are dropped, so a model trained on a counter subset is checked
 // against exactly the relations its schema can express.
 func NewChecker(cfg Config, cols []string, target int, machine string) *Checker {
-	cfg = cfg.withDefaults()
-	c := &Checker{cfg: cfg, machine: machine}
+	c := &Checker{machine: machine}
 	if cfg.Disabled {
 		return c
 	}
@@ -292,7 +274,7 @@ func compileRelation(spec counters.RelationSpec, idx map[string]int) (compiled, 
 }
 
 // Enabled reports whether the checker is actually evaluating relations.
-func (c *Checker) Enabled() bool { return !c.cfg.Disabled && len(c.rels) > 0 }
+func (c *Checker) Enabled() bool { return len(c.rels) > 0 }
 
 // Relations returns the compiled catalog's specs, in evaluation order.
 func (c *Checker) Relations() []counters.RelationSpec {
@@ -339,7 +321,7 @@ func (c *Checker) Observe(row []float64, cpi float64, haveCPI bool) {
 			dev = math.Abs(dev)
 		}
 		scale := math.Max(math.Max(math.Abs(lv), math.Abs(rv)), 1)
-		if dev <= c.cfg.AbsTol+c.cfg.RelTol*scale {
+		if dev <= AbsTol+RelTol*scale {
 			continue
 		}
 		st.violations++
@@ -362,8 +344,8 @@ type Transition struct {
 }
 
 // EndWindow closes the open window: every relation violated within it
-// advances its streak (promoting suspect → refuted at the configured
-// threshold), every clean relation resets its streak. It returns the
+// advances its streak (promoting suspect → refuted after RefuteWindows
+// in a row), every clean relation resets its streak. It returns the
 // verdict transitions the window caused, in catalog order. A window
 // that observed no sample is left open and changes nothing, so closing
 // twice in a row is harmless.
@@ -387,7 +369,7 @@ func (c *Checker) EndWindow() []Transition {
 		next := st.verdict
 		if next != Refuted {
 			next = Suspect
-			if st.streak >= uint64(c.cfg.RefuteWindows) {
+			if st.streak >= RefuteWindows {
 				next = Refuted
 			}
 		}

@@ -66,11 +66,9 @@ func BenchmarkServePredict(b *testing.B) {
 	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, withCache(4096)) })
 }
 
-// BenchmarkServePredictBatch measures the batch endpoint with the
-// compiled batch kernel against the per-row fallback (a model wrapped
-// so it hides Compilable/BatchPredictor), for a large batch where the
-// kernel's amortization matters. Uncached: the numbers isolate the
-// prediction path, not the LRU.
+// BenchmarkServePredictBatch measures the batch endpoint's compiled
+// batch kernel for a large batch, single tree and ensemble. Uncached:
+// the numbers isolate the prediction path, not the LRU.
 func BenchmarkServePredictBatch(b *testing.B) {
 	d := perfData(4000, 11)
 	cfg := mtree.DefaultConfig()
@@ -112,9 +110,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	}
 
 	b.Run("tree-kernel", func(b *testing.B) { run(b, tree) })
-	b.Run("tree-fallback", func(b *testing.B) { run(b, plainModel{tree}) })
 	b.Run("ensemble-kernel", func(b *testing.B) { run(b, bag) })
-	b.Run("ensemble-fallback", func(b *testing.B) { run(b, plainModel{bag}) })
 }
 
 // BenchmarkServeConcurrentPredict measures the request path under
@@ -211,15 +207,15 @@ func BenchmarkServeConcurrentStream(b *testing.B) {
 func BenchmarkPredictionCache(b *testing.B) {
 	c := NewPredictionCache(1024)
 	d := perfData(256, 23)
-	keys := make([]string, d.Len())
+	keys := make([][]byte, d.Len())
 	for i := range keys {
-		keys[i] = CacheKey("cpi@v1", d.Row(i), 0)
-		c.Put(keys[i], float64(i))
+		keys[i] = AppendKey(nil, "cpi@v1", d.Row(i))
+		c.PutBytes(keys[i], float64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(keys[i%len(keys)]); !ok {
+		if _, ok := c.GetBytes(keys[i%len(keys)]); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -27,11 +27,9 @@ import (
 // would do; capacity splits across shards as evenly as possible
 // (remainders go to the low shards), so the configured bound is exact.
 //
-// Keys are built by AppendKey from the bit patterns of the (optionally
-// quantized) feature values, so with quantum 0 a hit is only possible for
-// a bit-identical input and caching can never change a response. A
-// positive quantum trades that guarantee for a higher hit rate by
-// snapping each value to the nearest multiple before keying.
+// Keys are built by AppendKey from the exact bit patterns of the feature
+// values, so a hit is only possible for a bit-identical input and
+// caching can never change a response.
 type PredictionCache struct {
 	shards []*cacheShard
 	mask   uint32
@@ -91,42 +89,19 @@ func NewPredictionCache(capacity int) *PredictionCache {
 	return c
 }
 
-func (c *PredictionCache) shardFor(key string) *cacheShard {
-	return c.shards[shard.Hash(key)&c.mask]
-}
-
-func (c *PredictionCache) shardForBytes(key []byte) *cacheShard {
+func (c *PredictionCache) shardFor(key []byte) *cacheShard {
 	return c.shards[shard.HashBytes(key)&c.mask]
 }
 
-// Get looks up a key, marking it recently used on a hit. A nil cache
-// always misses without counting.
-func (c *PredictionCache) Get(key string) (float64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	sh := c.shardFor(key)
-	sh.mu.RLock()
-	e, ok := sh.items[key]
-	sh.mu.RUnlock()
-	if !ok {
-		sh.misses.Add(1)
-		return 0, false
-	}
-	e.ref.Store(true)
-	sh.hits.Add(1)
-	return math.Float64frombits(e.bits.Load()), true
-}
-
-// GetBytes is Get for a key still sitting in its scratch buffer (see
-// AppendKey). The string conversion happens inside the map index
+// GetBytes looks up a key built by AppendKey, marking it recently used
+// on a hit. The string conversion happens inside the map index
 // expression, which the compiler performs without copying, so a lookup
-// allocates nothing.
+// allocates nothing. A nil cache always misses without counting.
 func (c *PredictionCache) GetBytes(key []byte) (float64, bool) {
 	if c == nil {
 		return 0, false
 	}
-	sh := c.shardForBytes(key)
+	sh := c.shardFor(key)
 	sh.mu.RLock()
 	e, ok := sh.items[string(key)]
 	sh.mu.RUnlock()
@@ -139,30 +114,15 @@ func (c *PredictionCache) GetBytes(key []byte) (float64, bool) {
 	return math.Float64frombits(e.bits.Load()), true
 }
 
-// Put inserts or refreshes a key, evicting an entry second-chance style
-// when the shard is full. A nil cache ignores the call.
-func (c *PredictionCache) Put(key string, val float64) {
-	if c == nil {
-		return
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[key]; ok {
-		e.bits.Store(math.Float64bits(val))
-		e.ref.Store(true)
-		return
-	}
-	sh.insert(key, val)
-}
-
-// PutBytes is Put for a scratch-buffer key: the refresh path allocates
-// nothing, and only a genuine insert copies the key into an owned string.
+// PutBytes inserts or refreshes a key built by AppendKey, evicting an
+// entry second-chance style when the shard is full. The refresh path
+// allocates nothing; only a genuine insert copies the key into an owned
+// string. A nil cache ignores the call.
 func (c *PredictionCache) PutBytes(key []byte, val float64) {
 	if c == nil {
 		return
 	}
-	sh := c.shardForBytes(key)
+	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[string(key)]; ok {
@@ -226,42 +186,19 @@ func (c *PredictionCache) Cap() int {
 	return c.cap
 }
 
-// Shards returns the stripe count.
-func (c *PredictionCache) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
-}
-
-// Quantize snaps v to the nearest multiple of quantum; quantum <= 0
-// returns v unchanged (exact keying).
-func Quantize(v, quantum float64) float64 {
-	if quantum <= 0 {
-		return v
-	}
-	return math.Round(v/quantum) * quantum
-}
-
 // AppendKey appends the cache key for one instance under one model to dst
 // and returns the extended slice: the model reference, a NUL separator,
-// then the 8-byte bit pattern of each (quantized) value. Bit patterns —
-// not formatted decimals — keep the key exact, compact, and collision-free
-// at quantum 0. Callers on the hot path hand in a stack scratch buffer and
-// pass the result straight to GetBytes/PutBytes, so keying a request
-// allocates nothing.
-func AppendKey(dst []byte, modelRef string, row dataset.Instance, quantum float64) []byte {
+// then the 8-byte bit pattern of each value. Bit patterns — not formatted
+// decimals — keep the key exact, compact, and collision-free. Callers on
+// the hot path hand in a stack scratch buffer and pass the result
+// straight to GetBytes/PutBytes, so keying a request allocates nothing.
+func AppendKey(dst []byte, modelRef string, row dataset.Instance) []byte {
 	dst = append(dst, modelRef...)
 	dst = append(dst, 0)
 	var scratch [8]byte
 	for _, v := range row {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(Quantize(v, quantum)))
+		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
 		dst = append(dst, scratch[:]...)
 	}
 	return dst
-}
-
-// CacheKey is AppendKey as an owned string, for callers that store keys.
-func CacheKey(modelRef string, row dataset.Instance, quantum float64) string {
-	return string(AppendKey(make([]byte, 0, len(modelRef)+1+8*len(row)), modelRef, row, quantum))
 }

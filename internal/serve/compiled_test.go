@@ -1,26 +1,23 @@
 package serve
 
-// Tests for the compiled serving path: the registry compiles models at
-// registration, and the batch kernel in handlePredict produces
-// responses byte-identical to the per-row fallback under every cache
-// and worker configuration — the "which path ran" question must be
-// unanswerable from outside.
+// Tests for the compiled serving path: the registry compiles every model
+// at registration or rejects it, and /v1/predict answers exactly what
+// the uncompiled pointer walk would, under every cache configuration.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/ensemble"
 	"repro/internal/model"
+	"repro/internal/modelio"
 	"repro/internal/mtree"
 )
-
-// plainModel hides everything but the model.Model methods, so a
-// registered model skips compilation and the batch kernel — the per-row
-// fallback path, kept testable after the registry learned to compile.
-type plainModel struct{ model.Model }
 
 func buildServeTree(t testing.TB, d *dataset.Dataset) *mtree.Tree {
 	t.Helper()
@@ -34,8 +31,8 @@ func buildServeTree(t testing.TB, d *dataset.Dataset) *mtree.Tree {
 }
 
 // TestRegistryCompilesOnRegister: Compilable models come out of the
-// registry in compiled form; already-compiled and non-compilable models
-// are stored as-is.
+// registry in compiled form, and a model that does not compile to a
+// batch evaluator is rejected without installing anything.
 func TestRegistryCompilesOnRegister(t *testing.T) {
 	d := perfData(400, 3)
 	tree := buildServeTree(t, d)
@@ -45,20 +42,9 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	for name, m := range map[string]model.Model{
-		"tree": tree, "bag": bag, "plain": plainModel{tree},
-	} {
+	for name, m := range map[string]model.Model{"tree": tree, "bag": bag} {
 		if err := reg.Register(name, "v1", m, ""); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for name, want := range map[string]bool{"tree": true, "bag": true, "plain": false} {
-		e, err := reg.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := e.Model.(model.BatchPredictor); ok != want {
-			t.Errorf("%s: stored as batch-capable %v, want %v (%T)", name, ok, want, e.Model)
 		}
 	}
 	if e, _ := reg.Get("tree"); e != nil {
@@ -71,12 +57,55 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 			t.Errorf("ensemble stored as %T, want *ensemble.CompiledBagger", e.Model)
 		}
 	}
+
+	// kernelless hides everything but the model.Model methods, so it
+	// neither compiles nor carries the batch kernel.
+	type kernelless struct{ model.Model }
+	if err := reg.Register("plain", "v1", kernelless{tree}, ""); err == nil {
+		t.Fatal("registry accepted a model without a batch evaluator")
+	}
+	if _, err := reg.Get("plain"); err == nil || reg.Len() != 2 || reg.Latest("plain") != "" {
+		t.Errorf("rejected model was installed: len %d, latest %q", reg.Len(), reg.Latest("plain"))
+	}
 }
 
-// TestBatchKernelResponseIdentical: for the same request, the compiled
-// batch kernel and the per-row pointer walk return byte-identical
-// bodies — across batch sizes, cache off/cold/warm, and both model
-// kinds.
+// TestRegistryLoadFileRecordsFormat: LoadFile registers a model with
+// the format of the bytes it loaded, and a file that does not load
+// installs nothing.
+func TestRegistryLoadFileRecordsFormat(t *testing.T) {
+	tree := buildServeTree(t, perfData(400, 3))
+	dir := t.TempDir()
+	reg := NewRegistry()
+	for _, format := range []string{modelio.FormatJSON, modelio.FormatBinary} {
+		path := filepath.Join(dir, format)
+		if err := modelio.WriteFile(path, tree, format); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.LoadFile("cpi", format, path); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := reg.Get("cpi@" + format); err != nil || e.Format != format || e.Path != path {
+			t.Errorf("%s file registered as %+v (%v)", format, e, err)
+		}
+	}
+	garbage := filepath.Join(dir, "garbage")
+	if err := os.WriteFile(garbage, []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{garbage, filepath.Join(dir, "missing")} {
+		if err := reg.LoadFile("bad", "v1", path); err == nil {
+			t.Errorf("%s: loaded", path)
+		}
+	}
+	if reg.Len() != 2 {
+		t.Errorf("registry holds %d entries after two failed loads, want 2", reg.Len())
+	}
+}
+
+// TestBatchKernelResponseIdentical: every /v1/predict body equals the
+// body built from the uncompiled model's own Predict and Contributions
+// — the pointer walk stays the reference — across both model kinds,
+// batch sizes, cache off/cold/warm, with and without contributions.
 func TestBatchKernelResponseIdentical(t *testing.T) {
 	d := perfData(600, 11)
 	tree := buildServeTree(t, d)
@@ -95,37 +124,39 @@ func TestBatchKernelResponseIdentical(t *testing.T) {
 		model model.Model
 	}{{"tree", tree}, {"ensemble", bag}} {
 		for _, rows := range []int{1, 64, 300} {
-			body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, rows))
-			contribBody := fmt.Sprintf(`{"model":"cpi","rows":%s,"contributions":true}`, rowsJSON(d, 0, rows))
-			for ci, cfg := range configs {
-				serve := func(candidate model.Model, body string) string {
+			for _, contrib := range []bool{false, true} {
+				want := predictResponse{Model: "cpi@v1", N: rows, Predictions: make([]float64, rows)}
+				if contrib {
+					want.Contributions = make([][]model.Contribution, rows)
+				}
+				for i := 0; i < rows; i++ {
+					want.Predictions[i] = m.model.Predict(d.Row(i))
+					if contrib {
+						want.Contributions[i] = m.model.Contributions(d.Row(i))
+					}
+				}
+				wantBody, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := fmt.Sprintf(`{"model":"cpi","rows":%s,"contributions":%t}`, rowsJSON(d, 0, rows), contrib)
+				for ci, cfg := range configs {
 					reg := NewRegistry()
-					if err := reg.Register("cpi", "v1", candidate, ""); err != nil {
+					if err := reg.Register("cpi", "v1", m.model, ""); err != nil {
 						t.Fatal(err)
 					}
 					h := New(reg, cfg).Handler()
-					var last string
-					// Two requests: the second hits a warm cache when enabled.
-					for i := 0; i < 2; i++ {
+					// Twice: the second request hits a warm cache when enabled.
+					for pass := 0; pass < 2; pass++ {
 						rec := post(h, "/v1/predict", body)
 						if rec.Code != http.StatusOK {
 							t.Fatalf("status %d: %s", rec.Code, rec.Body)
 						}
-						if i > 0 && last != rec.Body.String() {
-							t.Fatalf("%s rows=%d cfg=%d: warm response differs from cold", m.name, rows, ci)
+						if got := rec.Body.String(); got != string(wantBody)+"\n" {
+							t.Fatalf("%s rows=%d contributions=%t cfg=%d pass=%d: served body differs from the pointer walk\nserved: %s\nwant:   %s",
+								m.name, rows, contrib, ci, pass, got, wantBody)
 						}
-						last = rec.Body.String()
 					}
-					return last
-				}
-				compiled := serve(m.model, body)
-				plain := serve(plainModel{m.model}, body)
-				if compiled != plain {
-					t.Fatalf("%s rows=%d cfg=%d: kernel response differs from per-row fallback\nkernel: %s\nplain:  %s",
-						m.name, rows, ci, compiled, plain)
-				}
-				if cc, pc := serve(m.model, contribBody), serve(plainModel{m.model}, contribBody); cc != pc {
-					t.Fatalf("%s rows=%d cfg=%d: contributions response differs under compilation", m.name, rows, ci)
 				}
 			}
 		}

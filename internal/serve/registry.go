@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -12,13 +13,20 @@ import (
 )
 
 // Registry is the named, versioned model store behind the service. Every
-// entry holds a model.Model — a single M5' tree or a bagged ensemble —
-// under a (name, version) pair; requests address models as "name" (latest
-// registered version) or "name@version".
+// entry holds a compiled model — a single M5' tree or a bagged ensemble
+// in flat-array form — under a (name, version) pair; requests address
+// models as "name" (latest registered version) or "name@version".
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]map[string]*Entry // name -> version -> entry
 	latest  map[string]string            // name -> most recently registered version
+}
+
+// servedModel is what every entry serves: a model with the batch
+// kernel. Register admits nothing else, so no handler type-asserts.
+type servedModel interface {
+	model.Model
+	model.BatchPredictor
 }
 
 // Entry is one registered model.
@@ -27,7 +35,7 @@ type Entry struct {
 	Version string
 	// Path is the source file, empty for models registered in-process.
 	Path  string
-	Model model.Model
+	Model servedModel
 	// Format is the source file's on-disk format (modelio.FormatJSON or
 	// modelio.FormatBinary), empty for models registered in-process.
 	Format string
@@ -54,13 +62,19 @@ func NewRegistry() *Registry {
 // a new version instead.
 //
 // Compilable models (the pointer-linked tree and ensemble) are compiled
-// to their flat-array evaluators here, so the serving hot path always
-// runs the compiled form no matter which format the model arrived in;
-// binary files load pre-compiled and models that cannot compile are
-// served as-is. Compilation never changes a response: compiled
+// to their flat-array evaluators here, and binary files load
+// pre-compiled, so the serving hot path always runs the compiled form.
+// A model that does not end up with the batch kernel is rejected and
+// nothing is installed. Compilation never changes a response: compiled
 // predictions, contributions and classifications are bit-identical to
 // the original's.
 func (r *Registry) Register(name, version string, m model.Model, path string) error {
+	return r.register(name, version, m, path, "")
+}
+
+// register is Register plus the source file's format, recorded before
+// the entry becomes visible.
+func (r *Registry) register(name, version string, m model.Model, path, format string) error {
 	if name == "" || strings.ContainsAny(name, "@ \t\n") {
 		return fmt.Errorf("serve: invalid model name %q", name)
 	}
@@ -75,6 +89,10 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 			m = cm
 		}
 	}
+	sm, ok := m.(servedModel)
+	if !ok {
+		return fmt.Errorf("serve: model %s@%s (%T) does not compile to a batch evaluator", name, version, m)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	vs := r.entries[name]
@@ -85,31 +103,26 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	if _, dup := vs[version]; dup {
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
-	e := &Entry{Name: name, Version: version, Path: path, Model: m}
-	e.schema, e.schemaErr = stream.NewSchema(m.Describe())
+	e := &Entry{Name: name, Version: version, Path: path, Model: sm, Format: format}
+	e.schema, e.schemaErr = stream.NewSchema(sm.Describe())
 	vs[version] = e
 	r.latest[name] = version
 	return nil
 }
 
 // LoadFile loads a persisted model (tree or ensemble) and registers it,
-// recording the file's format for the /v1/models/{ref} detail view.
+// recording the file's format for the /v1/models/{ref} detail view. The
+// file is read once, so the format always describes the bytes served.
 func (r *Registry) LoadFile(name, version, path string) error {
-	m, err := modelio.LoadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
-	format, err := modelio.SniffFile(path)
+	m, format, err := modelio.Decode(data)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: loading %s: %w", path, err)
 	}
-	if err := r.Register(name, version, m, path); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.entries[name][version].Format = format
-	r.mu.Unlock()
-	return nil
+	return r.register(name, version, m, path, format)
 }
 
 // Get resolves a reference: "name" (latest registered version) or

@@ -271,6 +271,63 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingRequestDataRejected: a JSON request body holds exactly one
+// value. Anything but whitespace after it is a 400 on every decoding
+// route — never a silently ignored second request — and a restore of two
+// concatenated dumps installs nothing. Oversized bodies still get 413.
+func TestTrailingRequestDataRejected(t *testing.T) {
+	cfg := streamConfig()
+	cfg.MaxBodyBytes = 1 << 16
+	s, _, d := newTestServer(t, cfg)
+	h := s.Handler()
+	row, _ := json.Marshal(d.Row(0))
+	predict := fmt.Sprintf(`{"model":"cpi","rows":[%s]}`, row)
+
+	// A drained dump of one live session, for the restore cases.
+	if rec := postNDJSON(h, "/v1/stream?model=cpi&session=a", streamTrace(8, 99, 99, 0, 3)); rec.Code != 200 {
+		t.Fatalf("stream status %d: %s", rec.Code, rec.Body)
+	}
+	dump := post(h, "/v1/sessions/drain", "").Body.String()
+
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"predict", "/v1/predict", predict, 200},
+		{"predict trailing whitespace", "/v1/predict", predict + " \n\t\r\n", 200},
+		{"predict second value", "/v1/predict", predict + ` {"model":"nope"} trailing garbage`, 400},
+		{"predict trailing garbage", "/v1/predict", predict + `x`, 400},
+		{"classify second value", "/v1/classify", predict + ` {"model":"nope"} trailing garbage`, 400},
+		{"classify trailing bracket", "/v1/classify", predict + `]`, 400},
+		{"restore two dumps", "/v1/sessions/restore", dump + dump, 400},
+		{"predict oversized value", "/v1/predict", fmt.Sprintf(`{"model":"cpi","rows":[%s%s]}`, row, strings.Repeat(","+string(row), 2000)), 413},
+		{"predict oversized trailing whitespace", "/v1/predict", predict + strings.Repeat(" ", 1<<16), 413},
+	} {
+		rec := post(h, tc.path, tc.body)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%.200s)", tc.name, rec.Code, tc.want, rec.Body)
+			continue
+		}
+		if tc.want == 200 {
+			continue
+		}
+		code := ErrCodeBadRequest
+		if tc.want == 413 {
+			code = ErrCodeTooLarge
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != code {
+			t.Errorf("%s: bad error envelope (want code %q): %s", tc.name, code, rec.Body)
+		}
+	}
+	if n := streamSessionCount(t, h); n != 0 {
+		t.Errorf("a rejected restore installed %d sessions", n)
+	}
+	if rec := post(h, "/v1/sessions/restore", dump+"\n"); rec.Code != 200 {
+		t.Errorf("restore of one dump: status %d (%s)", rec.Code, rec.Body)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	s, tree, d := newTestServer(t, DefaultConfig())
 	h := s.Handler()
@@ -578,8 +635,6 @@ func TestModelDetail(t *testing.T) {
 		Kind         string   `json:"kind"`
 		Attrs        []string `json:"attrs"`
 		Target       string   `json:"target"`
-		Evaluator    string   `json:"evaluator"`
-		BatchKernel  bool     `json:"batch_kernel"`
 		Classifiable bool     `json:"classifiable"`
 		Versions     []string `json:"versions"`
 	}
@@ -596,10 +651,11 @@ func TestModelDetail(t *testing.T) {
 	if det.Target != "CPI" || len(det.Attrs) != 4 {
 		t.Errorf("schema not populated: %s", rec.Body)
 	}
-	// The registry compiles trees at registration, so the detail must
-	// report the compiled evaluator with the batch kernel available.
-	if det.Evaluator != "compiled" || !det.BatchKernel || !det.Classifiable {
-		t.Errorf("evaluator detail wrong: %s", rec.Body)
+	if !det.Classifiable {
+		t.Errorf("single tree not classifiable: %s", rec.Body)
+	}
+	if strings.Contains(rec.Body.String(), `"evaluator"`) || strings.Contains(rec.Body.String(), `"batch_kernel"`) {
+		t.Errorf("detail still carries the constant evaluator fields: %s", rec.Body)
 	}
 	if len(det.Versions) != 2 || det.Versions[0] != "v1" || det.Versions[1] != "v2" {
 		t.Errorf("versions = %v, want [v1 v2]", det.Versions)
@@ -630,33 +686,37 @@ func TestModelDetail(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := NewPredictionCache(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
+	key := func(ref string) []byte { return AppendKey(nil, ref, dataset.Instance{1, 2}) }
+	c.PutBytes(key("a"), 1)
+	c.PutBytes(key("b"), 2)
+	if _, ok := c.GetBytes(key("a")); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
+	c.PutBytes(key("c"), 3)
+	if _, ok := c.GetBytes(key("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.GetBytes(key("a")); !ok || v != 1 {
 		t.Error("a lost")
 	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
+	if v, ok := c.GetBytes(key("c")); !ok || v != 3 {
 		t.Error("c lost")
 	}
 }
 
-func TestCacheKeyQuantization(t *testing.T) {
+// TestCacheKeyExactBits: keys are the exact value bits under the model
+// reference, so near-identical inputs and different models never share
+// an entry.
+func TestCacheKeyExactBits(t *testing.T) {
 	r1 := dataset.Instance{0, 1.00000001, 2}
 	r2 := dataset.Instance{0, 1.00000002, 2}
-	if CacheKey("m", r1, 0) == CacheKey("m", r2, 0) {
+	if bytes.Equal(AppendKey(nil, "m", r1), AppendKey(nil, "m", r2)) {
 		t.Error("exact keying collided for distinct inputs")
 	}
-	if CacheKey("m", r1, 1e-3) != CacheKey("m", r2, 1e-3) {
-		t.Error("quantized keying failed to merge near-identical inputs")
-	}
-	if CacheKey("m1", r1, 0) == CacheKey("m2", r1, 0) {
+	if bytes.Equal(AppendKey(nil, "m1", r1), AppendKey(nil, "m2", r1)) {
 		t.Error("different models share a key")
+	}
+	if !bytes.Equal(AppendKey(nil, "m", r1), AppendKey(nil, "m", dataset.Instance{0, 1.00000001, 2})) {
+		t.Error("identical inputs key differently")
 	}
 }

@@ -17,8 +17,8 @@
 //	                   counter-consistency report ("-" = default session,
 //	                   model addressed with ?model=)
 //	GET  /v1/models    registry listing with model descriptions
-//	GET  /v1/models/{ref}  one model's detail: description, evaluator
-//	                   kind, source format, registered versions
+//	GET  /v1/models/{ref}  one model's detail: description, source
+//	                   format, classifiability, registered versions
 //	GET  /v1/machines  the march machine-preset registry, with per-machine
 //	                   registered-model counts
 //	GET  /v1/machines/{name}  one machine's full declarative spec (the
@@ -33,15 +33,15 @@
 // {"error":{"code","message"}} (see errors.go); clients branch on the
 // stable code, never on message wording.
 //
-// The registry compiles every Compilable model at registration (and
-// binary model files load pre-compiled), so the hot path evaluates the
-// flat-array forms; prediction-only batches additionally run the
-// zero-allocation PredictInto kernel. Both are bit-identical to the
-// pointer-walk models. Each request is evaluated on its own goroutine —
-// concurrent requests, not intra-request fan-out, fill the cores — and
-// the optional LRU cache keys on exact value bits by default, so it can
-// never change a response. Request bodies are size-capped
-// and handlers time-limited (except the streaming /v1/stream route,
+// The registry compiles every model at registration (binary model files
+// load pre-compiled) and rejects one that does not compile, so every
+// predict request runs the zero-allocation PredictInto kernel of a
+// flat-array form bit-identical to the pointer walk. Each request is
+// evaluated on its own goroutine — concurrent requests, not
+// intra-request fan-out, fill the cores — and the optional LRU cache
+// keys on exact value bits, so it can never change a response. Request
+// bodies are size-capped, hold exactly one JSON value, and handlers
+// are time-limited (except the streaming /v1/stream route,
 // which flushes incrementally instead — see Handler), making the hot
 // path safe to expose.
 package serve
@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -69,9 +70,6 @@ type Config struct {
 	// CacheSize bounds the LRU prediction cache (entries); 0 disables
 	// caching.
 	CacheSize int
-	// CacheQuantum quantizes feature values before cache keying; 0 (the
-	// default) keys on exact bits so a hit can never change a response.
-	CacheQuantum float64
 	// MaxBodyBytes caps request body size.
 	MaxBodyBytes int64
 	// MaxBatch caps the number of rows per request.
@@ -99,7 +97,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CacheSize:      4096,
-		CacheQuantum:   0,
 		MaxBodyBytes:   1 << 20, // 1 MiB
 		MaxBatch:       4096,
 		RequestTimeout: 10 * time.Second,
@@ -281,24 +278,32 @@ type predictResponse struct {
 	Contributions [][]model.Contribution `json:"contributions,omitempty"`
 }
 
-// decodeBody decodes a size-capped JSON body, distinguishing oversized
-// bodies (413) from malformed ones (400).
+// decodeBody decodes a size-capped body holding exactly one JSON value,
+// distinguishing oversized bodies (413) from malformed ones (400).
+// Anything but whitespace after the value is malformed: a second value
+// would otherwise be silently dropped.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			writeError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				"malformed request body: %v", err)
+	var tooLarge *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		return false
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("unexpected data after the JSON value")
+		}
 	}
-	return true
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
+			"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	} else {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest,
+			"malformed request body: %v", err)
+	}
+	return false
 }
 
 // resolveRows turns whichever instance form the request used into
@@ -392,63 +397,34 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := predictResponse{Model: e.Ref(), N: len(rows)}
+	ref := e.Ref()
+	resp := predictResponse{Model: ref, N: len(rows), Predictions: s.predictBatch(e.Model, ref, rows)}
 	if req.Contributions {
 		resp.Contributions = make([][]model.Contribution, len(rows))
-	}
-	ref := e.Ref()
-	// Prediction-only requests against a compiled model take the batch
-	// kernel: one PredictInto sweep instead of per-row interface
-	// dispatch. The kernel's output is bit-identical to per-row Predict,
-	// so which path runs is unobservable in the response.
-	if bp, ok := e.Model.(model.BatchPredictor); ok && !req.Contributions {
-		resp.Predictions = s.predictBatch(bp, ref, rows)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// The cache is consulted per row; with the default exact-bits keying
-	// a hit returns the same float the model would produce. Keys are
-	// assembled in a stack buffer (AppendKey) so a cache hit costs zero
-	// allocations; only inserting a fresh entry copies the key.
-	resp.Predictions = make([]float64, len(rows))
-	var kb [256]byte
-	for i, row := range rows {
-		if req.Contributions {
+		for i, row := range rows {
 			resp.Contributions[i] = e.Model.Contributions(row)
 		}
-		var key []byte
-		if s.cache != nil {
-			key = AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
-			if v, ok := s.cache.GetBytes(key); ok {
-				resp.Predictions[i] = v
-				continue
-			}
-		}
-		v := e.Model.Predict(row)
-		s.cache.PutBytes(key, v)
-		resp.Predictions[i] = v
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// predictBatch answers a prediction-only request through the model's
-// batch kernel. Without a cache the kernel runs straight into the
-// response buffer; with one, rows are probed first and the kernel runs
-// only over the misses, which are then scattered back and inserted.
-// Either way dst[i] is bit-identical to e.Model.Predict(rows[i]), so
-// the cache keeps its never-changes-a-response property.
-func (s *Server) predictBatch(bp model.BatchPredictor, ref string, rows []dataset.Instance) []float64 {
+// predictBatch predicts every row through the model's batch kernel.
+// Without a cache the kernel runs straight into the response buffer;
+// with one, rows are probed first and the kernel runs only over the
+// misses, which are then scattered back and inserted. Keys are the
+// exact value bits, so dst[i] is bit-identical to Predict(rows[i])
+// either way and the cache can never change a response.
+func (s *Server) predictBatch(m servedModel, ref string, rows []dataset.Instance) []float64 {
 	out := make([]float64, len(rows))
 	if s.cache == nil {
-		bp.PredictInto(out, rows)
+		m.PredictInto(out, rows)
 		return out
 	}
 	var kb [256]byte
 	missIdx := make([]int, 0, len(rows))
 	missRows := make([]dataset.Instance, 0, len(rows))
 	for i, row := range rows {
-		key := AppendKey(kb[:0], ref, row, s.cfg.CacheQuantum)
-		if v, ok := s.cache.GetBytes(key); ok {
+		if v, ok := s.cache.GetBytes(AppendKey(kb[:0], ref, row)); ok {
 			out[i] = v
 			continue
 		}
@@ -459,11 +435,10 @@ func (s *Server) predictBatch(bp model.BatchPredictor, ref string, rows []datase
 		return out
 	}
 	miss := make([]float64, len(missRows))
-	bp.PredictInto(miss, missRows)
+	m.PredictInto(miss, missRows)
 	for j, i := range missIdx {
 		out[i] = miss[j]
-		key := AppendKey(kb[:0], ref, rows[i], s.cfg.CacheQuantum)
-		s.cache.PutBytes(key, miss[j])
+		s.cache.PutBytes(AppendKey(kb[:0], ref, rows[i]), miss[j])
 	}
 	return out
 }
@@ -555,16 +530,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 // modelDetail is the GET /v1/models/{ref} response: the listing entry
 // plus everything a traffic generator needs to shape payloads for the
-// model — the schema to synthesize rows against, whether the hot path
-// runs the compiled kernel, and whether /v1/classify will answer.
+// model — the schema to synthesize rows against and whether
+// /v1/classify will answer.
 type modelDetail struct {
 	EntryInfo
-	// Evaluator is "compiled" (flat-array walk + batch kernel) or
-	// "plain" (pointer-walk fallback).
-	Evaluator string `json:"evaluator"`
-	// BatchKernel reports whether prediction-only batches take the
-	// zero-allocation PredictInto path.
-	BatchKernel bool `json:"batch_kernel"`
 	// Classifiable reports whether /v1/classify answers for this model
 	// (single trees only).
 	Classifiable bool `json:"classifiable"`
@@ -582,12 +551,7 @@ func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, "%v", err)
 		return
 	}
-	_, kernel := e.Model.(model.BatchPredictor)
 	_, classifiable := e.Model.(classifier)
-	evaluator := "plain"
-	if kernel {
-		evaluator = "compiled"
-	}
 	writeJSON(w, http.StatusOK, modelDetail{
 		EntryInfo: EntryInfo{
 			Name:        e.Name,
@@ -596,8 +560,6 @@ func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 			Path:        e.Path,
 			Description: e.Model.Describe(),
 		},
-		Evaluator:    evaluator,
-		BatchKernel:  kernel,
 		Classifiable: classifiable,
 		Format:       e.Format,
 		Versions:     s.reg.Versions(e.Name),

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
+	"repro/internal/mtree"
 	"repro/internal/phases"
 	"repro/internal/refute"
 	"repro/internal/stream"
@@ -599,9 +599,9 @@ func TestSessionsRestoreWrongWidthRejected(t *testing.T) {
 	}
 }
 
-// panicModel panics on every prediction, standing in for any bug in
-// scoring.
-type panicModel struct{ model.Model }
+// panicModel panics on every per-row prediction, standing in for any
+// bug in scoring.
+type panicModel struct{ servedModel }
 
 func (panicModel) Predict(dataset.Instance) float64 { panic("scoring failed") }
 
@@ -611,7 +611,7 @@ func (panicModel) Predict(dataset.Instance) float64 { panic("scoring failed") }
 func TestStreamScoringPanicReleasesSession(t *testing.T) {
 	_, tree, _ := newTestServer(t, streamConfig())
 	reg := NewRegistry()
-	if err := reg.Register("boom", "v1", panicModel{tree}, ""); err != nil {
+	if err := reg.Register("boom", "v1", panicModel{mtree.Compile(tree)}, ""); err != nil {
 		t.Fatal(err)
 	}
 	h := New(reg, streamConfig()).Handler()

@@ -22,11 +22,9 @@ type Config struct {
 	Phases phases.Config
 	// PH tunes the drift detector (zero value = PH defaults).
 	PH PHConfig
-	// Contributions attaches the top CPI contributor (the paper's Eq. 4
-	// "how much" answer) to every sample event.
-	Contributions bool
-	// EmitSamples emits a "sample" event per scored section; phase, drift
-	// and refute events are always emitted.
+	// EmitSamples emits a "sample" event per scored section, carrying
+	// the top CPI contributor (the paper's Eq. 4 "how much" answer);
+	// phase, drift and refute events are always emitted.
 	EmitSamples bool
 	// Refute tunes the counter-consistency checker (zero value = checking
 	// on with refute defaults; set Refute.Disabled to opt out).
@@ -36,11 +34,10 @@ type Config struct {
 // DefaultConfig returns monitoring-friendly defaults.
 func DefaultConfig() Config {
 	return Config{
-		Calibration:   32,
-		Phases:        phases.DefaultConfig(),
-		PH:            DefaultPHConfig(),
-		Contributions: true,
-		EmitSamples:   true,
+		Calibration: 32,
+		Phases:      phases.DefaultConfig(),
+		PH:          DefaultPHConfig(),
+		EmitSamples: true,
 	}
 }
 
@@ -307,11 +304,9 @@ func (p *Processor) score(events []Event, rec *Record) []Event {
 			Phase:     p.online.Phase(),
 			Predicted: pred,
 		}
-		if p.cfg.Contributions {
-			if top, ok := p.m.TopContribution(rec.Row); ok {
-				ev.TopEvent = top.Name
-				ev.TopFraction = top.Fraction
-			}
+		if top, ok := p.m.TopContribution(rec.Row); ok {
+			ev.TopEvent = top.Name
+			ev.TopFraction = top.Fraction
 		}
 		if rec.HasCPI {
 			obs := rec.CPI

@@ -461,9 +461,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 		samples = append(samples, s)
 	}
 
-	run := func(b *testing.B, contribs, emit bool) {
+	run := func(b *testing.B, emit bool) {
 		cfg := DefaultConfig()
-		cfg.Contributions = contribs
 		cfg.EmitSamples = emit
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -483,21 +482,19 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	}
-	b.Run("default", func(b *testing.B) { run(b, true, true) })
-	b.Run("nocontrib", func(b *testing.B) { run(b, false, true) })
+	b.Run("default", func(b *testing.B) { run(b, true) })
 	// Scoring and monitoring without the per-sample event output.
-	b.Run("nosamples", func(b *testing.B) { run(b, true, false) })
+	b.Run("nosamples", func(b *testing.B) { run(b, false) })
 }
 
 // TestIngestBatchAllocsPerWindow pins allocation-free scoring: after
 // calibration, on a trace without phase boundaries, IngestBatch with
-// contributions on and sample events off allocates nothing, whether the
-// batch closes one refutation window or many.
+// sample events off allocates nothing, whether the batch closes one
+// refutation window or many.
 func TestIngestBatchAllocsPerWindow(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	cfg := DefaultConfig()
 	cfg.EmitSamples = false
-	cfg.Contributions = true
 	p, err := NewProcessor(tree, cfg)
 	if err != nil {
 		t.Fatal(err)
