@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-predict bench-micro bench-json bench-compare experiments crossarch-smoke serve-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
+.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-predict bench-micro bench-json bench-compare experiments crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
 
 build:
 	$(GO) build ./...
@@ -122,11 +122,11 @@ bench-compare:
 
 # Brief runs of every fuzz target (NDJSON sample decoder — differential
 # against encoding/json — and its line splitter, CSV dataset parser,
-# persisted-tree loader, machine-spec loader, binary model loader,
-# refutation-state loader) — long enough to
+# persisted-tree loader, machine-spec loader, tree/ensemble model
+# loader, refutation-state loader) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
 # target has a checked-in seed corpus under its package's testdata/fuzz/.
-# The binary-model target caps per-input minimization: its seeds are
+# The model-loader target caps per-input minimization: its seeds are
 # multi-kilobyte model files, and the default 60s minimize budget would
 # otherwise eat the whole -fuzztime on the first interesting mutation.
 FUZZTIME ?= 10s
@@ -136,7 +136,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSV' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTreeReadJSON' -fuzztime $(FUZZTIME) ./internal/mtree/
 	$(GO) test -run '^$$' -fuzz 'FuzzMachineSpecReadJSON' -fuzztime $(FUZZTIME) ./internal/march/
-	$(GO) test -run '^$$' -fuzz 'FuzzModelReadBinary' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x ./internal/modelio/
+	$(GO) test -run '^$$' -fuzz 'FuzzModelDecode' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x ./internal/modelio/
 	$(GO) test -run '^$$' -fuzz 'FuzzRefutationStateReadJSON' -fuzztime $(FUZZTIME) ./internal/refute/
 
 experiments:
@@ -213,6 +213,40 @@ serve-smoke:
 	echo "serve-smoke: session handoff OK (stream, drain, restore, stream):"; tail -n 1 $(SMOKE_BIN).stream2.out; \
 	echo "serve-smoke: metrics:"; $(SMOKE_CURL) http://$(SMOKE_ADDR)/metrics; \
 	echo "serve-smoke: PASS"
+
+# End-to-end smoke test of the saved-model workflow, the paper's train
+# once / analyze many: collect a reduced suite, train and save a tree
+# as JSON, analyze a workload with the saved file, then serve it and
+# require GET /v1/models/cpi to answer 200 without a "format" field and
+# one /v1/predict to answer 200 with "n":1. Always kills the server on
+# exit.
+MODEL_SMOKE_ADDR ?= 127.0.0.1:18469
+MODEL_SMOKE_DIR  ?= /tmp/repro-model-smoke
+
+model-smoke:
+	@set -e; rm -rf $(MODEL_SMOKE_DIR); mkdir -p $(MODEL_SMOKE_DIR); d=$(MODEL_SMOKE_DIR); \
+	for c in collect train analyze serve; do $(GO) build -o $$d/$$c ./cmd/$$c; done; \
+	$$d/collect -scale 0.05 -out $$d/data.csv; \
+	$$d/train -in $$d/data.csv -minleaf 43 -out $$d/tree.json > $$d/train.out; tail -n 1 $$d/train.out; \
+	$$d/analyze -tree $$d/tree.json -in $$d/data.csv > $$d/analyze.out; head -n 1 $$d/analyze.out; \
+	$$d/serve -model cpi=$$d/tree.json -addr $(MODEL_SMOKE_ADDR) & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
+	ok=0; for i in $$(seq 1 150); do \
+	  $(SMOKE_CURL) -f http://$(MODEL_SMOKE_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
+	  sleep 0.2; \
+	done; \
+	test $$ok -eq 1 || { echo "model-smoke: server never became healthy"; exit 1; }; \
+	code=$$($(SMOKE_CURL) -o $$d/detail.json -w '%{http_code}' http://$(MODEL_SMOKE_ADDR)/v1/models/cpi); \
+	test "$$code" = 200 || { echo "model-smoke: model detail returned HTTP $$code"; cat $$d/detail.json; exit 1; }; \
+	if grep -q '"format"' $$d/detail.json; then echo "model-smoke: model detail carries a format field:"; cat $$d/detail.json; exit 1; fi; \
+	code=$$($(SMOKE_CURL) -o $$d/predict.json -w '%{http_code}' \
+	  -X POST -H 'Content-Type: application/json' \
+	  -d '{"model":"cpi","events":[{"L2M":0.004,"L1IM":0.002}]}' \
+	  http://$(MODEL_SMOKE_ADDR)/v1/predict); \
+	test "$$code" = 200 || { echo "model-smoke: predict returned HTTP $$code"; cat $$d/predict.json; exit 1; }; \
+	grep -q '"n":1,' $$d/predict.json || { echo "model-smoke: predict did not answer one row:"; cat $$d/predict.json; exit 1; }; \
+	echo "model-smoke: predict OK:"; cat $$d/predict.json; \
+	echo "model-smoke: PASS"
 
 # End-to-end smoke test of the load-generation harness: start cmd/serve
 # with a self-trained demo model, replay a short seeded mixed trace

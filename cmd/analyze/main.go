@@ -44,7 +44,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		treePath = fs.String("tree", "", "trained model file, JSON or binary (tree from train -out, or a saved ensemble) (required)")
+		treePath = fs.String("tree", "", "trained model JSON file (tree from train -out, or a saved ensemble) (required)")
 		in       = fs.String("in", "", "section CSV to analyze")
 		bench    = fs.String("bench", "", "or: simulate and analyze one suite benchmark")
 		scale    = fs.Float64("scale", 0.25, "suite scale when using -bench")
@@ -98,12 +98,7 @@ func run(args []string, stdout io.Writer) error {
 	report := analysis.AnalyzeWorkload(m, d)
 	fmt.Fprint(stdout, report.Render())
 
-	// The tree-structure views walk pointer nodes; a compiled tree (how
-	// binary model files load) decompiles to the same structure.
 	tree, isTree := m.(*mtree.Tree)
-	if c, ok := m.(*mtree.CompiledTree); ok {
-		tree, isTree = c.Tree(), true
-	}
 
 	if *section >= 0 {
 		if *section >= d.Len() {

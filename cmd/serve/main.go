@@ -1,14 +1,14 @@
 // Command serve exposes trained CPI models over HTTP: the paper's
 // train-once / analyze-many oracle as an online service. Models persisted
-// by cmd/train (single M5' trees) or saved as bagged ensembles — JSON or
-// the zero-copy binary format, sniffed automatically — are loaded
+// by cmd/train (single M5' trees) or saved as bagged ensembles — JSON
+// files, the kind sniffed automatically — are loaded
 // into a named, versioned registry, compiled to flat-array evaluators,
 // and served at /v1/predict (single +
 // batch, optional per-event contribution breakdown), /v1/classify (leaf
 // id + decision path), /v1/stream (NDJSON ingestion into a persistent
 // per-session phase/drift/refutation monitor that scores every sample on
 // arrival), /v1/models (listing) and
-// /v1/models/{ref} (schema, versions, source format, classifiability),
+// /v1/models/{ref} (schema, versions, source path, classifiability),
 // /healthz, /metrics (text exposition) and /v1/metrics.json (structured
 // per-route counters + latency histograms). Errors are uniform
 // {"error":{"code","message"}} envelopes with stable codes.

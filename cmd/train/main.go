@@ -1,13 +1,12 @@
 // Command train fits an M5' model tree to a section dataset (CSV with a
 // CPI column, as produced by cmd/collect), prints the tree with its leaf
-// models, optionally cross-validates, and optionally saves the tree (JSON
-// or the zero-copy binary format) for cmd/analyze and cmd/serve.
+// models, optionally cross-validates, and optionally saves the tree as
+// JSON for cmd/analyze and cmd/serve.
 //
 // Usage:
 //
 //	train -in data.csv [-minleaf 430] [-cv 10] [-out tree.json]
-//	      [-format json|binary] [-target CPI] [-march core2]
-//	      [-nosmooth] [-noprune] [-jobs N]
+//	      [-target CPI] [-march core2] [-nosmooth] [-noprune] [-jobs N]
 package main
 
 import (
@@ -44,7 +43,6 @@ func run(args []string, stdout io.Writer) error {
 		cv      = fs.Int("cv", 0, "k for k-fold cross validation (0 = skip)")
 		seed    = fs.Int64("seed", 7, "cross-validation shuffle seed")
 		out     = fs.String("out", "", "write the trained tree to this path")
-		format  = fs.String("format", modelio.FormatJSON, "model format for -out: json (interoperable) or binary (fast zero-copy load)")
 		smooth  = fs.Bool("smooth", true, "enable M5 smoothing")
 		prune   = fs.Bool("prune", true, "enable post-pruning")
 		global  = fs.Bool("global", false, "also fit/evaluate a single global linear model")
@@ -121,10 +119,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *out != "" {
-		if err := modelio.WriteFile(*out, tree, *format); err != nil {
+		if err := modelio.WriteFile(*out, tree); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "tree written to %s (%s)\n", *out, *format)
+		fmt.Fprintf(stdout, "tree written to %s\n", *out)
 	}
 	return nil
 }

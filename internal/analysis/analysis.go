@@ -91,14 +91,9 @@ type WorkloadReport struct {
 // single tree is analyzed exactly as before (unsmoothed leaf predictions,
 // per-leaf class membership); other models — e.g. the bagged ensemble —
 // fall back to Predict and Contributions, and report no class shares
-// because their sections do not land in a single leaf. A compiled tree
-// (how binary model files load) decompiles to the pointer form first so
-// both load paths produce the same report.
+// because their sections do not land in a single leaf.
 func AnalyzeWorkload(m model.Model, d *dataset.Dataset) WorkloadReport {
 	tree, isTree := m.(*mtree.Tree)
-	if c, ok := m.(*mtree.CompiledTree); ok {
-		tree, isTree = c.Tree(), true
-	}
 	rep := WorkloadReport{LeafShare: map[int]float64{}}
 	sums := map[string]*Issue{}
 	for i := 0; i < d.Len(); i++ {

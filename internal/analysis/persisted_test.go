@@ -52,35 +52,6 @@ func TestAnalysisOnPersistedTree(t *testing.T) {
 	}
 }
 
-// TestAnalysisOnCompiledTree: a compiled tree (the form binary model
-// files load as) must produce the exact report the pointer tree does —
-// same unsmoothed leaf decomposition, same class-membership shares —
-// not the generic Predict/Contributions fallback.
-func TestAnalysisOnCompiledTree(t *testing.T) {
-	d := perfData(2000, 11)
-	tree := buildTree(t, d)
-
-	live := AnalyzeWorkload(tree, d)
-	compiled := AnalyzeWorkload(mtree.Compile(tree), d)
-	if live.N != compiled.N || live.MeanCPI != compiled.MeanCPI {
-		t.Errorf("workload reports differ: %+v vs %+v", live, compiled)
-	}
-	if len(compiled.LeafShare) == 0 {
-		t.Error("compiled-tree report lost its class-membership shares")
-	}
-	if len(live.LeafShare) != len(compiled.LeafShare) {
-		t.Fatalf("leaf share counts differ: %d vs %d", len(live.LeafShare), len(compiled.LeafShare))
-	}
-	for id, f := range live.LeafShare {
-		if compiled.LeafShare[id] != f {
-			t.Errorf("leaf LM%d share %v vs %v", id, f, compiled.LeafShare[id])
-		}
-	}
-	if live.Render() != compiled.Render() {
-		t.Error("rendered reports differ between pointer and compiled tree")
-	}
-}
-
 // TestSectionReportSmoothedVsLeaf documents that AnalyzeSection uses the
 // raw leaf model (not the smoothed prediction), so the contribution
 // arithmetic decomposes exactly.

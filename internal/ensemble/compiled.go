@@ -15,40 +15,40 @@ import (
 // between rows. The per-row accumulation order is unchanged (member 0,
 // then 1, ...), keeping batch results bit-identical to per-row Predict.
 type CompiledBagger struct {
-	trees       []*mtree.CompiledTree
-	oobError    float64
-	oobCoverage float64
+	trees []*mtree.CompiledTree
 }
 
 var _ model.Model = (*CompiledBagger)(nil)
 var _ model.BatchPredictor = (*CompiledBagger)(nil)
 
 // CompileBagger flattens every member of a trained ensemble. Returns
-// nil for a nil ensemble.
+// nil for a nil ensemble, one with no members, or one with a member
+// that does not compile (nil or rootless).
 func CompileBagger(b *Bagger) *CompiledBagger {
-	if b == nil {
+	if b == nil || len(b.Trees) == 0 {
 		return nil
 	}
-	c := &CompiledBagger{
-		trees:       make([]*mtree.CompiledTree, len(b.Trees)),
-		oobError:    b.OOBError,
-		oobCoverage: b.OOBCoverage,
-	}
+	c := &CompiledBagger{trees: make([]*mtree.CompiledTree, len(b.Trees))}
 	for i, t := range b.Trees {
-		c.trees[i] = mtree.Compile(t)
+		if c.trees[i] = mtree.Compile(t); c.trees[i] == nil {
+			return nil
+		}
 	}
 	return c
 }
 
-// CompileModel implements model.Compilable.
-func (b *Bagger) CompileModel() model.Model { return CompileBagger(b) }
+// CompileModel implements model.Compilable. An ensemble that does not
+// compile yields a nil interface, which the registry rejects.
+func (b *Bagger) CompileModel() model.Model {
+	if c := CompileBagger(b); c != nil {
+		return c
+	}
+	return nil
+}
 
 // Predict averages the compiled members' (smoothed) predictions in tree
 // order — the same reduction as Bagger.Predict, bit for bit.
 func (c *CompiledBagger) Predict(row dataset.Instance) float64 {
-	if len(c.trees) == 0 {
-		return 0
-	}
 	s := 0.0
 	for _, t := range c.trees {
 		s += t.Predict(row)
@@ -65,9 +65,6 @@ func (c *CompiledBagger) PredictInto(dst []float64, rows []dataset.Instance) {
 	dst = dst[:len(rows)]
 	for i := range dst {
 		dst[i] = 0
-	}
-	if len(c.trees) == 0 {
-		return
 	}
 	for _, t := range c.trees {
 		t.AccumulateInto(dst, rows)
@@ -104,35 +101,11 @@ func (c *CompiledBagger) NumLeaves() int {
 	return s
 }
 
-// Trees returns the compiled members (shared, not copied).
-func (c *CompiledBagger) Trees() []*mtree.CompiledTree { return c.trees }
-
-// OOBError returns the training-time out-of-bag MAE estimate.
-func (c *CompiledBagger) OOBError() float64 { return c.oobError }
-
-// OOBCoverage returns the fraction of training rows with at least one
-// out-of-bag member.
-func (c *CompiledBagger) OOBCoverage() float64 { return c.oobCoverage }
-
 // Describe matches Bagger.Describe field for field.
 func (c *CompiledBagger) Describe() model.Description {
-	d := model.Description{Kind: Kind, Trees: len(c.trees), NumLeaves: c.NumLeaves()}
-	if len(c.trees) > 0 {
-		td := c.trees[0].Describe()
-		d.Target = td.Target
-		d.AttrNames = td.AttrNames
-		d.TrainN = td.TrainN
-		d.Machine = td.Machine
+	td := c.trees[0].Describe()
+	return model.Description{
+		Kind: Kind, Trees: len(c.trees), NumLeaves: c.NumLeaves(),
+		Target: td.Target, AttrNames: td.AttrNames, TrainN: td.TrainN, Machine: td.Machine,
 	}
-	return d
-}
-
-// Bagger reconstructs the pointer-linked ensemble — the bridge back to
-// JSON persistence and the training-side analysis code.
-func (c *CompiledBagger) Bagger() *Bagger {
-	b := &Bagger{OOBError: c.oobError, OOBCoverage: c.oobCoverage}
-	for _, t := range c.trees {
-		b.Trees = append(b.Trees, t.Tree())
-	}
-	return b
 }

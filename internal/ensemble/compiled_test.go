@@ -1,14 +1,11 @@
 package ensemble_test
 
-// Bit-identity and binary-persistence properties of the compiled
-// ensemble: CompileBagger must reproduce Bagger exactly (predictions,
-// batch kernel, contributions, description), and the binary format must
-// round-trip byte-stably through the nested member-tree containers.
+// Bit-identity properties of the compiled ensemble: CompileBagger must
+// reproduce Bagger exactly (predictions, batch kernel, contributions,
+// description).
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -42,9 +39,6 @@ func TestCompiledBaggerBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(c.Describe(), b.Describe()) {
 			t.Fatalf("Describe %+v != %+v", c.Describe(), b.Describe())
 		}
-		if c.OOBError() != b.OOBError || c.OOBCoverage() != b.OOBCoverage {
-			t.Fatal("OOB statistics changed under compilation")
-		}
 
 		rows := make([]dataset.Instance, r.IntBetween(1, 150))
 		for i := range rows {
@@ -70,76 +64,4 @@ func TestCompiledBaggerBitIdentical(t *testing.T) {
 			t.Fatalf("PredictInto allocates %v objects per call, want 0", allocs)
 		}
 	})
-}
-
-// TestEnsembleBinaryRoundTrip: binary persist→load→persist is
-// byte-stable, the loaded ensemble predicts bit-identically, and the
-// JSON bridge (Bagger() decompile) reproduces the JSON persisted form.
-func TestEnsembleBinaryRoundTrip(t *testing.T) {
-	proptest.Run(t, "ensemble-binary-roundtrip", 6, func(t *testing.T, r *proptest.Rand) {
-		b := trainRandom(t, r)
-
-		var b1 bytes.Buffer
-		if err := b.WriteBinary(&b1); err != nil {
-			t.Fatalf("WriteBinary: %v", err)
-		}
-		loaded, err := ensemble.ReadBinary(b1.Bytes())
-		if err != nil {
-			t.Fatalf("ReadBinary: %v", err)
-		}
-		var b2 bytes.Buffer
-		if err := loaded.WriteBinary(&b2); err != nil {
-			t.Fatalf("WriteBinary after load: %v", err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatal("binary persist -> load -> persist is not byte-identical")
-		}
-
-		for i := 0; i < 15; i++ {
-			row := genRow(r)
-			if loaded.Predict(row) != b.Predict(row) {
-				t.Fatalf("binary-loaded ensemble diverges on row %d", i)
-			}
-		}
-
-		var wantJSON, gotJSON bytes.Buffer
-		if err := b.WriteJSON(&wantJSON); err != nil {
-			t.Fatal(err)
-		}
-		if err := loaded.Bagger().WriteJSON(&gotJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
-			t.Fatal("binary round trip does not reproduce the JSON persisted form")
-		}
-	})
-}
-
-// TestEnsembleBinaryErrors: truncations and kind confusion are rejected
-// with descriptive errors, mirroring the tree-level corruption tests.
-func TestEnsembleBinaryErrors(t *testing.T) {
-	r := proptest.NewRand(proptest.CaseSeed(t.Name(), 0))
-	b := trainRandom(t, r)
-	var buf bytes.Buffer
-	if err := b.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	for n := 0; n < len(valid); n++ {
-		loaded, err := ensemble.ReadBinary(valid[:n])
-		if err != nil {
-			continue
-		}
-		var again bytes.Buffer
-		if err := loaded.WriteBinary(&again); err != nil || !bytes.Equal(again.Bytes(), valid) {
-			t.Fatalf("truncation to %d of %d bytes loaded a different ensemble", n, len(valid))
-		}
-	}
-
-	wrongKind := append([]byte(nil), valid...)
-	wrongKind[6] = 1 // binfmt.KindTree
-	if _, err := ensemble.ReadBinary(wrongKind); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Fatalf("tree-kinded file accepted by ensemble loader: %v", err)
-	}
 }

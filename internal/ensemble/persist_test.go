@@ -64,17 +64,11 @@ func TestEnsembleReadRejectsMixedSchemas(t *testing.T) {
 	wide.AttrNames = append(append([]string(nil), wide.AttrNames...), "extra")
 	b.Trees[1] = &wide
 
-	var js, bin bytes.Buffer
+	var js bytes.Buffer
 	if err := b.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadJSON(&js); err == nil || !strings.Contains(err.Error(), "member 1 schema") {
 		t.Errorf("JSON loader accepted a mixed-schema ensemble: %v", err)
-	}
-	if err := b.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary(bin.Bytes()); err == nil || !strings.Contains(err.Error(), "member 1 schema") {
-		t.Errorf("binary loader accepted a mixed-schema ensemble: %v", err)
 	}
 }

@@ -7,8 +7,8 @@
 // The package sits below the learners: it depends only on
 // internal/dataset, and internal/mtree / internal/ensemble import it to
 // declare conformance. Loading persisted models back as Model values is
-// the job of internal/modelio (which must know every concrete format and
-// therefore cannot live here without an import cycle).
+// the job of internal/modelio (which must know every concrete model kind
+// and therefore cannot live here without an import cycle).
 package model
 
 import (
@@ -114,9 +114,10 @@ type Model interface {
 // that does not end up a BatchPredictor, so the hot path always runs the
 // flat form while training, analysis and persistence keep the original.
 type Compilable interface {
-	// CompileModel returns the compiled equivalent. Predictions,
-	// contributions and descriptions of the result must match the
-	// receiver's exactly.
+	// CompileModel returns the compiled equivalent, or nil when the
+	// receiver cannot be compiled (a tree with no root, an ensemble with
+	// no members). Predictions, contributions and descriptions of the
+	// result must match the receiver's exactly.
 	CompileModel() Model
 }
 

@@ -26,18 +26,19 @@ func evaluate(m model.Model) {
 	}
 }
 
-// FuzzModelReadBinary hammers the model loader with arbitrary bytes —
-// mostly mutations of real binary model files (the checked-in corpus
-// under testdata/fuzz/ holds a valid tree, a valid ensemble and several
-// corruptions). The loader must never panic; any model it accepts must
-// evaluate a zero row of its width (Predict, Contributions, and Classify
-// for trees) as loaded and as the serving registry compiles it, and
-// must re-persist in the binary format to a stable fixed point
-// (write→read→write byte-identical) — the structural validation in
-// mtree/ensemble ReadBinary is what stands between a flipped section
-// table and an out-of-bounds tree walk, and this target is its
-// adversarial workout.
-func FuzzModelReadBinary(f *testing.F) {
+// FuzzModelDecode hammers the model loader with arbitrary bytes —
+// mostly mutations of real JSON model files (the checked-in corpus
+// under testdata/fuzz/ holds a valid tree, a valid ensemble and an
+// ensemble whose members disagree on the schema; the seeds below add a
+// member-less ensemble and binary container headers). The loader must
+// never panic; any model it accepts must evaluate a zero row of its
+// width (Predict, Contributions, and Classify for trees) as loaded and
+// as the serving registry compiles it, and must re-persist to a stable
+// fixed point (write→load→write byte-identical). The structural
+// validation in mtree.ReadJSON and ensemble.ReadJSON is what stands
+// between a mutated file and an out-of-bounds tree walk, and this
+// target is its adversarial workout.
+func FuzzModelDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("M5MB"))
 	f.Add([]byte("M5MB\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -49,23 +50,29 @@ func FuzzModelReadBinary(f *testing.F) {
 			return
 		}
 		evaluate(m)
-		if c, ok := m.(model.Compilable); ok {
-			evaluate(c.CompileModel())
+		c, ok := m.(model.Compilable)
+		if !ok {
+			t.Fatalf("accepted %T does not compile", m)
 		}
+		cm := c.CompileModel()
+		if cm == nil {
+			t.Fatal("accepted model compiled to nil")
+		}
+		evaluate(cm)
 		var first bytes.Buffer
-		if err := Write(&first, m, FormatBinary); err != nil {
-			t.Fatalf("accepted model does not write binary: %v", err)
+		if err := Write(&first, m); err != nil {
+			t.Fatalf("accepted model does not write: %v", err)
 		}
 		again, err := Load(bytes.NewReader(first.Bytes()))
 		if err != nil {
-			t.Fatalf("re-read of persisted accepted model failed: %v", err)
+			t.Fatalf("re-load of persisted accepted model failed: %v", err)
 		}
 		var second bytes.Buffer
-		if err := Write(&second, again, FormatBinary); err != nil {
+		if err := Write(&second, again); err != nil {
 			t.Fatalf("second write failed: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("binary write->read->write is not a fixed point")
+			t.Fatal("write->load->write is not a fixed point")
 		}
 	})
 }

@@ -95,11 +95,9 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-// TestWriteLoadRoundTrip drives Write/WriteFile/LoadFile/Decode
-// through every format for both model kinds, including the
-// compiled-form bridges: a compiled tree must decompile for JSON and
-// write natively for binary, and either file must load back to a model
-// with identical predictions.
+// TestWriteLoadRoundTrip drives Write/WriteFile/LoadFile/Decode for
+// both model kinds: each file must load back to a model with identical
+// predictions.
 func TestWriteLoadRoundTrip(t *testing.T) {
 	d := trainData(600, 4)
 	cfg := mtree.DefaultConfig()
@@ -108,28 +106,31 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled := mtree.Compile(tree)
+	ecfg := ensemble.DefaultConfig()
+	ecfg.Trees = 3
+	ecfg.Tree = cfg
+	bag, err := ensemble.Train(d, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
-		name   string
-		m      model.Model
-		format string
+		name string
+		m    model.Model
 	}{
-		{"tree-json", tree, FormatJSON},
-		{"tree-binary", tree, FormatBinary},
-		{"compiled-json", compiled, FormatJSON},
-		{"compiled-binary", compiled, FormatBinary},
+		{"tree", tree},
+		{"ensemble", bag},
 	} {
 		path := filepath.Join(t.TempDir(), tc.name)
-		if err := WriteFile(path, tc.m, tc.format); err != nil {
+		if err := WriteFile(path, tc.m); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, format, err := Decode(data); err != nil || format != tc.format {
-			t.Errorf("%s: decoded format %q (err %v), want %q", tc.name, format, err, tc.format)
+		if _, err := Decode(data); err != nil {
+			t.Errorf("%s: decode: %v", tc.name, err)
 		}
 		got, err := LoadFile(path)
 		if err != nil {
@@ -143,6 +144,15 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBinary: a file in the retired binary container
+// format gets a one-line answer naming the fix, not a JSON syntax error.
+func TestDecodeRejectsBinary(t *testing.T) {
+	_, err := Decode([]byte("M5MB\x01\x00\x01\x00\x00\x00\x00\x00"))
+	if err == nil || !strings.Contains(err.Error(), "re-save as JSON") {
+		t.Fatalf("binary file: error %v, want the re-save hint", err)
+	}
+}
+
 func TestWriteErrors(t *testing.T) {
 	d := trainData(300, 5)
 	cfg := mtree.DefaultConfig()
@@ -152,10 +162,10 @@ func TestWriteErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := Write(&b, tree, "parquet"); err == nil {
-		t.Error("unknown format accepted")
+	if err := Write(&b, mtree.Compile(tree)); err == nil {
+		t.Error("compiled tree written; only the pointer-linked forms persist")
 	}
-	if err := WriteFile("/nonexistent/dir/model.json", tree, FormatJSON); err == nil {
+	if err := WriteFile("/nonexistent/dir/model.json", tree); err == nil {
 		t.Error("uncreatable path accepted")
 	}
 }

@@ -29,7 +29,6 @@ type CompiledTree struct {
 	targetName string
 	attrNames  []string
 	trainN     int
-	globalSD   float64
 	machine    string
 
 	splitAttr []int32   // split column, -1 for leaves
@@ -50,8 +49,8 @@ type CompiledTree struct {
 
 	// walk packs the four walk-critical fields into one 24-byte record
 	// per node, so each descent step touches a single cache line instead
-	// of four parallel arrays. Derived from the arrays above (never
-	// persisted); rebuilt after Compile and ReadBinary.
+	// of four parallel arrays. Filled by Compile alongside the arrays
+	// above.
 	walk []walkNode
 
 	numLeaves int
@@ -67,18 +66,6 @@ type walkNode struct {
 	thr   float64
 	attr  int32
 	child [2]int32
-}
-
-// buildWalk derives the packed walk records from the flat arrays.
-func (c *CompiledTree) buildWalk() {
-	c.walk = make([]walkNode, len(c.splitAttr))
-	for i := range c.walk {
-		c.walk[i] = walkNode{
-			thr:   c.threshold[i],
-			attr:  c.splitAttr[i],
-			child: [2]int32{c.left[i], c.right[i]},
-		}
-	}
 }
 
 // CompiledTree serves through the same interface as the pointer tree.
@@ -105,7 +92,6 @@ func Compile(t *Tree) *CompiledTree {
 		targetName:  t.TargetName,
 		attrNames:   append([]string(nil), t.AttrNames...),
 		trainN:      t.TrainN,
-		globalSD:    t.GlobalSD,
 		machine:     t.Machine,
 		splitAttr:   make([]int32, nodes),
 		threshold:   make([]float64, nodes),
@@ -119,14 +105,16 @@ func Compile(t *Tree) *CompiledTree {
 		lmIntercept: make([]float64, nodes),
 		hasLM:       make([]uint8, nodes),
 		lmNames:     make([][]string, nodes),
+		walk:        make([]walkNode, nodes),
 	}
 	// Preorder assignment means coefficient rows are appended in node
 	// index order, so the lmOff prefix table fills in the same pass.
 	next := int32(0)
-	var flatten func(n *Node) int32
-	flatten = func(n *Node) int32 {
+	var flatten func(n *Node, depth int) int32
+	flatten = func(n *Node, depth int) int32 {
 		i := next
 		next++
+		c.depth = max(c.depth, depth)
 		c.lmOff[i] = int32(len(c.lmCoefs))
 		c.splitAttr[i] = -1
 		c.nodeN[i] = int64(n.N)
@@ -144,48 +132,20 @@ func Compile(t *Tree) *CompiledTree {
 				c.lmNames[i] = append([]string(nil), m.Names...)
 			}
 		}
-		if !n.IsLeaf() {
+		if n.IsLeaf() {
+			c.numLeaves++
+		} else {
 			c.splitAttr[i] = int32(n.SplitAttr)
 			c.threshold[i] = n.Threshold
-			c.left[i] = flatten(n.Left)
-			c.right[i] = flatten(n.Right)
+			c.left[i] = flatten(n.Left, depth+1)
+			c.right[i] = flatten(n.Right, depth+1)
 		}
+		c.walk[i] = walkNode{thr: c.threshold[i], attr: c.splitAttr[i], child: [2]int32{c.left[i], c.right[i]}}
 		return i
 	}
-	flatten(t.Root)
+	flatten(t.Root, 1)
 	c.lmOff[nodes] = int32(len(c.lmCoefs))
-	c.numLeaves, c.depth = c.scanShape()
-	c.buildWalk()
 	return c
-}
-
-// scanShape derives the leaf count and maximum depth from the flat
-// arrays. Children always have larger indices than their parent, so one
-// ascending pass computes every node's depth before it is needed.
-func (c *CompiledTree) scanShape() (leaves, depth int) {
-	if len(c.splitAttr) == 0 {
-		return 0, 0
-	}
-	d := make([]int32, len(c.splitAttr))
-	d[0] = 1
-	for i := range c.splitAttr {
-		if d[i] == 0 {
-			continue // unreachable from the root
-		}
-		if int(d[i]) > depth {
-			depth = int(d[i])
-		}
-		if c.splitAttr[i] < 0 {
-			leaves++
-			continue
-		}
-		for _, ch := range [2]int32{c.left[i], c.right[i]} {
-			if v := d[i] + 1; v > d[ch] {
-				d[ch] = v
-			}
-		}
-	}
-	return leaves, depth
 }
 
 func countNodes(n *Node) int {
@@ -427,15 +387,6 @@ func (c *CompiledTree) attrName(a int) string {
 // NumLeaves reports the number of leaves (performance classes).
 func (c *CompiledTree) NumLeaves() int { return c.numLeaves }
 
-// NumNodes reports the total flat node count.
-func (c *CompiledTree) NumNodes() int { return len(c.splitAttr) }
-
-// Depth reports the maximum root-to-leaf node count.
-func (c *CompiledTree) Depth() int { return c.depth }
-
-// Config returns the training configuration the tree carries.
-func (c *CompiledTree) Config() Config { return c.config }
-
 // Describe matches the source tree's description field for field, so
 // registries and /v1/models listings are unchanged by compilation.
 func (c *CompiledTree) Describe() model.Description {
@@ -450,53 +401,12 @@ func (c *CompiledTree) Describe() model.Description {
 	}
 }
 
-// Tree reconstructs the pointer-linked form — the bridge back to the
-// JSON persistence, printing and analysis code. The rebuilt tree
-// carries everything the persisted format does (ModelAttrs, which only
-// exist during training, are not preserved by either form).
-func (c *CompiledTree) Tree() *Tree {
-	if len(c.splitAttr) == 0 {
-		return nil
-	}
-	arena := make([]Node, len(c.splitAttr))
-	for i := range arena {
-		n := &arena[i]
-		n.SplitAttr = int(c.splitAttr[i])
-		n.N = int(c.nodeN[i])
-		n.SD = c.sd[i]
-		n.Mean = c.mean[i]
-		n.LeafID = int(c.leafID[i])
-		if n.SplitAttr >= 0 {
-			n.SplitName = c.attrName(n.SplitAttr)
-			n.Threshold = c.threshold[i]
-			n.Left = &arena[c.left[i]]
-			n.Right = &arena[c.right[i]]
-		}
-		if c.hasLM[i] != 0 {
-			off, end := c.lmOff[i], c.lmOff[i+1]
-			attrs := make([]int, end-off)
-			for j := range attrs {
-				attrs[j] = int(c.lmAttrs[off+int32(j)])
-			}
-			n.Model = &linreg.Model{
-				Intercept: c.lmIntercept[i],
-				Attrs:     attrs,
-				Coefs:     append([]float64(nil), c.lmCoefs[off:end]...),
-				Names:     append([]string(nil), c.lmNames[i]...),
-			}
-		}
-	}
-	return &Tree{
-		Root:       &arena[0],
-		Config:     c.config,
-		TargetName: c.targetName,
-		AttrNames:  append([]string(nil), c.attrNames...),
-		TrainN:     c.trainN,
-		GlobalSD:   c.globalSD,
-		Machine:    c.machine,
-	}
-}
-
 // CompileModel implements model.Compilable: the serving registry calls
-// it on registration to switch the hot path to the flat-array form.
-func (t *Tree) CompileModel() model.Model { return Compile(t) }
+// it on registration to switch the hot path to the flat-array form. A
+// rootless tree compiles to a nil interface, which the registry rejects.
+func (t *Tree) CompileModel() model.Model {
+	if c := Compile(t); c != nil {
+		return c
+	}
+	return nil
+}

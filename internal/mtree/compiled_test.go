@@ -3,13 +3,12 @@ package mtree_test
 // Bit-identity properties of the compiled flat-array evaluator: for
 // every generated tree and configuration, Compile(t) must reproduce the
 // pointer walk exactly — predictions (smoothed and unsmoothed), batch
-// kernel output, classifications, contributions and descriptions — and
-// decompile back to a byte-identical persisted tree. "Exactly" is ==,
+// kernel output, classifications, contributions and descriptions.
+// "Exactly" is ==,
 // not a tolerance: the compiled form replicates the arithmetic order,
 // so any divergence is a bug, not rounding.
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -111,26 +110,6 @@ func TestCompiledClassifyAndContributions(t *testing.T) {
 			if !reflect.DeepEqual(c.Contributions(row), tree.Contributions(row)) {
 				t.Fatalf("row %d: contributions differ", i)
 			}
-		}
-	})
-}
-
-// TestCompiledDecompile: Tree() reconstructs a pointer tree whose
-// persisted bytes match the original's exactly — compilation loses
-// nothing the JSON format carries.
-func TestCompiledDecompile(t *testing.T) {
-	proptest.Run(t, "compiled-decompile", 10, func(t *testing.T, r *proptest.Rand) {
-		tree, _ := buildRandom(t, r)
-		var orig bytes.Buffer
-		if err := tree.WriteJSON(&orig); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		var back bytes.Buffer
-		if err := compileOrDie(t, tree).Tree().WriteJSON(&back); err != nil {
-			t.Fatalf("WriteJSON(decompiled): %v", err)
-		}
-		if !bytes.Equal(orig.Bytes(), back.Bytes()) {
-			t.Fatal("compile -> decompile -> persist is not byte-identical to the original")
 		}
 	})
 }

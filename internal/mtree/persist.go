@@ -86,12 +86,85 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		Machine:    tj.Machine,
 		Root:       root,
 	}
-	// The binary loader's validator, run on the compiled form: a tree
-	// that passes evaluates any row of its width without panicking.
+	// Validated on the compiled form: a tree that passes evaluates any
+	// row of its width without panicking.
 	if err := Compile(t).validate(); err != nil {
 		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
 	}
 	return t, nil
+}
+
+// validate cross-checks the flat arrays of a tree compiled from a
+// decoded file, so a file from outside the program cannot produce a
+// tree whose evaluation walks out of bounds or loops forever. Beyond
+// array shape it requires every node to carry a linear model and every
+// split and model attribute to index a schema column, so any accepted
+// tree evaluates a row of its width.
+func (c *CompiledTree) validate() error {
+	nodes := len(c.splitAttr)
+	if nodes == 0 {
+		return fmt.Errorf("tree has no nodes")
+	}
+	type arr struct {
+		name string
+		len  int
+	}
+	for _, a := range []arr{
+		{"threshold", len(c.threshold)},
+		{"left", len(c.left)}, {"right", len(c.right)},
+		{"node_n", len(c.nodeN)}, {"sd", len(c.sd)}, {"mean", len(c.mean)},
+		{"leaf_id", len(c.leafID)}, {"lm_intercept", len(c.lmIntercept)},
+		{"has_lm", len(c.hasLM)},
+	} {
+		if a.len != nodes {
+			return fmt.Errorf("array %s has %d entries, split_attr has %d nodes", a.name, a.len, nodes)
+		}
+	}
+	if len(c.lmOff) != nodes+1 {
+		return fmt.Errorf("array lm_off has %d entries, want nodes+1 = %d", len(c.lmOff), nodes+1)
+	}
+	if len(c.lmAttrs) != len(c.lmCoefs) {
+		return fmt.Errorf("arrays lm_attrs (%d) and lm_coefs (%d) disagree", len(c.lmAttrs), len(c.lmCoefs))
+	}
+	if c.lmOff[0] != 0 {
+		return fmt.Errorf("array lm_off starts at %d, want 0", c.lmOff[0])
+	}
+	for i := 0; i < nodes; i++ {
+		if c.lmOff[i+1] < c.lmOff[i] {
+			return fmt.Errorf("array lm_off decreases at node %d (%d -> %d)", i, c.lmOff[i], c.lmOff[i+1])
+		}
+	}
+	if int(c.lmOff[nodes]) != len(c.lmCoefs) {
+		return fmt.Errorf("array lm_off ends at %d, lm_coefs has %d entries", c.lmOff[nodes], len(c.lmCoefs))
+	}
+	width := int32(len(c.attrNames))
+	for j, a := range c.lmAttrs {
+		if a < 0 || a >= width {
+			return fmt.Errorf("model term %d reads attribute %d outside the %d-column schema", j, a, width)
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		if c.hasLM[i] == 0 {
+			return fmt.Errorf("node %d has no linear model", i)
+		}
+		if c.splitAttr[i] < 0 {
+			if c.left[i] != 0 || c.right[i] != 0 {
+				return fmt.Errorf("leaf node %d has child links", i)
+			}
+			continue
+		}
+		if c.splitAttr[i] >= width {
+			return fmt.Errorf("node %d splits on attribute %d outside the %d-column schema", i, c.splitAttr[i], width)
+		}
+		for _, ch := range [2]int32{c.left[i], c.right[i]} {
+			// Children must follow their parent (preorder layout); the
+			// strictly-increasing walk is what guarantees termination.
+			if int(ch) <= i || int(ch) >= nodes {
+				return fmt.Errorf("node %d: child index %d outside (parent, %d)", i, ch, nodes)
+			}
+		}
+	}
+	return nil
 }
 
 func toTreeJSON(t *Tree) *treeJSON {
@@ -132,11 +205,10 @@ func toNodeJSON(n *Node) *nodeJSON {
 	return nj
 }
 
-// fromNodeJSON rebuilds the node graph, rejecting the shapes only JSON
-// can express and the compiled form cannot: a node with a single child,
-// a model whose attrs and coefs arrays differ in length, and an index
-// too large for int32. The shared validator runs on the compiled form,
-// so it cannot see them.
+// fromNodeJSON rebuilds the node graph, rejecting the shapes the
+// compiled form cannot express: a node with a single child, a model
+// whose attrs and coefs arrays differ in length, and an index too large
+// for int32. validate runs on the compiled form, so it cannot see them.
 func fromNodeJSON(nj *nodeJSON) (*Node, error) {
 	if nj == nil {
 		return nil, nil

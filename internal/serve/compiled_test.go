@@ -59,46 +59,56 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 	}
 
 	// kernelless hides everything but the model.Model methods, so it
-	// neither compiles nor carries the batch kernel.
+	// neither compiles nor carries the batch kernel. A rootless tree and
+	// a member-less ensemble compile to nothing.
 	type kernelless struct{ model.Model }
-	if err := reg.Register("plain", "v1", kernelless{tree}, ""); err == nil {
-		t.Fatal("registry accepted a model without a batch evaluator")
-	}
-	if _, err := reg.Get("plain"); err == nil || reg.Len() != 2 || reg.Latest("plain") != "" {
-		t.Errorf("rejected model was installed: len %d, latest %q", reg.Len(), reg.Latest("plain"))
+	for name, m := range map[string]model.Model{
+		"plain":     kernelless{tree},
+		"rootless":  &mtree.Tree{},
+		"empty":     &ensemble.Bagger{},
+		"nilmember": &ensemble.Bagger{Trees: []*mtree.Tree{tree, nil}},
+	} {
+		if err := reg.Register(name, "v1", m, ""); err == nil {
+			t.Errorf("%s: registry accepted a model without a batch evaluator", name)
+		}
+		if _, err := reg.Get(name); err == nil || reg.Len() != 2 || reg.Latest(name) != "" {
+			t.Errorf("%s: rejected model was installed: len %d, latest %q", name, reg.Len(), reg.Latest(name))
+		}
 	}
 }
 
-// TestRegistryLoadFileRecordsFormat: LoadFile registers a model with
-// the format of the bytes it loaded, and a file that does not load
-// installs nothing.
-func TestRegistryLoadFileRecordsFormat(t *testing.T) {
+// TestRegistryLoadFile: LoadFile registers a JSON model file under its
+// path, and a file that does not load — garbage, a retired binary
+// model file, a missing path — installs nothing.
+func TestRegistryLoadFile(t *testing.T) {
 	tree := buildServeTree(t, perfData(400, 3))
 	dir := t.TempDir()
 	reg := NewRegistry()
-	for _, format := range []string{modelio.FormatJSON, modelio.FormatBinary} {
-		path := filepath.Join(dir, format)
-		if err := modelio.WriteFile(path, tree, format); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.LoadFile("cpi", format, path); err != nil {
-			t.Fatal(err)
-		}
-		if e, err := reg.Get("cpi@" + format); err != nil || e.Format != format || e.Path != path {
-			t.Errorf("%s file registered as %+v (%v)", format, e, err)
-		}
+	path := filepath.Join(dir, "tree.json")
+	if err := modelio.WriteFile(path, tree); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.LoadFile("cpi", "v1", path); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := reg.Get("cpi@v1"); err != nil || e.Path != path {
+		t.Errorf("JSON file registered as %+v (%v)", e, err)
 	}
 	garbage := filepath.Join(dir, "garbage")
 	if err := os.WriteFile(garbage, []byte("not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{garbage, filepath.Join(dir, "missing")} {
+	binary := filepath.Join(dir, "tree.bin")
+	if err := os.WriteFile(binary, []byte("M5MB\x01\x00\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{garbage, binary, filepath.Join(dir, "missing")} {
 		if err := reg.LoadFile("bad", "v1", path); err == nil {
 			t.Errorf("%s: loaded", path)
 		}
 	}
-	if reg.Len() != 2 {
-		t.Errorf("registry holds %d entries after two failed loads, want 2", reg.Len())
+	if reg.Len() != 1 {
+		t.Errorf("registry holds %d entries after three failed loads, want 1", reg.Len())
 	}
 }
 

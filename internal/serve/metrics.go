@@ -74,9 +74,8 @@ func (h *histogram) observe(d time.Duration) {
 	}
 }
 
-// quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket holding the q-th observation — an overestimate by at most
-// one bucket width, which is what fixed buckets buy.
+// snapshot merges the stripes into one latency summary: count, mean,
+// max, p50/p90/p99 and the cumulative buckets.
 func (h *histogram) snapshot() latencySnapshot {
 	counts := make([]uint64, len(latencyBucketsMs)+1)
 	var total uint64
@@ -97,6 +96,9 @@ func (h *histogram) snapshot() latencySnapshot {
 		return s
 	}
 	s.MeanMs = float64(sumNs) / float64(time.Millisecond) / float64(total)
+	// quantile estimates the q-quantile (0 < q <= 1) as the upper bound
+	// of the bucket holding the q-th observation — an overestimate by at
+	// most one bucket width, which is what fixed buckets buy.
 	quantile := func(q float64) float64 {
 		rank := uint64(q * float64(total))
 		if rank < 1 {
@@ -165,18 +167,18 @@ type endpointSnapshot struct {
 }
 
 // metricsRegistry holds every endpoint's counters plus service-level
-// gauges. Endpoints are registered up front, so reads are lock-free map
-// lookups.
+// gauges. Endpoints are registered up front, one per entry of the route
+// table, so reads are lock-free map lookups.
 type metricsRegistry struct {
 	start     time.Time
 	endpoints map[string]*endpointMetrics
 	cache     *PredictionCache // nil when caching is disabled
 	models    func() int
-	machines  func() map[string]int // nil when no registry is attached
-	streams   *streamSessions       // nil when the server has no stream surface
+	machines  func() map[string]int
+	streams   *streamSessions
 }
 
-func newMetricsRegistry(routes []string, cache *PredictionCache, models func() int, machines func() map[string]int, streams *streamSessions) *metricsRegistry {
+func newMetricsRegistry(cache *PredictionCache, models func() int, machines func() map[string]int, streams *streamSessions) *metricsRegistry {
 	m := &metricsRegistry{
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointMetrics, len(routes)),
@@ -185,8 +187,8 @@ func newMetricsRegistry(routes []string, cache *PredictionCache, models func() i
 		machines:  machines,
 		streams:   streams,
 	}
-	for _, r := range routes {
-		m.endpoints[r] = newEndpointMetrics()
+	for _, rt := range routes {
+		m.endpoints[rt.path] = newEndpointMetrics()
 	}
 	return m
 }
@@ -218,10 +220,8 @@ func (m *metricsRegistry) snapshot() metricsSnapshot {
 		Models:        m.models(),
 		Endpoints:     make(map[string]endpointSnapshot, len(m.endpoints)),
 	}
-	if m.machines != nil {
-		if by := m.machines(); len(by) > 0 {
-			s.Machines = by
-		}
+	if by := m.machines(); len(by) > 0 {
+		s.Machines = by
 	}
 	for route, em := range m.endpoints {
 		s.Endpoints[route] = endpointSnapshot{
@@ -238,9 +238,7 @@ func (m *metricsRegistry) snapshot() metricsSnapshot {
 			s.Cache.HitRate = float64(hits) / float64(total)
 		}
 	}
-	if m.streams != nil {
-		s.Streams = m.streams.snapshot()
-	}
+	s.Streams = m.streams.snapshot()
 	return s
 }
 

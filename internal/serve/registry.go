@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -36,9 +35,6 @@ type Entry struct {
 	// Path is the source file, empty for models registered in-process.
 	Path  string
 	Model servedModel
-	// Format is the source file's on-disk format (modelio.FormatJSON or
-	// modelio.FormatBinary), empty for models registered in-process.
-	Format string
 
 	// schema resolves /v1/stream samples onto the model's layout; nil,
 	// with schemaErr set, when the model cannot be streamed.
@@ -62,19 +58,13 @@ func NewRegistry() *Registry {
 // a new version instead.
 //
 // Compilable models (the pointer-linked tree and ensemble) are compiled
-// to their flat-array evaluators here, and binary files load
-// pre-compiled, so the serving hot path always runs the compiled form.
-// A model that does not end up with the batch kernel is rejected and
-// nothing is installed. Compilation never changes a response: compiled
-// predictions, contributions and classifications are bit-identical to
-// the original's.
+// to their flat-array evaluators here, so the serving hot path always
+// runs the compiled form. A model that does not compile to the batch
+// kernel — including a rootless tree or a member-less ensemble — is
+// rejected and nothing is installed. Compilation never changes a
+// response: compiled predictions, contributions and classifications are
+// bit-identical to the original's.
 func (r *Registry) Register(name, version string, m model.Model, path string) error {
-	return r.register(name, version, m, path, "")
-}
-
-// register is Register plus the source file's format, recorded before
-// the entry becomes visible.
-func (r *Registry) register(name, version string, m model.Model, path, format string) error {
 	if name == "" || strings.ContainsAny(name, "@ \t\n") {
 		return fmt.Errorf("serve: invalid model name %q", name)
 	}
@@ -103,26 +93,20 @@ func (r *Registry) register(name, version string, m model.Model, path, format st
 	if _, dup := vs[version]; dup {
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
-	e := &Entry{Name: name, Version: version, Path: path, Model: sm, Format: format}
+	e := &Entry{Name: name, Version: version, Path: path, Model: sm}
 	e.schema, e.schemaErr = stream.NewSchema(sm.Describe())
 	vs[version] = e
 	r.latest[name] = version
 	return nil
 }
 
-// LoadFile loads a persisted model (tree or ensemble) and registers it,
-// recording the file's format for the /v1/models/{ref} detail view. The
-// file is read once, so the format always describes the bytes served.
+// LoadFile loads a persisted model (tree or ensemble) and registers it.
 func (r *Registry) LoadFile(name, version, path string) error {
-	data, err := os.ReadFile(path)
+	m, err := modelio.LoadFile(path)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	m, format, err := modelio.Decode(data)
-	if err != nil {
-		return fmt.Errorf("serve: loading %s: %w", path, err)
-	}
-	return r.register(name, version, m, path, format)
+	return r.Register(name, version, m, path)
 }
 
 // Get resolves a reference: "name" (latest registered version) or

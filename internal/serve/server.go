@@ -18,7 +18,7 @@
 //	                   model addressed with ?model=)
 //	GET  /v1/models    registry listing with model descriptions
 //	GET  /v1/models/{ref}  one model's detail: description, source
-//	                   format, classifiability, registered versions
+//	                   path, classifiability, registered versions
 //	GET  /v1/machines  the march machine-preset registry, with per-machine
 //	                   registered-model counts
 //	GET  /v1/machines/{name}  one machine's full declarative spec (the
@@ -33,8 +33,8 @@
 // {"error":{"code","message"}} (see errors.go); clients branch on the
 // stable code, never on message wording.
 //
-// The registry compiles every model at registration (binary model files
-// load pre-compiled) and rejects one that does not compile, so every
+// The registry compiles every model at registration and rejects one
+// that does not compile, so every
 // predict request runs the zero-allocation PredictInto kernel of a
 // flat-array form bit-identical to the pointer walk. Each request is
 // evaluated on its own goroutine — concurrent requests, not
@@ -115,32 +115,40 @@ type Server struct {
 	streams *streamSessions
 }
 
-var routes = []string{
-	"/v1/predict", "/v1/classify", "/v1/stream",
-	"/v1/sessions", "/v1/sessions/drain", "/v1/sessions/restore",
-	"/v1/sessions/{id}/refutation",
-	"/v1/models", "/v1/models/{ref}",
-	"/v1/machines", "/v1/machines/{name}", "/v1/metrics.json",
-	"/healthz", "/metrics",
+// route is one endpoint: the method it serves, its mux pattern and its
+// handler.
+type route struct {
+	method string
+	path   string
+	handle func(*Server, http.ResponseWriter, *http.Request)
 }
 
-// routeMethods maps each route to its Allow header value; requests with
-// any other method get a JSON 405 instead of a mux-level miss.
-var routeMethods = map[string]string{
-	"/v1/predict":                  "POST",
-	"/v1/classify":                 "POST",
-	"/v1/stream":                   "POST",
-	"/v1/sessions":                 "GET, HEAD",
-	"/v1/sessions/drain":           "POST",
-	"/v1/sessions/restore":         "POST",
-	"/v1/sessions/{id}/refutation": "GET, HEAD",
-	"/v1/models":                   "GET, HEAD",
-	"/v1/models/{ref}":             "GET, HEAD",
-	"/v1/machines":                 "GET, HEAD",
-	"/v1/machines/{name}":          "GET, HEAD",
-	"/v1/metrics.json":             "GET, HEAD",
-	"/healthz":                     "GET, HEAD",
-	"/metrics":                     "GET, HEAD",
+// routes is the one route table: Handler mounts it, and the metrics
+// registry and the 405 fallbacks derive from it.
+var routes = []route{
+	{"POST", "/v1/predict", (*Server).handlePredict},
+	{"POST", "/v1/classify", (*Server).handleClassify},
+	{"POST", "/v1/stream", (*Server).handleStream},
+	{"GET", "/v1/sessions", (*Server).handleSessions},
+	{"POST", "/v1/sessions/drain", (*Server).handleSessionsDrain},
+	{"POST", "/v1/sessions/restore", (*Server).handleSessionsRestore},
+	{"GET", "/v1/sessions/{id}/refutation", (*Server).handleSessionRefutation},
+	{"GET", "/v1/models", (*Server).handleModels},
+	{"GET", "/v1/models/{ref}", (*Server).handleModelDetail},
+	{"GET", "/v1/machines", (*Server).handleMachines},
+	{"GET", "/v1/machines/{name}", (*Server).handleMachineDetail},
+	{"GET", "/v1/metrics.json", (*Server).handleMetricsJSON},
+	{"GET", "/healthz", (*Server).handleHealthz},
+	{"GET", "/metrics", (*Server).handleMetrics},
+}
+
+// allow is the route's Allow header value; a GET pattern also serves
+// HEAD.
+func (rt route) allow() string {
+	if rt.method == "GET" {
+		return "GET, HEAD"
+	}
+	return rt.method
 }
 
 // New creates a Server over a registry.
@@ -154,7 +162,7 @@ func New(reg *Registry, cfg Config) *Server {
 	if cfg.CacheSize > 0 {
 		s.cache = NewPredictionCache(cfg.CacheSize)
 	}
-	s.metrics = newMetricsRegistry(routes, s.cache, reg.Len, reg.ModelsByMachine, s.streams)
+	s.metrics = newMetricsRegistry(s.cache, reg.Len, reg.ModelsByMachine, s.streams)
 	return s
 }
 
@@ -171,31 +179,18 @@ func New(reg *Registry, cfg Config) *Server {
 // read timeouts.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	withTimeout := func(h http.Handler) http.Handler {
-		if s.cfg.RequestTimeout > 0 {
-			return http.TimeoutHandler(h, s.cfg.RequestTimeout, timeoutBody)
+	for _, rt := range routes {
+		serve := s.instrument(rt.path, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+		// Method-generic fallback: the mux routes a wrong-method request
+		// here instead of its own text/plain 405, so the rejection carries
+		// the API's JSON error shape, an Allow header, and metrics.
+		reject := s.instrument(rt.path, methodNotAllowed(rt.allow()))
+		if s.cfg.RequestTimeout > 0 && rt.path != "/v1/stream" {
+			serve = http.TimeoutHandler(serve, s.cfg.RequestTimeout, timeoutBody)
+			reject = http.TimeoutHandler(reject, s.cfg.RequestTimeout, timeoutBody)
 		}
-		return h
-	}
-	mux.Handle("POST /v1/predict", withTimeout(s.instrument("/v1/predict", s.handlePredict)))
-	mux.Handle("POST /v1/classify", withTimeout(s.instrument("/v1/classify", s.handleClassify)))
-	mux.Handle("POST /v1/stream", s.instrument("/v1/stream", s.handleStream))
-	mux.Handle("GET /v1/sessions", withTimeout(s.instrument("/v1/sessions", s.handleSessions)))
-	mux.Handle("POST /v1/sessions/drain", withTimeout(s.instrument("/v1/sessions/drain", s.handleSessionsDrain)))
-	mux.Handle("POST /v1/sessions/restore", withTimeout(s.instrument("/v1/sessions/restore", s.handleSessionsRestore)))
-	mux.Handle("GET /v1/sessions/{id}/refutation", withTimeout(s.instrument("/v1/sessions/{id}/refutation", s.handleSessionRefutation)))
-	mux.Handle("GET /v1/models", withTimeout(s.instrument("/v1/models", s.handleModels)))
-	mux.Handle("GET /v1/models/{ref}", withTimeout(s.instrument("/v1/models/{ref}", s.handleModelDetail)))
-	mux.Handle("GET /v1/machines", withTimeout(s.instrument("/v1/machines", s.handleMachines)))
-	mux.Handle("GET /v1/machines/{name}", withTimeout(s.instrument("/v1/machines/{name}", s.handleMachineDetail)))
-	mux.Handle("GET /v1/metrics.json", withTimeout(s.instrument("/v1/metrics.json", s.handleMetricsJSON)))
-	mux.Handle("GET /healthz", withTimeout(s.instrument("/healthz", s.handleHealthz)))
-	mux.Handle("GET /metrics", withTimeout(s.instrument("/metrics", s.handleMetrics)))
-	// Method-generic fallbacks: the mux routes a wrong-method request
-	// here instead of its own text/plain 405, so the rejection carries
-	// the API's JSON error shape, an Allow header, and metrics.
-	for route, allow := range routeMethods {
-		mux.Handle(route, withTimeout(s.instrument(route, methodNotAllowed(allow))))
+		mux.Handle(rt.method+" "+rt.path, serve)
+		mux.Handle(rt.path, reject)
 	}
 	return mux
 }
@@ -537,9 +532,6 @@ type modelDetail struct {
 	// Classifiable reports whether /v1/classify answers for this model
 	// (single trees only).
 	Classifiable bool `json:"classifiable"`
-	// Format is the source file format ("json", "binary"), or empty for
-	// models registered in-process.
-	Format string `json:"format,omitempty"`
 	// Versions lists every registered version of this name, sorted.
 	Versions []string `json:"versions"`
 }
@@ -561,7 +553,6 @@ func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 			Description: e.Model.Describe(),
 		},
 		Classifiable: classifiable,
-		Format:       e.Format,
 		Versions:     s.reg.Versions(e.Name),
 	})
 }
