@@ -126,18 +126,20 @@ bench-compare:
 # loader, refutation-state loader) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
 # target has a checked-in seed corpus under its package's testdata/fuzz/.
-# The model-loader target caps per-input minimization: its seeds are
-# multi-kilobyte model files, and the default 60s minimize budget would
-# otherwise eat the whole -fuzztime on the first interesting mutation.
+# Every target caps per-input minimization: the fuzzer minimizes each new
+# coverage-expanding input before it resumes mutating, and with the
+# default 60s minimize budget one minimization per worker stalls the
+# whole run at "0/sec" for the rest of a short -fuzztime.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -fuzz
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSample' -fuzztime $(FUZZTIME) ./internal/stream/
-	$(GO) test -run '^$$' -fuzz 'FuzzDecoderStream' -fuzztime $(FUZZTIME) ./internal/stream/
-	$(GO) test -run '^$$' -fuzz 'FuzzReadCSV' -fuzztime $(FUZZTIME) ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz 'FuzzTreeReadJSON' -fuzztime $(FUZZTIME) ./internal/mtree/
-	$(GO) test -run '^$$' -fuzz 'FuzzMachineSpecReadJSON' -fuzztime $(FUZZTIME) ./internal/march/
-	$(GO) test -run '^$$' -fuzz 'FuzzModelDecode' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x ./internal/modelio/
-	$(GO) test -run '^$$' -fuzz 'FuzzRefutationStateReadJSON' -fuzztime $(FUZZTIME) ./internal/refute/
+	$(FUZZ) 'FuzzDecodeSample' ./internal/stream/
+	$(FUZZ) 'FuzzDecoderStream' ./internal/stream/
+	$(FUZZ) 'FuzzReadCSV' ./internal/dataset/
+	$(FUZZ) 'FuzzTreeReadJSON' ./internal/mtree/
+	$(FUZZ) 'FuzzMachineSpecReadJSON' ./internal/march/
+	$(FUZZ) 'FuzzModelDecode' ./internal/modelio/
+	$(FUZZ) 'FuzzRefutationStateReadJSON' ./internal/refute/
 
 experiments:
 	$(GO) run ./cmd/experiments

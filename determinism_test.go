@@ -97,10 +97,11 @@ func TestCollectSuiteDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestTreeDeterministicAcrossJobs asserts the rendered tree structure and
-// rule set are identical for every split-scoring worker count.
+// its full-precision JSON form (every threshold and coefficient) are
+// identical for every split-scoring worker count.
 func TestTreeDeterministicAcrossJobs(t *testing.T) {
 	d := detDataset(3000, 11)
-	var wantTree, wantRules string
+	var wantTree, wantJSON string
 	for i, jobs := range jobVariants() {
 		cfg := mtree.DefaultConfig()
 		cfg.MinLeaf = 50
@@ -109,16 +110,20 @@ func TestTreeDeterministicAcrossJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTree, gotRules := tree.String(), tree.RenderRules()
+		var js bytes.Buffer
+		if err := tree.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		gotTree, gotJSON := tree.String(), js.String()
 		if i == 0 {
-			wantTree, wantRules = gotTree, gotRules
+			wantTree, wantJSON = gotTree, gotJSON
 			continue
 		}
 		if gotTree != wantTree {
 			t.Errorf("jobs=%d tree differs from jobs=1:\n%s\nvs\n%s", jobs, gotTree, wantTree)
 		}
-		if gotRules != wantRules {
-			t.Errorf("jobs=%d rules differ from jobs=1", jobs)
+		if gotJSON != wantJSON {
+			t.Errorf("jobs=%d tree JSON differs from jobs=1", jobs)
 		}
 	}
 }

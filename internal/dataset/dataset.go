@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -317,22 +316,6 @@ func (d *Dataset) ColumnMinMax(a int) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// SortedUnique returns the sorted distinct values of column a.
-func (d *Dataset) SortedUnique(a int) []float64 {
-	vals := make([]float64, 0, len(d.rows))
-	for _, r := range d.rows {
-		vals = append(vals, r[a])
-	}
-	sort.Float64s(vals)
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Summary renders a short per-column summary table, useful in CLI output.

@@ -213,23 +213,6 @@ func TestTrainTestSplit(t *testing.T) {
 	}
 }
 
-func TestSortedUnique(t *testing.T) {
-	d := MustNew(twoColSchema(), 0)
-	for _, v := range []float64{3, 1, 2, 3, 1, 2, 2} {
-		d.MustAppend(Instance{0, v})
-	}
-	got := d.SortedUnique(1)
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("SortedUnique = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedUnique = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	d := MustNew(twoColSchema(), 0)
 	d.MustAppend(Instance{1, 2})

@@ -23,14 +23,14 @@ var _ model.BatchPredictor = (*CompiledBagger)(nil)
 
 // CompileBagger flattens every member of a trained ensemble. Returns
 // nil for a nil ensemble, one with no members, or one with a member
-// that does not compile (nil or rootless).
+// that Tree.CompileModel rejects.
 func CompileBagger(b *Bagger) *CompiledBagger {
 	if b == nil || len(b.Trees) == 0 {
 		return nil
 	}
 	c := &CompiledBagger{trees: make([]*mtree.CompiledTree, len(b.Trees))}
 	for i, t := range b.Trees {
-		if c.trees[i] = mtree.Compile(t); c.trees[i] == nil {
+		if c.trees[i], _ = t.CompileModel().(*mtree.CompiledTree); c.trees[i] == nil {
 			return nil
 		}
 	}

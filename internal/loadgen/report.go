@@ -159,7 +159,6 @@ type ModelInfo struct {
 	Version      string   `json:"version"`
 	Attrs        []string `json:"attrs"`
 	Target       string   `json:"target"`
-	Trees        int      `json:"trees"`
 	Classifiable bool     `json:"classifiable"`
 }
 

@@ -115,9 +115,10 @@ type Model interface {
 // flat form while training, analysis and persistence keep the original.
 type Compilable interface {
 	// CompileModel returns the compiled equivalent, or nil when the
-	// receiver cannot be compiled (a tree with no root, an ensemble with
-	// no members). Predictions, contributions and descriptions of the
-	// result must match the receiver's exactly.
+	// receiver cannot be compiled (a tree with no root or with a node
+	// the compiled form cannot evaluate safely, an ensemble with no
+	// members or with such a tree). Predictions, contributions and
+	// descriptions of the result must match the receiver's exactly.
 	CompileModel() Model
 }
 

@@ -125,8 +125,12 @@ func handTree() *mtree.Tree {
 	leaf := func(id int, lm *linreg.Model) *mtree.Node {
 		return &mtree.Node{SplitAttr: -1, LeafID: id, N: 10, Model: lm}
 	}
+	// Every node carries a model, as in every tree Build returns and
+	// ReadJSON accepts (CompileModel rejects one without); unsmoothed,
+	// the interior ones are never evaluated.
 	split := func(thr float64, l, r *mtree.Node) *mtree.Node {
-		return &mtree.Node{SplitAttr: 0, SplitName: "A", Threshold: thr, Left: l, Right: r}
+		return &mtree.Node{SplitAttr: 0, SplitName: "A", Threshold: thr, Left: l, Right: r,
+			Model: &linreg.Model{}}
 	}
 	return &mtree.Tree{
 		TargetName: "CPI",

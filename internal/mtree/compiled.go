@@ -79,13 +79,18 @@ var _ model.BatchPredictor = (*CompiledTree)(nil)
 const compiledPathInline = 64
 
 // Compile flattens a trained tree. The result shares no state with t.
-// Returns nil for a nil tree or a tree without a root. Every interior
-// node must have both children, as in every tree Build returns and
-// ReadJSON accepts.
+// Returns nil for a nil tree, a tree without a root, or a tree whose
+// shape the flat arrays cannot express (see checkShape; Build never
+// returns one, and ReadJSON rejects it).
 func Compile(t *Tree) *CompiledTree {
-	if t == nil || t.Root == nil {
+	if t == nil || t.Root == nil || checkShape(t.Root) != nil {
 		return nil
 	}
+	return compile(t)
+}
+
+// compile flattens a rooted tree that checkShape accepts.
+func compile(t *Tree) *CompiledTree {
 	nodes := countNodes(t.Root)
 	c := &CompiledTree{
 		config:      t.Config,
@@ -403,9 +408,13 @@ func (c *CompiledTree) Describe() model.Description {
 
 // CompileModel implements model.Compilable: the serving registry calls
 // it on registration to switch the hot path to the flat-array form. A
-// rootless tree compiles to a nil interface, which the registry rejects.
+// tree that does not compile, or whose compiled form fails the checks
+// ReadJSON runs on a decoded file (a split or model attribute outside
+// the schema, a node without a linear model), yields a nil interface,
+// which the registry rejects: a registered tree evaluates any row of
+// its width.
 func (t *Tree) CompileModel() model.Model {
-	if c := Compile(t); c != nil {
+	if c, err := t.compileChecked(); err == nil {
 		return c
 	}
 	return nil

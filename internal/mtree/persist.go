@@ -73,10 +73,6 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 	if tj.Root == nil {
 		return nil, fmt.Errorf("mtree: decoded tree has no root")
 	}
-	root, err := fromNodeJSON(tj.Root)
-	if err != nil {
-		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
-	}
 	t := &Tree{
 		Config:     tj.Config,
 		TargetName: tj.TargetName,
@@ -84,19 +80,35 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		TrainN:     tj.TrainN,
 		GlobalSD:   tj.GlobalSD,
 		Machine:    tj.Machine,
-		Root:       root,
+		Root:       fromNodeJSON(tj.Root),
 	}
-	// Validated on the compiled form: a tree that passes evaluates any
-	// row of its width without panicking.
-	if err := Compile(t).validate(); err != nil {
+	if _, err := t.compileChecked(); err != nil {
 		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
 	}
 	return t, nil
 }
 
-// validate cross-checks the flat arrays of a tree compiled from a
-// decoded file, so a file from outside the program cannot produce a
-// tree whose evaluation walks out of bounds or loops forever. Beyond
+// compileChecked flattens t and runs the checks ReadJSON runs on a
+// decoded file: the node shapes first (the flat arrays cannot express a
+// bad one), then validate on the compiled form. A tree that passes
+// evaluates any row of its width without panicking.
+func (t *Tree) compileChecked() (*CompiledTree, error) {
+	if t == nil || t.Root == nil {
+		return nil, fmt.Errorf("tree has no root")
+	}
+	if err := checkShape(t.Root); err != nil {
+		return nil, err
+	}
+	c := compile(t)
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// validate cross-checks the flat arrays of a compiled tree, so neither a
+// decoded file nor a tree assembled outside Build can produce a tree
+// whose evaluation walks out of bounds or loops forever. Beyond
 // array shape it requires every node to carry a linear model and every
 // split and model attribute to index a schema column, so any accepted
 // tree evaluates a row of its width.
@@ -167,6 +179,37 @@ func (c *CompiledTree) validate() error {
 	return nil
 }
 
+// checkShape rejects the node shapes the flat arrays cannot express,
+// which validate cannot see once a tree is compiled: a node with a
+// single child, a model whose attrs and coefs differ in length (the
+// packed rows would pair the wrong terms), and an index too large for
+// int32.
+func checkShape(n *Node) error {
+	if (n.Left == nil) != (n.Right == nil) {
+		return fmt.Errorf("node with split_attr %d has one child; want zero or two", n.SplitAttr)
+	}
+	if int(int32(n.SplitAttr)) != n.SplitAttr {
+		return fmt.Errorf("split_attr %d out of range", n.SplitAttr)
+	}
+	if m := n.Model; m != nil {
+		if len(m.Attrs) != len(m.Coefs) {
+			return fmt.Errorf("node model has %d attrs but %d coefs", len(m.Attrs), len(m.Coefs))
+		}
+		for _, a := range m.Attrs {
+			if int(int32(a)) != a {
+				return fmt.Errorf("node model attr %d out of range", a)
+			}
+		}
+	}
+	if n.IsLeaf() {
+		return nil
+	}
+	if err := checkShape(n.Left); err != nil {
+		return err
+	}
+	return checkShape(n.Right)
+}
+
 func toTreeJSON(t *Tree) *treeJSON {
 	return &treeJSON{
 		SchemaVersion: SchemaVersion,
@@ -205,19 +248,10 @@ func toNodeJSON(n *Node) *nodeJSON {
 	return nj
 }
 
-// fromNodeJSON rebuilds the node graph, rejecting the shapes the
-// compiled form cannot express: a node with a single child, a model
-// whose attrs and coefs arrays differ in length, and an index too large
-// for int32. validate runs on the compiled form, so it cannot see them.
-func fromNodeJSON(nj *nodeJSON) (*Node, error) {
+// fromNodeJSON rebuilds the node graph; ReadJSON checks its shape.
+func fromNodeJSON(nj *nodeJSON) *Node {
 	if nj == nil {
-		return nil, nil
-	}
-	if (nj.Left == nil) != (nj.Right == nil) {
-		return nil, fmt.Errorf("node with split_attr %d has one child; want zero or two", nj.SplitAttr)
-	}
-	if int(int32(nj.SplitAttr)) != nj.SplitAttr {
-		return nil, fmt.Errorf("split_attr %d out of range", nj.SplitAttr)
+		return nil
 	}
 	n := &Node{
 		SplitAttr: nj.SplitAttr,
@@ -226,23 +260,10 @@ func fromNodeJSON(nj *nodeJSON) (*Node, error) {
 		SD:        nj.SD,
 		Mean:      nj.Mean,
 		LeafID:    nj.LeafID,
-	}
-	var err error
-	if n.Left, err = fromNodeJSON(nj.Left); err != nil {
-		return nil, err
-	}
-	if n.Right, err = fromNodeJSON(nj.Right); err != nil {
-		return nil, err
+		Left:      fromNodeJSON(nj.Left),
+		Right:     fromNodeJSON(nj.Right),
 	}
 	if nj.Model != nil {
-		if len(nj.Model.Attrs) != len(nj.Model.Coefs) {
-			return nil, fmt.Errorf("node model has %d attrs but %d coefs", len(nj.Model.Attrs), len(nj.Model.Coefs))
-		}
-		for _, a := range nj.Model.Attrs {
-			if int(int32(a)) != a {
-				return nil, fmt.Errorf("node model attr %d out of range", a)
-			}
-		}
 		n.Model = &linreg.Model{
 			Intercept: nj.Model.Intercept,
 			Attrs:     nj.Model.Attrs,
@@ -250,5 +271,5 @@ func fromNodeJSON(nj *nodeJSON) (*Node, error) {
 			Names:     nj.Model.Names,
 		}
 	}
-	return n, nil
+	return n
 }

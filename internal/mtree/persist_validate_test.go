@@ -18,7 +18,8 @@ import (
 // column outside its schema, whose model terms do not pair up, whose
 // node lacks a model, whose interior node has a single child, or whose
 // index does not fit int32 is rejected by ReadJSON instead of loading
-// and panicking on the first prediction.
+// and panicking on the first prediction — and, built in process, by
+// CompileModel, so the serving registry refuses it too.
 func TestLoadersRejectInvalidStructure(t *testing.T) {
 	lm := func(attrs []int, coefs []float64) *linreg.Model {
 		return &linreg.Model{Intercept: 1, Attrs: attrs, Coefs: coefs}
@@ -45,6 +46,10 @@ func TestLoadersRejectInvalidStructure(t *testing.T) {
 		{"leaf model attr past schema", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{9} }, "attribute 9"},
 		{"negative leaf model attr", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{-1} }, "attribute -1"},
 		{"more attrs than coefs", func(t *mtree.Tree) { t.Root.Left.Model.Attrs = []int{1, 1} }, ""},
+		{"terms pair up only in total", func(t *mtree.Tree) {
+			t.Root.Left.Model.Attrs = []int{1, 1}
+			t.Root.Right.Model.Coefs = []float64{4}
+		}, "attrs but"},
 		{"leaf without model", func(t *mtree.Tree) { t.Root.Right.Model = nil }, "no linear model"},
 		{"interior node without model", func(t *mtree.Tree) { t.Root.Model = nil }, "no linear model"},
 		{"one child", func(t *mtree.Tree) { t.Root.Right = nil }, "one child"},
@@ -54,6 +59,9 @@ func TestLoadersRejectInvalidStructure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree := valid()
 			tc.mutate(tree)
+			if m := tree.CompileModel(); m != nil {
+				t.Errorf("CompileModel returned %T", m)
+			}
 			var js bytes.Buffer
 			if err := tree.WriteJSON(&js); err != nil {
 				t.Fatal(err)
@@ -64,7 +72,10 @@ func TestLoadersRejectInvalidStructure(t *testing.T) {
 		})
 	}
 
-	// The unmutated fixture loads and evaluates.
+	// The unmutated fixture compiles, loads and evaluates.
+	if valid().CompileModel() == nil {
+		t.Fatal("valid fixture does not compile")
+	}
 	var js bytes.Buffer
 	if err := valid().WriteJSON(&js); err != nil {
 		t.Fatal(err)

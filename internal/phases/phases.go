@@ -216,9 +216,6 @@ func (o *Online) Phase() int {
 	return o.stream.Phase()
 }
 
-// Calibrating reports whether the detector is still estimating scales.
-func (o *Online) Calibrating() bool { return o.stream == nil }
-
 // distance is the mean of the top quartile of absolute normalized
 // per-feature differences. A phase change typically moves a handful of
 // the 20 counters while the rest stay put; averaging over all features
@@ -370,9 +367,6 @@ func (s *Stream) Phase() int {
 	}
 	return s.closed + 1
 }
-
-// Sections returns the number of sections fed so far.
-func (s *Stream) Sections() int { return s.n }
 
 // Flush returns the open phase as if it closed after the last section
 // fed (the zero Segment before any section). The stream remains usable;

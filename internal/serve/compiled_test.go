@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ensemble"
+	"repro/internal/linreg"
 	"repro/internal/model"
 	"repro/internal/modelio"
 	"repro/internal/mtree"
@@ -60,13 +61,26 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 
 	// kernelless hides everything but the model.Model methods, so it
 	// neither compiles nor carries the batch kernel. A rootless tree and
-	// a member-less ensemble compile to nothing.
+	// a member-less ensemble compile to nothing. A tree with a one-child
+	// interior node, or with a model term outside its schema, fails the
+	// checks a decoded file gets: the first would panic while compiling,
+	// the second on its first prediction.
 	type kernelless struct{ model.Model }
+	leaf := func(attrs ...int) *mtree.Node {
+		return &mtree.Node{Model: &linreg.Model{Intercept: 1, Attrs: attrs, Coefs: make([]float64, len(attrs))}}
+	}
+	schema := []string{"a", "b"}
+	oneChild := &mtree.Tree{TargetName: "cpi", AttrNames: schema,
+		Root: &mtree.Node{SplitAttr: 0, Threshold: 1, Left: leaf(), Model: leaf().Model}}
+	badAttr := &mtree.Tree{TargetName: "cpi", AttrNames: schema, Root: leaf(7)}
 	for name, m := range map[string]model.Model{
 		"plain":     kernelless{tree},
 		"rootless":  &mtree.Tree{},
 		"empty":     &ensemble.Bagger{},
 		"nilmember": &ensemble.Bagger{Trees: []*mtree.Tree{tree, nil}},
+		"onechild":  oneChild,
+		"badattr":   badAttr,
+		"badmember": &ensemble.Bagger{Trees: []*mtree.Tree{tree, badAttr}},
 	} {
 		if err := reg.Register(name, "v1", m, ""); err == nil {
 			t.Errorf("%s: registry accepted a model without a batch evaluator", name)

@@ -60,10 +60,12 @@ func NewRegistry() *Registry {
 // Compilable models (the pointer-linked tree and ensemble) are compiled
 // to their flat-array evaluators here, so the serving hot path always
 // runs the compiled form. A model that does not compile to the batch
-// kernel — including a rootless tree or a member-less ensemble — is
-// rejected and nothing is installed. Compilation never changes a
-// response: compiled predictions, contributions and classifications are
-// bit-identical to the original's.
+// kernel — including a rootless tree, a member-less ensemble, and a
+// tree that fails the checks a decoded model file gets (see
+// mtree.Tree.CompileModel) — is rejected and nothing is installed.
+// Compilation never changes a response: compiled predictions,
+// contributions and classifications are bit-identical to the
+// original's.
 func (r *Registry) Register(name, version string, m model.Model, path string) error {
 	if name == "" || strings.ContainsAny(name, "@ \t\n") {
 		return fmt.Errorf("serve: invalid model name %q", name)

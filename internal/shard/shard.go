@@ -69,10 +69,6 @@ type Options struct {
 	Shards int
 	// TTL evicts entries unused for this long; 0 disables expiry.
 	TTL time.Duration
-	// SweepEvery is the minimum interval between whole-table expiry
-	// sweeps (triggered opportunistically from Get/GetOrCreate);
-	// 0 defaults to TTL/4. Ignored when TTL is 0.
-	SweepEvery time.Duration
 	// Now is the clock; nil defaults to time.Now. Tests inject a fake
 	// clock to make eviction exact.
 	Now func() time.Time
@@ -80,12 +76,11 @@ type Options struct {
 
 // Table is a lock-striped string-keyed map with TTL eviction.
 type Table[V any] struct {
-	shards     []tableShard[V]
-	mask       uint32
-	ttl        time.Duration
-	sweepEvery time.Duration
-	now        func() time.Time
-	lastSweep  atomic.Int64 // unix nanos of the last sweep
+	shards    []tableShard[V]
+	mask      uint32
+	ttl       time.Duration
+	now       func() time.Time
+	lastSweep atomic.Int64 // unix nanos of the last sweep
 }
 
 type tableShard[V any] struct {
@@ -109,29 +104,19 @@ func New[V any](opts Options) *Table[V] {
 	}
 	n = NumShards(n)
 	t := &Table[V]{
-		shards:     make([]tableShard[V], n),
-		mask:       uint32(n - 1),
-		ttl:        opts.TTL,
-		sweepEvery: opts.SweepEvery,
-		now:        opts.Now,
+		shards: make([]tableShard[V], n),
+		mask:   uint32(n - 1),
+		ttl:    opts.TTL,
+		now:    opts.Now,
 	}
 	if t.now == nil {
 		t.now = time.Now
-	}
-	if t.ttl > 0 && t.sweepEvery <= 0 {
-		t.sweepEvery = t.ttl / 4
 	}
 	for i := range t.shards {
 		t.shards[i].items = map[string]*entry[V]{}
 	}
 	return t
 }
-
-// Shards returns the stripe count.
-func (t *Table[V]) Shards() int { return len(t.shards) }
-
-// TTL returns the configured expiry.
-func (t *Table[V]) TTL() time.Duration { return t.ttl }
 
 func (t *Table[V]) shardFor(key string) *tableShard[V] {
 	return &t.shards[Hash(key)&t.mask]
@@ -202,19 +187,6 @@ func (t *Table[V]) Put(key string, v V) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.items[key] = &entry[V]{val: v, lastUsed: nowNs}
-}
-
-// Delete removes key, reporting whether it was present (live or
-// expired). Deletions are not counted as evictions.
-func (t *Table[V]) Delete(key string) bool {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.items[key]; !ok {
-		return false
-	}
-	delete(sh.items, key)
-	return true
 }
 
 // Len returns the number of stored entries (including not-yet-swept
@@ -304,7 +276,7 @@ func (t *Table[V]) sweep(nowNs int64) int {
 	return evicted
 }
 
-// maybeSweep runs a whole-table sweep at most once per SweepEvery,
+// maybeSweep runs a whole-table sweep at most once per TTL/4,
 // piggybacked on accessor calls so idle shards cannot pin expired
 // state forever. The CAS makes concurrent accessors elect one sweeper.
 func (t *Table[V]) maybeSweep(now time.Time) {
@@ -313,7 +285,7 @@ func (t *Table[V]) maybeSweep(now time.Time) {
 	}
 	nowNs := now.UnixNano()
 	last := t.lastSweep.Load()
-	if nowNs-last < int64(t.sweepEvery) {
+	if nowNs-last < int64(t.ttl/4) {
 		return
 	}
 	if t.lastSweep.CompareAndSwap(last, nowNs) {

@@ -121,27 +121,46 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// TestMaybeSweepRunsOnAccess: accessors sweep the whole table, not just
+// the touched shard, and at most once per TTL/4.
 func TestMaybeSweepRunsOnAccess(t *testing.T) {
 	clk := newFakeClock()
-	tab := New[int](Options{Shards: 2, TTL: time.Minute, SweepEvery: 10 * time.Second, Now: clk.Now})
-	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if _, _, err := tab.GetOrCreate(k, func() (int, error) { return i, nil }); err != nil {
+	tab := New[int](Options{Shards: 2, TTL: time.Minute, Now: clk.Now})
+	get := func(k string) {
+		t.Helper()
+		if _, _, err := tab.GetOrCreate(k, func() (int, error) { return 0, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
+	check := func(wantLen int, wantEvictions uint64) {
+		t.Helper()
+		if tab.Len() != wantLen {
+			t.Fatalf("len %d, want %d", tab.Len(), wantLen)
+		}
+		if total := tab.Stats().Total(); total.Evictions != wantEvictions {
+			t.Fatalf("evictions %d, want %d", total.Evictions, wantEvictions)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		get(fmt.Sprintf("k%d", i))
+	}
 	clk.Advance(2 * time.Minute)
-	// Accessing one fresh key must sweep the whole table, not just the
-	// touched shard.
-	if _, _, err := tab.GetOrCreate("fresh", func() (int, error) { return 99, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("len %d after piggybacked sweep, want 1 (just \"fresh\")", tab.Len())
-	}
-	if total := tab.Stats().Total(); total.Evictions != 8 {
-		t.Fatalf("evictions %d, want 8", total.Evictions)
-	}
+	// Accessing one fresh key must sweep the whole table.
+	get("fresh")
+	check(1, 8)
+
+	// 50s on, a sweep runs but "fresh" (idle 50s) is still live.
+	clk.Advance(50 * time.Second)
+	get("mid")
+	check(2, 8)
+	// 14s later "fresh" has expired, but the next sweep is not due
+	// until TTL/4 = 15s after the last one, so it stays stored.
+	clk.Advance(14 * time.Second)
+	tab.Get("mid")
+	check(2, 8)
+	clk.Advance(time.Second)
+	tab.Get("mid")
+	check(1, 9)
 }
 
 func TestDrainAndRange(t *testing.T) {
@@ -195,8 +214,11 @@ func TestStatsPerShard(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers the table from many goroutines; run
-// under -race this is the striping's safety proof.
+// TestConcurrentAccess hammers the table from many goroutines with
+// the operations the serving layer uses — session lookup and creation,
+// listing, stats, and drain/restore — while the clock advances past the
+// sweep interval and the TTL; run under -race this is the striping's
+// safety proof.
 func TestConcurrentAccess(t *testing.T) {
 	clk := newFakeClock()
 	tab := New[int](Options{Shards: 8, TTL: time.Minute, Now: clk.Now})
@@ -207,7 +229,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", i%37)
-				switch i % 5 {
+				switch i % 6 {
 				case 0:
 					tab.Put(k, i)
 				case 1:
@@ -219,14 +241,25 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 				case 3:
 					tab.Stats()
+				case 4:
+					// Range's callback runs with no lock held, so it may
+					// call back into the table.
+					tab.Range(func(k string, _ int) { tab.Get(k) })
 				default:
-					tab.Delete(fmt.Sprintf("k%d", (i+13)%41))
+					if g == 0 {
+						clk.Advance(5 * time.Second)
+					}
+					// Restore what was drained, as a drain/restore pair
+					// between replicas would.
+					for k, v := range tab.Drain() {
+						tab.Put(k, v)
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tab.Len() > 41 {
-		t.Fatalf("len %d, want <= 41 distinct keys", tab.Len())
+	if tab.Len() > 37 {
+		t.Fatalf("len %d, want <= 37 distinct keys", tab.Len())
 	}
 }

@@ -55,9 +55,8 @@ func deriveConfig(cfg Config, l1dLineB int64) derived {
 }
 
 // splitsLine reports whether [addr, addr+size) crosses a line boundary,
-// with mask = lineB-1 (lineB is a validated power of two). Equivalent to
-// trace.Inst.SplitsLine for a known load/store with non-zero size, minus
-// the per-call kind checks and divisions.
+// with mask = lineB-1 (lineB is a validated power of two). Callers check
+// that the access is a load or store of non-zero size.
 func splitsLine(addr, size, mask uint64) bool {
 	return addr&^mask != (addr+size-1)&^mask
 }

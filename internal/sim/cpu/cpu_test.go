@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/proptest"
 	"repro/internal/sim/branch"
 	"repro/internal/sim/trace"
 )
@@ -278,4 +279,46 @@ func TestStoreMissesCheaperThanLoadMisses(t *testing.T) {
 	if storeCPI >= loadCPI {
 		t.Errorf("store-miss CPI %v not below load-miss CPI %v (store buffering)", storeCPI, loadCPI)
 	}
+}
+
+// TestSplitsLineReference: splitsLine agrees with the obvious modular
+// reference implementation for random accesses and line sizes, and the
+// SplitLoads/SplitStores counters it feeds count exactly the loads and
+// stores of non-zero size that the reference says cross an L1D line.
+func TestSplitsLineReference(t *testing.T) {
+	proptest.Run(t, "splits-line-reference", 40, func(t *testing.T, r *proptest.Rand) {
+		lineB := uint64([]int{16, 32, 64, 128}[r.Intn(4)])
+		insts := make([]trace.Inst, 500)
+		var wantLoads, wantStores uint64
+		for i := range insts {
+			in := trace.Inst{
+				Kind: []trace.Kind{trace.Other, trace.Load, trace.Store, trace.Branch}[r.Intn(4)],
+				PC:   0x1000 + uint64(i)*4,
+				Addr: r.Uint64() >> r.Intn(40),
+				Size: uint8([]int{0, 1, 2, 4, 8, 16}[r.Intn(6)]),
+			}
+			insts[i] = in
+			if in.Size == 0 || in.Kind != trace.Load && in.Kind != trace.Store {
+				continue
+			}
+			want := in.Addr%lineB+uint64(in.Size) > lineB
+			if got := splitsLine(in.Addr, uint64(in.Size), lineB-1); got != want {
+				t.Fatalf("case %d: splitsLine(%#x, size %d, line %d) = %v, want %v",
+					i, in.Addr, in.Size, lineB, got, want)
+			}
+			if want && in.Kind == trace.Load {
+				wantLoads++
+			} else if want {
+				wantStores++
+			}
+		}
+		geom := core2Geometry()
+		geom.L1D.LineB = int64(lineB)
+		c := New(defaultConfig(), geom, branch.DefaultConfig())
+		c.Run(&trace.SliceStream{Insts: insts})
+		if ctr := c.Counters(); ctr.SplitLoads != wantLoads || ctr.SplitStores != wantStores {
+			t.Fatalf("line %d: split loads/stores = %d/%d, want %d/%d",
+				lineB, ctr.SplitLoads, ctr.SplitStores, wantLoads, wantStores)
+		}
+	})
 }

@@ -7,28 +7,11 @@ import (
 	"repro/internal/sim/trace"
 )
 
-// TestSplitsLineReference: SplitsLine agrees with the obvious modular
-// reference implementation for random accesses and line sizes.
-func TestSplitsLineReference(t *testing.T) {
-	proptest.Run(t, "splits-line-reference", 40, func(t *testing.T, r *proptest.Rand) {
-		lineB := uint64([]int{16, 32, 64, 128}[r.Intn(4)])
-		for i := 0; i < 500; i++ {
-			in := trace.Inst{
-				Kind: []trace.Kind{trace.Other, trace.Load, trace.Store, trace.Branch}[r.Intn(4)],
-				Addr: r.Uint64() >> r.Intn(40),
-				Size: uint8([]int{0, 1, 2, 4, 8, 16}[r.Intn(6)]),
-			}
-			want := false
-			if (in.Kind == trace.Load || in.Kind == trace.Store) && in.Size > 0 {
-				want = in.Addr%lineB+uint64(in.Size) > lineB
-			}
-			if got := in.SplitsLine(lineB); got != want {
-				t.Fatalf("case %d: SplitsLine(%#x, size %d, line %d) = %v, want %v",
-					i, in.Addr, in.Size, lineB, got, want)
-			}
-		}
-	})
-}
+// funcStream adapts a generator function to Stream; it has no
+// NextBlock, so Blocked must wrap it.
+type funcStream func(*trace.Inst) bool
+
+func (f funcStream) Next(in *trace.Inst) bool { return f(in) }
 
 // drain pulls every record from a Stream.
 func drain(s trace.Stream) []trace.Inst {
@@ -66,8 +49,8 @@ func sameInsts(t *testing.T, label string, a, b []trace.Inst) {
 	}
 }
 
-// TestStreamAdapterLaws: every adapter (SliceStream block mode, Blocked,
-// Limit, Concat) reproduces the exact record sequence of the plain
+// TestStreamAdapterLaws: every adapter (SliceStream block mode, Blocked)
+// reproduces the exact record sequence of the plain
 // one-at-a-time stream, at any block size.
 func TestStreamAdapterLaws(t *testing.T) {
 	proptest.Run(t, "stream-adapter-laws", 25, func(t *testing.T, r *proptest.Rand) {
@@ -82,10 +65,10 @@ func TestStreamAdapterLaws(t *testing.T) {
 		sameInsts(t, "SliceStream.NextBlock",
 			want, drainBlocks(&trace.SliceStream{Insts: insts}, bufLen))
 
-		// Blocked over a non-BlockStream producer (FuncStream) must wrap
+		// Blocked over a non-BlockStream producer (funcStream) must wrap
 		// with the per-record loop and preserve order.
 		i := 0
-		fs := trace.FuncStream(func(in *trace.Inst) bool {
+		fs := funcStream(func(in *trace.Inst) bool {
 			if i >= len(insts) {
 				return false
 			}
@@ -93,30 +76,12 @@ func TestStreamAdapterLaws(t *testing.T) {
 			i++
 			return true
 		})
-		sameInsts(t, "Blocked(FuncStream)", want, drainBlocks(trace.Blocked(fs), bufLen))
+		sameInsts(t, "Blocked(funcStream)", want, drainBlocks(trace.Blocked(fs), bufLen))
 
 		// Blocked over a BlockStream must return it unchanged.
 		ss := &trace.SliceStream{Insts: insts}
 		if trace.Blocked(ss) != trace.BlockStream(ss) {
 			t.Fatal("Blocked re-wrapped a BlockStream")
 		}
-
-		// Limit(n) yields exactly the first n records.
-		n := uint64(r.IntBetween(0, len(insts)+10))
-		got := drain(trace.Limit(&trace.SliceStream{Insts: insts}, n))
-		wantN := int(n)
-		if wantN > len(insts) {
-			wantN = len(insts)
-		}
-		sameInsts(t, "Limit", want[:wantN], got)
-
-		// Concat of a random split equals the whole.
-		cut := r.IntBetween(0, len(insts))
-		cat := trace.Concat(
-			&trace.SliceStream{Insts: insts[:cut]},
-			&trace.SliceStream{},
-			&trace.SliceStream{Insts: insts[cut:]},
-		)
-		sameInsts(t, "Concat", want, drain(cat))
 	})
 }

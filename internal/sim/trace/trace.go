@@ -64,17 +64,6 @@ type Inst struct {
 	BlockSTA, BlockSTD, BlockOverlap bool
 }
 
-// SplitsLine reports whether a memory access crosses a cache-line boundary
-// of the given line size (the L1D split load/store events).
-func (in *Inst) SplitsLine(lineB uint64) bool {
-	if in.Kind != Load && in.Kind != Store || in.Size == 0 {
-		return false
-	}
-	start := in.Addr
-	end := in.Addr + uint64(in.Size) - 1
-	return start/lineB != end/lineB
-}
-
 // Stream produces instruction records. Next fills *Inst and reports false
 // when the stream is exhausted.
 type Stream interface {
@@ -144,38 +133,3 @@ func (s *SliceStream) NextBlock(buf []Inst) int {
 
 // Reset rewinds the stream.
 func (s *SliceStream) Reset() { s.pos = 0 }
-
-// FuncStream adapts a generator function to Stream.
-type FuncStream func(*Inst) bool
-
-// Next implements Stream.
-func (f FuncStream) Next(in *Inst) bool { return f(in) }
-
-// Limit wraps a stream and stops it after n instructions.
-func Limit(s Stream, n uint64) Stream {
-	remaining := n
-	return FuncStream(func(in *Inst) bool {
-		if remaining == 0 {
-			return false
-		}
-		if !s.Next(in) {
-			return false
-		}
-		remaining--
-		return true
-	})
-}
-
-// Concat chains streams end to end.
-func Concat(streams ...Stream) Stream {
-	i := 0
-	return FuncStream(func(in *Inst) bool {
-		for i < len(streams) {
-			if streams[i].Next(in) {
-				return true
-			}
-			i++
-		}
-		return false
-	})
-}

@@ -2,28 +2,6 @@ package trace
 
 import "testing"
 
-func TestSplitsLine(t *testing.T) {
-	cases := []struct {
-		in   Inst
-		want bool
-	}{
-		{Inst{Kind: Load, Addr: 0, Size: 8}, false},
-		{Inst{Kind: Load, Addr: 56, Size: 8}, false},   // ends at 63
-		{Inst{Kind: Load, Addr: 60, Size: 8}, true},    // crosses 64
-		{Inst{Kind: Store, Addr: 63, Size: 2}, true},   // crosses 64
-		{Inst{Kind: Store, Addr: 64, Size: 8}, false},  // starts new line
-		{Inst{Kind: Branch, Addr: 60, Size: 8}, false}, // not memory
-		{Inst{Kind: Other, Addr: 60, Size: 8}, false},  // not memory
-		{Inst{Kind: Load, Addr: 60, Size: 0}, false},   // no size
-		{Inst{Kind: Load, Addr: 127, Size: 2}, true},   // crosses 128
-	}
-	for _, c := range cases {
-		if got := c.in.SplitsLine(64); got != c.want {
-			t.Errorf("SplitsLine(%+v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{Load: "load", Store: "store", Branch: "branch", Other: "other"}
 	for k, want := range names {
@@ -51,56 +29,5 @@ func TestSliceStream(t *testing.T) {
 	s.Reset()
 	if !s.Next(&in) || in.PC != 1 {
 		t.Fatal("Reset did not rewind")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	inner := FuncStream(func(in *Inst) bool { in.PC = 7; return true })
-	s := Limit(inner, 3)
-	var in Inst
-	count := 0
-	for s.Next(&in) {
-		count++
-		if count > 10 {
-			t.Fatal("Limit did not stop")
-		}
-	}
-	if count != 3 {
-		t.Errorf("Limit yielded %d, want 3", count)
-	}
-}
-
-func TestLimitZero(t *testing.T) {
-	inner := FuncStream(func(in *Inst) bool { return true })
-	var in Inst
-	if Limit(inner, 0).Next(&in) {
-		t.Error("Limit(0) yielded an instruction")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := &SliceStream{Insts: []Inst{{PC: 1}}}
-	b := &SliceStream{Insts: []Inst{{PC: 2}, {PC: 3}}}
-	s := Concat(a, b)
-	var got []uint64
-	var in Inst
-	for s.Next(&in) {
-		got = append(got, in.PC)
-	}
-	want := []uint64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Concat yielded %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Concat yielded %v, want %v", got, want)
-		}
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	var in Inst
-	if Concat().Next(&in) {
-		t.Error("empty Concat yielded an instruction")
 	}
 }

@@ -205,15 +205,11 @@ func (p *Processor) record(s *Sample) (Record, error) {
 	return p.sc.record(s)
 }
 
-// IngestRecord is Ingest for a record from Decoder.NextRecord over this
-// processor's schema. A record carrying a schema violation, or built for
-// another schema's width, is counted invalid and returned as an error
-// without touching monitor state.
-func (p *Processor) IngestRecord(rec Record) ([]Event, error) {
-	return p.appendRecord(nil, &rec)
-}
-
-// appendRecord is IngestRecord appending the events to events.
+// appendRecord scores a record from Decoder.NextRecord over this
+// processor's schema, appending the events it caused to events. A record
+// carrying a schema violation, or built for another schema's width, is
+// counted invalid and returned as an error without touching monitor
+// state.
 func (p *Processor) appendRecord(events []Event, rec *Record) ([]Event, error) {
 	err := rec.Err
 	if err == nil && len(rec.Row) != len(p.sc.desc.AttrNames) {
@@ -227,9 +223,11 @@ func (p *Processor) appendRecord(events []Event, rec *Record) ([]Event, error) {
 	return p.score(events, rec), nil
 }
 
-// IngestBatch ingests recs (see IngestRecord) in order into one events
-// slice. On an error it stops and returns the events of the records
-// before it.
+// IngestBatch ingests records from Decoder.NextRecord over this
+// processor's schema, in order, into one events slice. A record carrying
+// a schema violation, or built for another schema's width, is counted
+// invalid and stops the batch: the events of the records before it are
+// returned with the error.
 func (p *Processor) IngestBatch(recs []Record) ([]Event, error) {
 	var events []Event
 	if p.cfg.EmitSamples {
@@ -382,6 +380,3 @@ func (p *Processor) Stats() Stats {
 
 // Refutation returns the full per-relation consistency report.
 func (p *Processor) Refutation() refute.Report { return p.refuter.Report() }
-
-// Describe exposes the underlying model's description.
-func (p *Processor) Describe() model.Description { return p.sc.desc }

@@ -93,46 +93,6 @@ func Scatter(x, y []float64, width, height int, xlabel, ylabel string) string {
 	return b.String()
 }
 
-// Histogram renders a simple horizontal-bar histogram of values with the
-// given number of bins.
-func Histogram(values []float64, bins, barWidth int, label string) string {
-	if len(values) == 0 || bins < 1 {
-		return "(no data)\n"
-	}
-	lo, hi := minMax(values)
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, bins)
-	for _, v := range values {
-		b := int(float64(bins) * (v - lo) / (hi - lo))
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "histogram of %s (n=%d)\n", label, len(values))
-	for i, c := range counts {
-		left := lo + float64(i)*(hi-lo)/float64(bins)
-		bar := 0
-		if maxCount > 0 {
-			bar = c * barWidth / maxCount
-		}
-		fmt.Fprintf(&b, "%8.3f |%s %d\n", left, strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}
-
 func minMax(v []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, x := range v {

@@ -40,22 +40,3 @@ func TestScatterDegenerate(t *testing.T) {
 		t.Errorf("constant data lost:\n%s", s)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	vals := []float64{1, 1, 1, 2, 3, 3, 10}
-	s := Histogram(vals, 5, 20, "cpi")
-	if !strings.Contains(s, "cpi") || !strings.Contains(s, "#") {
-		t.Errorf("histogram malformed:\n%s", s)
-	}
-	if got := Histogram(nil, 5, 20, "x"); got != "(no data)\n" {
-		t.Errorf("empty histogram: %q", got)
-	}
-	if got := Histogram([]float64{1}, 0, 20, "x"); got != "(no data)\n" {
-		t.Errorf("zero bins: %q", got)
-	}
-	// Constant values: single bin holds everything.
-	s = Histogram([]float64{4, 4, 4}, 3, 10, "c")
-	if !strings.Contains(s, "3") {
-		t.Errorf("constant histogram:\n%s", s)
-	}
-}

@@ -6,8 +6,7 @@ import (
 )
 
 // Generator synthesizes the instruction stream of one kernel. It implements
-// trace.Stream and runs forever; wrap with trace.Limit or drive it a
-// section at a time.
+// trace.Stream and runs forever; drive it a section at a time.
 type Generator struct {
 	p Params
 	// rng is the lagged-Fibonacci generator (package xrand): a
