@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-predict bench-micro bench-json bench-compare experiments crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
+.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-predict bench-micro bench-json bench-compare experiments paper-check crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,20 @@ fuzz-short:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Paper-reproduction gate: run every experiment at the default full scale
+# and require the report to equal the committed experiments_output.txt
+# line for line, apart from the "completed in" timing lines. A change to
+# the simulator, a learner or a claim's arithmetic shows up as a diff; a
+# deliberate one re-records the file (go run ./cmd/experiments >
+# experiments_output.txt) and says why in CHANGES.md.
+paper-check:
+	@set -e; out=$$(mktemp /tmp/paper-check.XXXXXX.txt); trap 'rm -f $$out $$out.want $$out.got' EXIT; \
+	$(GO) run ./cmd/experiments > $$out; \
+	grep -v 'completed in' experiments_output.txt > $$out.want; \
+	grep -v 'completed in' $$out > $$out.got; \
+	diff -u $$out.want $$out.got || { echo "paper-check: output differs from experiments_output.txt"; exit 1; }; \
+	echo "paper-check: PASS ($$(grep -c '\[OK' $$out) [OK], $$(grep -c '\[DIV' $$out) [DIV], timing lines aside)"
 
 # Determinism smoke test of the cross-architecture experiment: run the
 # reduced-scale machine sweep twice at different worker counts and fail

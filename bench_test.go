@@ -257,6 +257,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 	cfg := mtree.DefaultConfig()
 	cfg.MinLeaf = 43
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtree.Build(col.Data, cfg); err != nil {

@@ -1,6 +1,9 @@
 package ensemble
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mtree"
@@ -21,29 +24,32 @@ type CompiledBagger struct {
 var _ model.Model = (*CompiledBagger)(nil)
 var _ model.BatchPredictor = (*CompiledBagger)(nil)
 
-// CompileBagger flattens every member of a trained ensemble. Returns
-// nil for a nil ensemble, one with no members, or one with a member
-// that Tree.CompileModel rejects.
-func CompileBagger(b *Bagger) *CompiledBagger {
+// CompileBagger flattens every member of a trained ensemble. It fails
+// for a nil ensemble, one with no members, or one with a member that
+// Tree.CompileModel rejects, naming that member's index.
+func CompileBagger(b *Bagger) (*CompiledBagger, error) {
 	if b == nil || len(b.Trees) == 0 {
-		return nil
+		return nil, errors.New("ensemble: no members")
 	}
 	c := &CompiledBagger{trees: make([]*mtree.CompiledTree, len(b.Trees))}
 	for i, t := range b.Trees {
-		if c.trees[i], _ = t.CompileModel().(*mtree.CompiledTree); c.trees[i] == nil {
-			return nil
+		m, err := t.CompileModel()
+		if err != nil {
+			return nil, fmt.Errorf("ensemble: member %d: %w", i, err)
 		}
+		c.trees[i] = m.(*mtree.CompiledTree)
 	}
-	return c
+	return c, nil
 }
 
-// CompileModel implements model.Compilable. An ensemble that does not
-// compile yields a nil interface, which the registry rejects.
-func (b *Bagger) CompileModel() model.Model {
-	if c := CompileBagger(b); c != nil {
-		return c
+// CompileModel implements model.Compilable; an ensemble that does not
+// compile yields CompileBagger's error, which the registry reports.
+func (b *Bagger) CompileModel() (model.Model, error) {
+	c, err := CompileBagger(b)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return c, nil
 }
 
 // Predict averages the compiled members' (smoothed) predictions in tree

@@ -29,9 +29,9 @@ func trainRandom(t *testing.T, r *proptest.Rand) *ensemble.Bagger {
 func TestCompiledBaggerBitIdentical(t *testing.T) {
 	proptest.Run(t, "compiled-ensemble", 8, func(t *testing.T, r *proptest.Rand) {
 		b := trainRandom(t, r)
-		c := ensemble.CompileBagger(b)
-		if c == nil {
-			t.Fatal("CompileBagger returned nil")
+		c, err := ensemble.CompileBagger(b)
+		if err != nil {
+			t.Fatalf("CompileBagger: %v", err)
 		}
 		if c.NumLeaves() != b.NumLeaves() {
 			t.Fatalf("NumLeaves %d != %d", c.NumLeaves(), b.NumLeaves())

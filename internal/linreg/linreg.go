@@ -1,16 +1,18 @@
 // Package linreg implements multiple linear regression for the model-tree
 // leaf models and for the standalone linear baseline.
 //
-// The solver uses Householder QR factorization, which is numerically robust
-// for the near-collinear event-counter columns that arise in practice (e.g.
-// DtlbLdM and DtlbLdReM are highly correlated). When the design matrix is
-// rank deficient the solver retries with a small ridge term.
+// Fit solves ordinary least squares by Householder QR, which is
+// numerically robust for the near-collinear event-counter columns that
+// arise in practice (e.g. DtlbLdM and DtlbLdReM are highly correlated).
+// When the design matrix is rank deficient it retries on the normal
+// equations with a small ridge term, solved by Cholesky.
 //
-// The package also provides the greedy attribute-elimination loop used by
-// M5/M5': starting from the full model, attributes are dropped while doing
-// so reduces the Akaike-style complexity-corrected training error
-// err*(n+v)/(n-v), yielding the compact, interpretable leaf equations shown
-// in the paper (Eq. 4 and Eq. 5).
+// FitGreedy is the greedy attribute-elimination loop used by M5/M5'. It
+// solves standardized normal equations with a small ridge by Cholesky,
+// and drops attributes while doing so reduces the Akaike-style
+// complexity-corrected training error err*(n+v)/(n-v), yielding the
+// compact, interpretable leaf equations shown in the paper (Eq. 4 and
+// Eq. 5). Only Fit uses QR.
 package linreg
 
 import (
@@ -269,8 +271,9 @@ func solveRidge(d *dataset.Dataset, features []int, lambda float64) ([]float64, 
 	}
 	diagMean /= float64(p)
 	reg := lambda * (diagMean + 1)
+	m := make([]float64, p*p)
+	z, x := make([]float64, p), make([]float64, p)
 	for attempt := 0; attempt < 8; attempt++ {
-		m := make([]float64, p*p)
 		copy(m, xtx)
 		for r := 0; r < p; r++ {
 			m[r*p+r] += reg
@@ -278,45 +281,46 @@ func solveRidge(d *dataset.Dataset, features []int, lambda float64) ([]float64, 
 				m[r*p+c] = m[c*p+r]
 			}
 		}
-		if b, ok := cholSolve(m, xty, p); ok {
-			return b, nil
+		if cholSolve(m, xty, z, x, p) {
+			return x, nil
 		}
 		reg *= 100
 	}
 	return nil, ErrSingular
 }
 
-// cholSolve solves the symmetric positive-definite system m x = y in place.
-func cholSolve(m, y []float64, p int) ([]float64, bool) {
-	// Cholesky: m = L L'.
+// cholSolve solves the symmetric positive-definite p x p system m x = y by
+// Cholesky factorization m = L L'. It overwrites m with L, writes the
+// forward-substitution result L z = y into z and the solution into x, and
+// allocates nothing. It reports false when m is not positive definite.
+func cholSolve(m, y, z, x []float64, p int) bool {
 	for k := 0; k < p; k++ {
+		rowK := m[k*p : k*p+k]
 		s := m[k*p+k]
-		for j := 0; j < k; j++ {
-			s -= m[k*p+j] * m[k*p+j]
+		for _, v := range rowK {
+			s -= v * v
 		}
 		if s <= 0 {
-			return nil, false
+			return false
 		}
 		m[k*p+k] = math.Sqrt(s)
 		for i := k + 1; i < p; i++ {
+			rowI := m[i*p : i*p+k]
 			s := m[i*p+k]
-			for j := 0; j < k; j++ {
-				s -= m[i*p+j] * m[k*p+j]
+			for j, v := range rowK {
+				s -= rowI[j] * v
 			}
 			m[i*p+k] = s / m[k*p+k]
 		}
 	}
-	// Forward solve L z = y.
-	z := make([]float64, p)
 	for i := 0; i < p; i++ {
+		rowI := m[i*p : i*p+i]
 		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= m[i*p+j] * z[j]
+		for j, v := range rowI {
+			s -= v * z[j]
 		}
 		z[i] = s / m[i*p+i]
 	}
-	// Back solve L' x = z.
-	x := make([]float64, p)
 	for i := p - 1; i >= 0; i-- {
 		s := z[i]
 		for j := i + 1; j < p; j++ {
@@ -324,7 +328,7 @@ func cholSolve(m, y []float64, p int) ([]float64, bool) {
 		}
 		x[i] = s / m[i*p+i]
 	}
-	return x, true
+	return true
 }
 
 // MeanAbsError returns the mean absolute training error of the model on d.
@@ -364,19 +368,24 @@ func CorrectedError(m *Model, d *dataset.Dataset) float64 {
 // The search runs on cached normal equations: X'X and X'y are accumulated
 // once over the data, and each candidate subset is solved by Cholesky on
 // the corresponding submatrix — O(p^3) per candidate instead of a fresh
-// O(n p^2) decomposition.
+// O(n p^2) decomposition. Every candidate reuses the scratch greedyState
+// owns, so the allocations of one call do not grow with the number of
+// candidates tried.
 func FitGreedy(d *dataset.Dataset, features []int) (*Model, error) {
 	n := d.Len()
 	if n == 0 {
 		return nil, errors.New("linreg: cannot fit on empty dataset")
 	}
 	g := newGreedyState(d, features)
-	cur := make([]int, len(features)) // positions into features
+	p := len(features)
+	// Positions into features: the current set, the best trial of a round
+	// and the trial being scored, with the matching [intercept, coefs...].
+	cur, next, trial := make([]int, p), make([]int, 0, p), make([]int, 0, p)
 	for i := range cur {
 		cur[i] = i
 	}
-	bestBeta, err := g.solve(cur)
-	if err != nil {
+	bestBeta, nextBeta, beta := make([]float64, p+1), make([]float64, p+1), make([]float64, p+1)
+	if err := g.solve(cur, bestBeta); err != nil {
 		return nil, err
 	}
 	// dropTol accepts a drop that worsens the corrected error by up to
@@ -387,35 +396,36 @@ func FitGreedy(d *dataset.Dataset, features []int) (*Model, error) {
 	bestErr := g.correctedError(bestBeta, cur)
 	for len(cur) > 0 {
 		improved := false
-		var nextBeta []float64
-		var nextSet []int
 		nextErr := bestErr * (1 + dropTol)
 		for drop := range cur {
-			trial := make([]int, 0, len(cur)-1)
-			trial = append(trial, cur[:drop]...)
-			trial = append(trial, cur[drop+1:]...)
-			beta, err := g.solve(trial)
-			if err != nil {
+			trial = append(append(trial[:0], cur[:drop]...), cur[drop+1:]...)
+			if err := g.solve(trial, beta); err != nil {
 				continue
 			}
 			if e := g.correctedError(beta, trial); e < nextErr {
-				nextErr, nextBeta, nextSet = e, beta, trial
+				nextErr = e
+				next = append(next[:0], trial...)
+				copy(nextBeta, beta[:len(trial)+1])
 				improved = true
 			}
 		}
 		if !improved {
 			break
 		}
-		bestErr, bestBeta, cur = nextErr, nextBeta, nextSet
+		bestErr = nextErr
+		cur, next = next, cur[:0]
+		bestBeta, nextBeta = nextBeta, bestBeta
 	}
 	attrs := make([]int, len(cur))
 	for i, pos := range cur {
 		attrs[i] = features[pos]
 	}
+	coefs := make([]float64, len(cur))
+	copy(coefs, bestBeta[1:])
 	m := &Model{
 		Intercept: bestBeta[0],
 		Attrs:     attrs,
-		Coefs:     bestBeta[1:],
+		Coefs:     coefs,
 		Names:     namesFor(d, attrs),
 	}
 	sanitize(m)
@@ -432,41 +442,57 @@ const ridgeRel = 1e-6
 // greedyState caches standardized normal equations over the candidate
 // features plus the raw data needed to score candidate subsets. Solving in
 // standardized space keeps the system well conditioned even though raw
-// event rates span five orders of magnitude.
+// event rates span five orders of magnitude. Candidate sets are positions
+// into the feature list; the trial scratch is sized for the full set once,
+// so solving and scoring a candidate allocates nothing.
 type greedyState struct {
-	d        *dataset.Dataset
-	features []int
-	mean     []float64 // per-feature means
-	sd       []float64 // per-feature standard deviations (0 for constants)
-	yMean    float64
-	xtx      []float64 // standardized X'X (len(features) square)
-	xty      []float64 // standardized X'(y - yMean)
+	mean  []float64 // per-feature means
+	sd    []float64 // per-feature standard deviations (0 for constants)
+	yMean float64
+	xtx   []float64   // standardized X'X (len(features) square)
+	xty   []float64   // standardized X'(y - yMean)
+	cols  [][]float64 // raw feature columns by position, one value per row
+	y     []float64   // raw target by row
+
+	// Trial scratch.
+	active []int     // non-constant positions of the set being solved
+	chol   []float64 // ridge submatrix, overwritten by its Cholesky factor
+	rhs    []float64 // X'y restricted to active
+	z, x   []float64 // forward-substitution result and standardized solution
+	pred   []float64 // per-row prediction of the candidate being scored
 }
 
 func newGreedyState(d *dataset.Dataset, features []int) *greedyState {
 	n := d.Len()
 	p := len(features)
 	g := &greedyState{
-		d: d, features: features,
 		mean: make([]float64, p), sd: make([]float64, p),
 		xtx: make([]float64, p*p), xty: make([]float64, p),
+		cols: make([][]float64, p), y: make([]float64, n),
+		active: make([]int, 0, p), chol: make([]float64, p*p),
+		rhs: make([]float64, p), z: make([]float64, p), x: make([]float64, p),
+		pred: make([]float64, n),
 	}
+	raw := make([]float64, n*p)
 	for j, f := range features {
 		g.mean[j] = d.ColumnMean(f)
 		g.sd[j] = math.Sqrt(d.ColumnVariance(f))
+		g.cols[j] = raw[j*n : (j+1)*n]
 	}
 	g.yMean = d.TargetMean()
 	xi := make([]float64, p)
 	for i := 0; i < n; i++ {
 		row := d.Row(i)
 		for j, f := range features {
+			g.cols[j][i] = row[f]
 			if g.sd[j] > 0 {
 				xi[j] = (row[f] - g.mean[j]) / g.sd[j]
 			} else {
 				xi[j] = 0
 			}
 		}
-		yc := d.Target(i) - g.yMean
+		g.y[i] = d.Target(i)
+		yc := g.y[i] - g.yMean
 		for r := 0; r < p; r++ {
 			g.xty[r] += xi[r] * yc
 			for c := r; c < p; c++ {
@@ -482,54 +508,48 @@ func newGreedyState(d *dataset.Dataset, features []int) *greedyState {
 	return g
 }
 
-// solve returns [intercept, coefs...] in *raw* units for the subset of
-// feature positions, solving the standardized ridge system and mapping
-// back.
-func (g *greedyState) solve(set []int) ([]float64, error) {
-	p := len(g.features)
+// solve writes [intercept, coefs...] in *raw* units for the subset of
+// feature positions into beta[:len(set)+1], solving the standardized ridge
+// system and mapping back.
+func (g *greedyState) solve(set []int, beta []float64) error {
+	p := len(g.mean)
 	// Keep only non-constant columns; constants get zero coefficients.
-	active := make([]int, 0, len(set))
+	active := g.active[:0]
 	for _, pos := range set {
 		if g.sd[pos] > 0 {
 			active = append(active, pos)
 		}
 	}
 	k := len(active)
-	beta := make([]float64, len(set)+1)
+	beta = beta[:len(set)+1]
+	clear(beta)
 	if k > 0 {
-		sub := make([]float64, k*k)
-		rhs := make([]float64, k)
-		for r := 0; r < k; r++ {
-			rhs[r] = g.xty[active[r]]
-			for c := 0; c < k; c++ {
-				sub[r*k+c] = g.xtx[active[r]*p+active[c]]
-			}
+		m, rhs, x := g.chol[:k*k], g.rhs[:k], g.x[:k]
+		for r, pos := range active {
+			rhs[r] = g.xty[pos]
 		}
-		n := float64(g.d.Len())
-		reg := ridgeRel * n
-		var std []float64
-		for attempt := 0; attempt < 6; attempt++ {
-			m := make([]float64, k*k)
-			copy(m, sub)
-			for r := 0; r < k; r++ {
+		reg := ridgeRel * float64(len(g.y))
+		solved := false
+		for attempt := 0; attempt < 6 && !solved; attempt++ {
+			for r, pr := range active {
+				for c, pc := range active {
+					m[r*k+c] = g.xtx[pr*p+pc]
+				}
 				m[r*k+r] += reg
 			}
-			var ok bool
-			if std, ok = cholSolve(m, rhs, k); ok {
-				break
-			}
-			std = nil
+			solved = cholSolve(m, rhs, g.z[:k], x, k)
 			reg *= 1000
 		}
-		if std == nil {
-			return nil, ErrSingular
+		if !solved {
+			return ErrSingular
 		}
-		// Map standardized coefficients back to raw units.
-		for i, pos := range active {
-			for j, sp := range set {
-				if sp == pos {
-					beta[1+j] = std[i] / g.sd[pos]
-				}
+		// Map standardized coefficients back to raw units; active is set
+		// with the constant positions left out, in the same order.
+		i := 0
+		for j, pos := range set {
+			if g.sd[pos] > 0 {
+				beta[1+j] = x[i] / g.sd[pos]
+				i++
 			}
 		}
 	}
@@ -537,24 +557,30 @@ func (g *greedyState) solve(set []int) ([]float64, error) {
 	for j, pos := range set {
 		beta[0] -= beta[1+j] * g.mean[pos]
 	}
-	return beta, nil
+	return nil
 }
 
-// correctedError computes MAE*(n+v)/(n-v) for a candidate solution.
+// correctedError computes MAE*(n+v)/(n-v) for a candidate solution. Each
+// row's prediction is summed as beta[0] and then the terms in set order;
+// the terms stream over whole columns.
 func (g *greedyState) correctedError(beta []float64, set []int) float64 {
-	n := g.d.Len()
-	s := 0.0
-	for i := 0; i < n; i++ {
-		row := g.d.Row(i)
-		pred := beta[0]
-		for j, pos := range set {
-			pred += beta[1+j] * row[g.features[pos]]
-		}
-		s += math.Abs(pred - g.d.Target(i))
+	pred := g.pred
+	for i := range pred {
+		pred[i] = beta[0]
 	}
-	mae := s / float64(n)
+	for j, pos := range set {
+		b := beta[1+j]
+		for i, v := range g.cols[pos] {
+			pred[i] += b * v
+		}
+	}
+	s := 0.0
+	for i, yv := range g.y {
+		s += math.Abs(pred[i] - yv)
+	}
+	nf := float64(len(g.y))
+	mae := s / nf
 	v := float64(len(set) + 1)
-	nf := float64(n)
 	if nf-v <= 0 {
 		return mae * 10
 	}

@@ -140,6 +140,48 @@ func TestFitGreedyCollinearPair(t *testing.T) {
 	}
 }
 
+// TestFitGreedyAllocsIndependentOfTrials: the greedy search reuses its
+// scratch for every candidate subset, so one FitGreedy call allocates a
+// constant number of buffers (plus at most one per candidate feature),
+// however many subsets it solves and scores. With one real predictor
+// among p, the search drops p-2 or more features, trying over p*p/4
+// subsets; an allocation per subset would blow the bound at every p.
+func TestFitGreedyAllocsIndependentOfTrials(t *testing.T) {
+	for _, p := range []int{4, 8, 16} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		attrs := []dataset.Attribute{{Name: "y"}}
+		features := make([]int, p)
+		for j := range features {
+			attrs = append(attrs, dataset.Attribute{Name: "x" + string(rune('A'+j))})
+			features[j] = j + 1
+		}
+		d := dataset.MustNew(attrs, 0)
+		for i := 0; i < 300; i++ {
+			row := make(dataset.Instance, p+1)
+			for j := 1; j <= p; j++ {
+				row[j] = rng.NormFloat64()
+			}
+			row[0] = 2 + 3*row[1] + 0.05*rng.NormFloat64()
+			d.MustAppend(row)
+		}
+		m, err := FitGreedy(d, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Attrs) > 2 {
+			t.Fatalf("p=%d: greedy kept %d of %d features; the test needs a long search", p, len(m.Attrs), p)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := FitGreedy(d, features); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if bound := float64(24 + p); allocs > bound {
+			t.Errorf("p=%d: FitGreedy made %.0f allocations, want at most %.0f", p, allocs, bound)
+		}
+	}
+}
+
 func TestCorrectedErrorPenalizesParameters(t *testing.T) {
 	d := makeLinear(50, []float64{1}, 0, 0.1, 5)
 	m, err := Fit(d, []int{1})

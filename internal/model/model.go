@@ -114,12 +114,12 @@ type Model interface {
 // that does not end up a BatchPredictor, so the hot path always runs the
 // flat form while training, analysis and persistence keep the original.
 type Compilable interface {
-	// CompileModel returns the compiled equivalent, or nil when the
-	// receiver cannot be compiled (a tree with no root or with a node
-	// the compiled form cannot evaluate safely, an ensemble with no
+	// CompileModel returns the compiled equivalent, or an error saying
+	// why the receiver cannot be compiled (a tree with no root or with a
+	// node the compiled form cannot evaluate safely, an ensemble with no
 	// members or with such a tree). Predictions, contributions and
 	// descriptions of the result must match the receiver's exactly.
-	CompileModel() Model
+	CompileModel() (Model, error)
 }
 
 // BatchPredictor is the batch fast path: compiled models predict a

@@ -171,7 +171,11 @@ func TestTopContributionMatchesContributions(t *testing.T) {
 	zeroBag := &ensemble.Bagger{Trees: []*mtree.Tree{hand}}
 	var models []model.Model
 	for _, m := range []model.Model{trained[0], trained[1], hand, handBag, zeroBag} {
-		models = append(models, m, m.(model.Compilable).CompileModel())
+		cm, err := m.(model.Compilable).CompileModel()
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		models = append(models, m, cm)
 	}
 
 	rates := []float64{-2, -1, -0.5, math.Copysign(0, -1), 0, 0.5, 1, 2}

@@ -54,9 +54,9 @@ func FuzzModelDecode(f *testing.F) {
 		if !ok {
 			t.Fatalf("accepted %T does not compile", m)
 		}
-		cm := c.CompileModel()
-		if cm == nil {
-			t.Fatal("accepted model compiled to nil")
+		cm, err := c.CompileModel()
+		if err != nil {
+			t.Fatalf("accepted model does not compile: %v", err)
 		}
 		evaluate(cm)
 		var first bytes.Buffer

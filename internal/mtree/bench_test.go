@@ -150,7 +150,10 @@ func BenchmarkPredictCompiledEnsemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := ensemble.CompileBagger(bag)
+	c, err := ensemble.CompileBagger(bag)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rows := benchRows(d, 2048)
 	dst := make([]float64, len(rows))
 

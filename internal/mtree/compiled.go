@@ -410,12 +410,13 @@ func (c *CompiledTree) Describe() model.Description {
 // it on registration to switch the hot path to the flat-array form. A
 // tree that does not compile, or whose compiled form fails the checks
 // ReadJSON runs on a decoded file (a split or model attribute outside
-// the schema, a node without a linear model), yields a nil interface,
-// which the registry rejects: a registered tree evaluates any row of
-// its width.
-func (t *Tree) CompileModel() model.Model {
-	if c, err := t.compileChecked(); err == nil {
-		return c
+// the schema, a node without a linear model), yields the error ReadJSON
+// would report, and the registry rejects it: a registered tree
+// evaluates any row of its width.
+func (t *Tree) CompileModel() (model.Model, error) {
+	c, err := t.compileChecked()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return c, nil
 }

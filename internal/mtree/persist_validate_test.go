@@ -59,8 +59,8 @@ func TestLoadersRejectInvalidStructure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree := valid()
 			tc.mutate(tree)
-			if m := tree.CompileModel(); m != nil {
-				t.Errorf("CompileModel returned %T", m)
+			if m, err := tree.CompileModel(); err == nil || !strings.Contains(err.Error(), tc.wantSubstr) {
+				t.Errorf("CompileModel returned %T, error %v, want one mentioning %q", m, err, tc.wantSubstr)
 			}
 			var js bytes.Buffer
 			if err := tree.WriteJSON(&js); err != nil {
@@ -73,8 +73,8 @@ func TestLoadersRejectInvalidStructure(t *testing.T) {
 	}
 
 	// The unmutated fixture compiles, loads and evaluates.
-	if valid().CompileModel() == nil {
-		t.Fatal("valid fixture does not compile")
+	if _, err := valid().CompileModel(); err != nil {
+		t.Fatalf("valid fixture does not compile: %v", err)
 	}
 	var js bytes.Buffer
 	if err := valid().WriteJSON(&js); err != nil {

@@ -127,8 +127,9 @@ func TestStructuralInvariants(t *testing.T) {
 // subtreeCorrectedError recomputes the complexity-corrected training
 // error the pruner optimizes: leaves score their fitted model, interior
 // nodes take the instance-weighted average of their children on the
-// routed data. fitModels stores exactly the models pruneNode evaluated,
-// so this reproduces the pruner's objective from public API alone.
+// routed data. fitNodes stores in each node the model its pruning
+// decision evaluated, so this reproduces the pruner's objective from
+// public API alone.
 func subtreeCorrectedError(n *mtree.Node, d *dataset.Dataset) float64 {
 	if n.IsLeaf() || d.Len() == 0 {
 		return linreg.CorrectedError(n.Model, d)

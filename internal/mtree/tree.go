@@ -87,10 +87,7 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	}
 	b := &builder{cfg: cfg, globalSD: t.GlobalSD, features: d.FeatureIndices()}
 	t.Root = b.grow(d)
-	if cfg.Prune {
-		pruneNode(t.Root, d, cfg, nil)
-	}
-	fitModels(t.Root, d, cfg, nil)
+	fitNodes(t.Root, d, cfg, nil)
 	numberLeaves(t.Root)
 	return t, nil
 }
@@ -101,9 +98,8 @@ type builder struct {
 	features []int
 }
 
-// grow recursively builds the unpruned tree. Models are fitted later (after
-// pruning decides the final shape) except for the per-node statistics
-// needed by pruning.
+// grow recursively builds the unpruned tree with its per-node statistics.
+// Models are fitted afterwards, in the same pass that prunes (fitNodes).
 func (b *builder) grow(d *dataset.Dataset) *Node {
 	n := &Node{
 		SplitAttr: -1,
@@ -278,23 +274,6 @@ func subtreeSplitAttrs(n *Node, into map[int]bool) {
 	into[n.SplitAttr] = true
 	subtreeSplitAttrs(n.Left, into)
 	subtreeSplitAttrs(n.Right, into)
-}
-
-// fitModels fits linear models at every node of the (already pruned) tree,
-// routing the dataset down the splits. path carries the split attributes on
-// the way from the root, which join the model candidates.
-func fitModels(n *Node, d *dataset.Dataset, cfg Config, path []int) {
-	if n == nil {
-		return
-	}
-	n.Model = fitNodeModel(n, d, cfg, path)
-	if n.IsLeaf() {
-		return
-	}
-	left, right := d.Split(n.SplitAttr, n.Threshold)
-	childPath := append(path, n.SplitAttr)
-	fitModels(n.Left, left, cfg, childPath)
-	fitModels(n.Right, right, cfg, childPath)
 }
 
 // fitNodeModel fits the node's linear model. Candidate attributes are the

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -73,17 +74,21 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 	oneChild := &mtree.Tree{TargetName: "cpi", AttrNames: schema,
 		Root: &mtree.Node{SplitAttr: 0, Threshold: 1, Left: leaf(), Model: leaf().Model}}
 	badAttr := &mtree.Tree{TargetName: "cpi", AttrNames: schema, Root: leaf(7)}
-	for name, m := range map[string]model.Model{
-		"plain":     kernelless{tree},
-		"rootless":  &mtree.Tree{},
-		"empty":     &ensemble.Bagger{},
-		"nilmember": &ensemble.Bagger{Trees: []*mtree.Tree{tree, nil}},
-		"onechild":  oneChild,
-		"badattr":   badAttr,
-		"badmember": &ensemble.Bagger{Trees: []*mtree.Tree{tree, badAttr}},
+	// Each rejection carries the compiler's reason.
+	for name, tc := range map[string]struct {
+		m      model.Model
+		reason string
+	}{
+		"plain":     {kernelless{tree}, "batch evaluator"},
+		"rootless":  {&mtree.Tree{}, "no root"},
+		"empty":     {&ensemble.Bagger{}, "no members"},
+		"nilmember": {&ensemble.Bagger{Trees: []*mtree.Tree{tree, nil}}, "member 1: tree has no root"},
+		"onechild":  {oneChild, "one child"},
+		"badattr":   {badAttr, "reads attribute 7 outside the 2-column schema"},
+		"badmember": {&ensemble.Bagger{Trees: []*mtree.Tree{tree, badAttr}}, "member 1: model term 0 reads attribute 7"},
 	} {
-		if err := reg.Register(name, "v1", m, ""); err == nil {
-			t.Errorf("%s: registry accepted a model without a batch evaluator", name)
+		if err := reg.Register(name, "v1", tc.m, ""); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: registry error %v, want a rejection mentioning %q", name, err, tc.reason)
 		}
 		if _, err := reg.Get(name); err == nil || reg.Len() != 2 || reg.Latest(name) != "" {
 			t.Errorf("%s: rejected model was installed: len %d, latest %q", name, reg.Len(), reg.Latest(name))

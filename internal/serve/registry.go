@@ -62,7 +62,8 @@ func NewRegistry() *Registry {
 // runs the compiled form. A model that does not compile to the batch
 // kernel — including a rootless tree, a member-less ensemble, and a
 // tree that fails the checks a decoded model file gets (see
-// mtree.Tree.CompileModel) — is rejected and nothing is installed.
+// mtree.Tree.CompileModel) — is rejected with the compiler's reason and
+// nothing is installed.
 // Compilation never changes a response: compiled predictions,
 // contributions and classifications are bit-identical to the
 // original's.
@@ -77,9 +78,11 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 		return fmt.Errorf("serve: nil model for %s@%s", name, version)
 	}
 	if c, ok := m.(model.Compilable); ok {
-		if cm := c.CompileModel(); cm != nil {
-			m = cm
+		cm, err := c.CompileModel()
+		if err != nil {
+			return fmt.Errorf("serve: model %s@%s (%T) does not compile: %w", name, version, m, err)
 		}
+		m = cm
 	}
 	sm, ok := m.(servedModel)
 	if !ok {
