@@ -73,10 +73,13 @@ bench-serve:
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus
 # the served batch endpoint with kernel on/off. The compiled batch
-# kernel must report 0 allocs/op.
+# kernel must report 0 allocs/op. Plus the predict/classify request
+# codec (DESIGN.md §8, "Request codec") against the encoding/json path
+# on the 21-column served schema.
 bench-predict:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictCompiled' -benchtime 2s ./internal/mtree/
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredictBatch' -benchtime 50x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictDecode' -benchtime 2s ./internal/serve/
 
 # Simulator hot-loop micro-benchmarks (see DESIGN.md §10): cache/TLB
 # probes, hierarchy walks, single-core Step and the per-section collect
@@ -120,8 +123,10 @@ bench-compare:
 	$(MAKE) --no-print-directory bench-json BENCH_JSON=$$tmp; \
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$tmp -threshold $(BENCH_THRESHOLD)
 
-# Brief runs of every fuzz target (NDJSON sample decoder — differential
-# against encoding/json — and its line splitter, CSV dataset parser,
+# Brief runs of every fuzz target (NDJSON sample decoder and the
+# predict/classify request codec — both differential against
+# encoding/json — the JSON scanner they share, the sample line
+# splitter, CSV dataset parser,
 # persisted-tree loader, machine-spec loader, tree/ensemble model
 # loader, refutation-state loader) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
@@ -135,6 +140,8 @@ FUZZ = $(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x -fuzz
 fuzz-short:
 	$(FUZZ) 'FuzzDecodeSample' ./internal/stream/
 	$(FUZZ) 'FuzzDecoderStream' ./internal/stream/
+	$(FUZZ) 'FuzzDecodePredict' ./internal/serve/
+	$(FUZZ) 'FuzzScan' ./internal/jsonscan/
 	$(FUZZ) 'FuzzReadCSV' ./internal/dataset/
 	$(FUZZ) 'FuzzTreeReadJSON' ./internal/mtree/
 	$(FUZZ) 'FuzzMachineSpecReadJSON' ./internal/march/

@@ -36,6 +36,9 @@ type Entry struct {
 	Path  string
 	Model servedModel
 
+	// cols maps every attribute name, the target included, to its
+	// column: the /v1/predict and /v1/classify named-events index.
+	cols map[string]int
 	// schema resolves /v1/stream samples onto the model's layout; nil,
 	// with schemaErr set, when the model cannot be streamed.
 	schema    *stream.Schema
@@ -98,8 +101,12 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	if _, dup := vs[version]; dup {
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
-	e := &Entry{Name: name, Version: version, Path: path, Model: sm}
-	e.schema, e.schemaErr = stream.NewSchema(sm.Describe())
+	desc := sm.Describe()
+	e := &Entry{Name: name, Version: version, Path: path, Model: sm, cols: make(map[string]int, len(desc.AttrNames))}
+	for i, n := range desc.AttrNames {
+		e.cols[n] = i
+	}
+	e.schema, e.schemaErr = stream.NewSchema(desc)
 	vs[version] = e
 	r.latest[name] = version
 	return nil

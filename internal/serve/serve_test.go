@@ -35,7 +35,7 @@ func perfData(n int, seed int64) *dataset.Dataset {
 	return d
 }
 
-func buildTree(t *testing.T, d *dataset.Dataset) *mtree.Tree {
+func buildTree(t testing.TB, d *dataset.Dataset) *mtree.Tree {
 	t.Helper()
 	cfg := mtree.DefaultConfig()
 	cfg.MinLeaf = 60
@@ -48,7 +48,7 @@ func buildTree(t *testing.T, d *dataset.Dataset) *mtree.Tree {
 
 // newTestServer registers a tree as cpi@v1 and returns the server plus
 // the tree and dataset behind it.
-func newTestServer(t *testing.T, cfg Config) (*Server, *mtree.Tree, *dataset.Dataset) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *mtree.Tree, *dataset.Dataset) {
 	t.Helper()
 	d := perfData(1200, 5)
 	tree := buildTree(t, d)

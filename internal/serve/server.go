@@ -49,7 +49,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -250,22 +249,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// predictRequest addresses a model and carries instances in one of three
-// forms: a single full-width row, a batch of rows, or named event maps
-// ("events") that the server expands against the model's schema.
-type predictRequest struct {
-	Model string `json:"model"`
-	// Row is one full-width instance (len == model attr count, target
-	// column ignored).
-	Row []float64 `json:"row,omitempty"`
-	// Rows is a batch of full-width instances.
-	Rows [][]float64 `json:"rows,omitempty"`
-	// Events is a batch of name->rate maps; absent events default to 0.
-	Events []map[string]float64 `json:"events,omitempty"`
-	// Contributions requests the per-event CPI breakdown per row.
-	Contributions bool `json:"contributions,omitempty"`
-}
-
 type predictResponse struct {
 	Model         string                 `json:"model"`
 	N             int                    `json:"n"`
@@ -273,8 +256,9 @@ type predictResponse struct {
 	Contributions [][]model.Contribution `json:"contributions,omitempty"`
 }
 
-// decodeBody decodes a size-capped body holding exactly one JSON value,
-// distinguishing oversized bodies (413) from malformed ones (400).
+// decodeBody decodes a size-capped body holding exactly one JSON value
+// with encoding/json (the /v1/sessions/restore dump), distinguishing
+// oversized bodies (413) from malformed ones (400).
 // Anything but whitespace after the value is malformed: a second value
 // would otherwise be silently dropped.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -301,60 +285,21 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
-// resolveRows turns whichever instance form the request used into
-// full-width dataset instances validated against the model's schema.
-func resolveRows(req *predictRequest, desc model.Description) ([]dataset.Instance, error) {
-	forms := 0
-	if req.Row != nil {
-		forms++
+// instances resolves the decoded request's rows against the entry's
+// schema and the batch limit, writing the HTTP error itself on failure.
+// The rows alias the decoder's buffers until it is released.
+func (s *Server) instances(w http.ResponseWriter, req *requestDecoder, e *Entry) []dataset.Instance {
+	rows, err := req.instances(e.Model.Describe(), e.cols)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
+		return nil
 	}
-	if req.Rows != nil {
-		forms++
+	if len(rows) > s.cfg.MaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
+			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
+		return nil
 	}
-	if req.Events != nil {
-		forms++
-	}
-	if forms != 1 {
-		return nil, fmt.Errorf(`provide exactly one of "row", "rows" or "events"`)
-	}
-	width := len(desc.AttrNames)
-	var rows []dataset.Instance
-	switch {
-	case req.Row != nil:
-		rows = []dataset.Instance{req.Row}
-	case req.Rows != nil:
-		rows = make([]dataset.Instance, len(req.Rows))
-		for i, r := range req.Rows {
-			rows[i] = r
-		}
-	default:
-		idx := make(map[string]int, width)
-		for i, n := range desc.AttrNames {
-			idx[n] = i
-		}
-		rows = make([]dataset.Instance, len(req.Events))
-		for i, ev := range req.Events {
-			row := make(dataset.Instance, width)
-			for name, v := range ev {
-				j, ok := idx[name]
-				if !ok {
-					return nil, fmt.Errorf("row %d: unknown event %q", i, name)
-				}
-				row[j] = v
-			}
-			rows[i] = row
-		}
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("no instances in request")
-	}
-	for i, r := range rows {
-		if len(r) != width {
-			return nil, fmt.Errorf("row %d has %d values, model schema has %d columns (including target %q)",
-				i, len(r), width, desc.Target)
-		}
-	}
-	return rows, nil
+	return rows
 }
 
 // lookup resolves the request's model reference, writing the HTTP error
@@ -373,28 +318,23 @@ func (s *Server) lookup(w http.ResponseWriter, ref string) *Entry {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decodeBody(w, r, &req) {
+	req := s.decodeRequest(w, r)
+	if req == nil {
 		return
 	}
-	e := s.lookup(w, req.Model)
+	defer req.release()
+	e := s.lookup(w, req.model)
 	if e == nil {
 		return
 	}
-	rows, err := resolveRows(&req, e.Model.Describe())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
-	}
-	if len(rows) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
+	rows := s.instances(w, req, e)
+	if rows == nil {
 		return
 	}
 
 	ref := e.Ref()
 	resp := predictResponse{Model: ref, N: len(rows), Predictions: s.predictBatch(e.Model, ref, rows)}
-	if req.Contributions {
+	if req.contributions {
 		resp.Contributions = make([][]model.Contribution, len(rows))
 		for i, row := range rows {
 			resp.Contributions[i] = e.Model.Contributions(row)
@@ -471,15 +411,16 @@ type classifyResponse struct {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decodeBody(w, r, &req) {
+	req := s.decodeRequest(w, r)
+	if req == nil {
 		return
 	}
-	if req.Contributions {
+	defer req.release()
+	if req.contributions {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, `"contributions" is a /v1/predict option`)
 		return
 	}
-	e := s.lookup(w, req.Model)
+	e := s.lookup(w, req.model)
 	if e == nil {
 		return
 	}
@@ -490,14 +431,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			e.Ref(), e.Model.Describe().Kind)
 		return
 	}
-	rows, err := resolveRows(&req, e.Model.Describe())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
-	}
-	if len(rows) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"batch of %d rows exceeds limit %d", len(rows), s.cfg.MaxBatch)
+	rows := s.instances(w, req, e)
+	if rows == nil {
 		return
 	}
 

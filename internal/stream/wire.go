@@ -1,27 +1,23 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/jsonscan"
 )
 
 // The NDJSON wire codec of the stream layer: one single-pass, reflection-
-// free parser for sample lines and an append encoder for events. Both are
-// held to encoding/json's exact behaviour — the parser accepts precisely
-// the lines json.Unmarshal into a Sample (plus Validate) accepts and
-// decodes them to the same values, the encoder writes the bytes
-// json.Marshal would — and differential tests against encoding/json
-// enforce it (see DESIGN.md §9, "wire codec").
-
-// maxNestingDepth is encoding/json's nesting limit: a line whose
-// containers nest deeper is a syntax error even inside a skipped field.
-const maxNestingDepth = 10000
+// free parser for sample lines, built on the shared scanner in
+// internal/jsonscan, and an append encoder for events. Both are held to
+// encoding/json's exact behaviour — the parser accepts precisely the
+// lines json.Unmarshal into a Sample (plus Validate) accepts and decodes
+// them to the same values, the encoder writes the bytes json.Marshal
+// would — and differential tests against encoding/json enforce it (see
+// DESIGN.md §9, "wire codec").
 
 // sampleField is a top-level Sample key.
 type sampleField int
@@ -34,34 +30,9 @@ const (
 	fieldCPI
 )
 
-var sampleFieldNames = [...][]byte{
-	fieldBench:   []byte("bench"),
-	fieldSection: []byte("section"),
-	fieldEvents:  []byte("events"),
-	fieldCPI:     []byte("cpi"),
-}
-
-// matchField resolves a decoded top-level key the way encoding/json
-// matches struct fields: exact name first, then a case-insensitive match
-// under Unicode simple folding (so "ſection" is "section").
-func matchField(key []byte) sampleField {
-	switch string(key) {
-	case "bench":
-		return fieldBench
-	case "section":
-		return fieldSection
-	case "events":
-		return fieldEvents
-	case "cpi":
-		return fieldCPI
-	}
-	for f := fieldBench; f <= fieldCPI; f++ {
-		if bytes.EqualFold(key, sampleFieldNames[f]) {
-			return f
-		}
-	}
-	return fieldUnknown
-}
+// sampleFieldNames are the Sample keys in sampleField order, from
+// fieldBench.
+var sampleFieldNames = []string{"bench", "section", "events", "cpi"}
 
 // errNoEvents is Validate's verdict on a sample whose events object is
 // absent, null or empty.
@@ -121,52 +92,39 @@ func (s *sampleSink) event(key []byte, v float64) {
 	}
 }
 
-// lineParser decodes one NDJSON line at a time. Its scratch buffer for
-// unescaped strings is reused across lines, so decoded strings alias it
-// until the next string is parsed.
+// lineParser decodes one NDJSON line at a time. Its scanner's scratch
+// buffer for unescaped strings is reused across lines, so decoded
+// strings alias it until the next string is parsed.
 type lineParser struct {
-	b     []byte
-	i     int
-	esc   []byte
+	jsonscan.Scanner
 	bench string // the last bench label, reused while it repeats
-}
-
-// syntaxError reports a malformed line at the current offset.
-func (p *lineParser) syntaxError(what string) error {
-	if p.i >= len(p.b) {
-		return fmt.Errorf("stream: malformed sample: unexpected end of input %s", what)
-	}
-	return fmt.Errorf("stream: malformed sample: invalid character %q at offset %d %s", p.b[p.i], p.i, what)
-}
-
-func typeError(field, want string) error {
-	return fmt.Errorf("stream: malformed sample: %s must be %s", field, want)
 }
 
 // parse decodes line into s. A returned error rejects the line (syntax,
 // type or Validate failure); a schema violation is not an error here but
 // is left in s.schemaErr for the caller's precedence rules.
 func (p *lineParser) parse(line []byte, s *sampleSink) error {
-	p.b, p.i = line, 0
-	p.ws()
-	if p.i < len(p.b) && p.b[p.i] == 'n' {
+	p.Reset(line, "stream: malformed sample")
+	p.WS()
+	if null, err := p.Null(); err != nil {
+		return err
+	} else if null {
 		// A top-level null decodes to the zero Sample: no events.
-		if err := p.literal("null"); err != nil {
-			return err
-		}
-		if err := p.end(); err != nil {
+		if err := p.End(); err != nil {
 			return err
 		}
 		return errNoEvents
 	}
-	if p.i >= len(p.b) || p.b[p.i] != '{' {
-		return typeError("a sample", "a JSON object")
+	if !p.Is('{') {
+		return p.TypeError("a sample", "a JSON object")
 	}
-	err := p.object(func(key []byte) error { return p.field(matchField(key), s) })
+	err := p.Object(func(key []byte) error {
+		return p.field(sampleField(jsonscan.MatchField(key, sampleFieldNames)+1), s)
+	})
 	if err != nil {
 		return err
 	}
-	if err := p.end(); err != nil {
+	if err := p.End(); err != nil {
 		return err
 	}
 	if !s.nonEmpty {
@@ -178,12 +136,11 @@ func (p *lineParser) parse(line []byte, s *sampleSink) error {
 // field decodes the value of one top-level member.
 func (p *lineParser) field(f sampleField, s *sampleSink) error {
 	if f == fieldUnknown {
-		return p.skip(1)
+		return p.Skip(1)
 	}
-	if p.i < len(p.b) && p.b[p.i] == 'n' {
-		if err := p.literal("null"); err != nil {
-			return err
-		}
+	if null, err := p.Null(); err != nil {
+		return err
+	} else if null {
 		// null clears a pointer or map and leaves a string or int as is.
 		switch f {
 		case fieldCPI:
@@ -195,10 +152,10 @@ func (p *lineParser) field(f sampleField, s *sampleSink) error {
 	}
 	switch f {
 	case fieldBench:
-		if p.i >= len(p.b) || p.b[p.i] != '"' {
-			return typeError(`"bench"`, "a string")
+		if !p.Is('"') {
+			return p.TypeError(`"bench"`, "a string")
 		}
-		v, err := p.str()
+		v, err := p.Str()
 		if err != nil {
 			return err
 		}
@@ -209,17 +166,17 @@ func (p *lineParser) field(f sampleField, s *sampleSink) error {
 		}
 		s.bench = p.bench
 	case fieldSection:
-		tok, err := p.number(`"section"`, "an integer")
+		tok, err := p.Number(`"section"`, "an integer")
 		if err != nil {
 			return err
 		}
 		n, err := strconv.ParseInt(string(tok), 10, 64)
 		if err != nil || n != int64(int(n)) {
-			return typeError(`"section"`, "an integer")
+			return p.TypeError(`"section"`, "an integer")
 		}
 		s.section = int(n)
 	case fieldCPI:
-		v, err := p.float(`"cpi"`)
+		v, err := p.Float(`"cpi"`)
 		if err != nil {
 			return err
 		}
@@ -233,319 +190,27 @@ func (p *lineParser) field(f sampleField, s *sampleSink) error {
 // events decodes an events object, merging into what earlier events
 // objects of the same line contributed.
 func (p *lineParser) events(s *sampleSink) error {
-	if p.i >= len(p.b) || p.b[p.i] != '{' {
-		return typeError(`"events"`, "an object")
+	if !p.Is('{') {
+		return p.TypeError(`"events"`, "an object")
 	}
 	if s.sc == nil && s.events == nil {
 		s.events = make(map[string]float64)
 	}
-	return p.object(func(key []byte) error {
+	return p.Object(func(key []byte) error {
+		// A null rate leaves the fresh map element at 0.
 		var v float64
-		if p.i < len(p.b) && p.b[p.i] == 'n' {
-			// A null rate leaves the fresh map element at 0.
-			if err := p.literal("null"); err != nil {
-				return err
-			}
-		} else {
-			var err error
-			if v, err = p.float("an event rate"); err != nil {
+		null, err := p.Null()
+		if err != nil {
+			return err
+		}
+		if !null {
+			if v, err = p.Float("an event rate"); err != nil {
 				return err
 			}
 		}
 		s.event(key, v)
 		return nil
 	})
-}
-
-// object walks the members of the JSON object at the cursor, calling
-// member with each decoded key while the cursor is on the member's value;
-// member must consume the value. The key aliases parser memory.
-func (p *lineParser) object(member func(key []byte) error) error {
-	p.i++ // '{'
-	p.ws()
-	if p.i < len(p.b) && p.b[p.i] == '}' {
-		p.i++
-		return nil
-	}
-	for {
-		key, err := p.str()
-		if err != nil {
-			return err
-		}
-		p.ws()
-		if p.i >= len(p.b) || p.b[p.i] != ':' {
-			return p.syntaxError("after object key")
-		}
-		p.i++
-		p.ws()
-		if err := member(key); err != nil {
-			return err
-		}
-		p.ws()
-		if p.i < len(p.b) && p.b[p.i] == ',' {
-			p.i++
-			p.ws()
-			continue
-		}
-		if p.i < len(p.b) && p.b[p.i] == '}' {
-			p.i++
-			return nil
-		}
-		return p.syntaxError("after object key:value pair")
-	}
-}
-
-// float parses a JSON number as encoding/json does for a float64: the
-// JSON grammar, then strconv.ParseFloat, whose range error rejects.
-func (p *lineParser) float(what string) (float64, error) {
-	tok, err := p.number(what, "a number")
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, fmt.Errorf("stream: malformed sample: %s %s out of range", what, tok)
-	}
-	return v, nil
-}
-
-// number scans a JSON number token; any other value is a type error.
-func (p *lineParser) number(what, want string) ([]byte, error) {
-	b, start := p.b, p.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
-	default:
-		if i == start {
-			return nil, typeError(what, want)
-		}
-		p.i = i
-		return nil, p.syntaxError("in numeric literal")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			p.i = i
-			return nil, p.syntaxError("after decimal point in numeric literal")
-		}
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			p.i = i
-			return nil, p.syntaxError("in exponent of numeric literal")
-		}
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
-	}
-	p.i = i
-	return b[start:i], nil
-}
-
-// str scans a JSON string at the cursor and returns its decoded bytes:
-// a slice of the line when nothing needs unescaping, else of the
-// parser's escape buffer. Decoding follows encoding/json exactly,
-// including U+FFFD for invalid UTF-8 and for unpaired surrogates.
-func (p *lineParser) str() ([]byte, error) {
-	b := p.b
-	if p.i >= len(b) || b[p.i] != '"' {
-		return nil, p.syntaxError("looking for beginning of object key string")
-	}
-	start := p.i + 1
-	i := start
-	for i < len(b) {
-		c := b[i]
-		if c == '"' {
-			p.i = i + 1
-			return b[start:i], nil
-		}
-		if c == '\\' || c < ' ' {
-			break
-		}
-		if c < utf8.RuneSelf {
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(b[i:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		i += size
-	}
-	out := append(p.esc[:0], b[start:i]...)
-	for {
-		if i >= len(b) {
-			p.i = i
-			return nil, p.syntaxError("in string literal")
-		}
-		c := b[i]
-		switch {
-		case c == '"':
-			p.i = i + 1
-			p.esc = out
-			return out, nil
-		case c == '\\':
-			if i+1 >= len(b) {
-				p.i = i + 1
-				return nil, p.syntaxError("in string escape code")
-			}
-			switch e := b[i+1]; e {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				out = append(out, unescape[e])
-				i += 2
-			case 'u':
-				r := getu4(b[i:])
-				if r < 0 {
-					p.i = i + 2
-					return nil, p.syntaxError("in \\u hexadecimal character escape")
-				}
-				i += 6
-				if utf16.IsSurrogate(r) {
-					if dec := utf16.DecodeRune(r, getu4(b[i:])); dec != unicode.ReplacementChar {
-						out = utf8.AppendRune(out, dec)
-						i += 6
-						break
-					}
-					r = unicode.ReplacementChar
-				}
-				out = utf8.AppendRune(out, r)
-			default:
-				p.i = i + 1
-				return nil, p.syntaxError("in string escape code")
-			}
-		case c < ' ':
-			p.i = i
-			return nil, p.syntaxError("in string literal")
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(b[i:])
-			out = utf8.AppendRune(out, r)
-			i += size
-		}
-	}
-}
-
-// unescape maps the character after a backslash to the byte it stands
-// for, for every single-character escape JSON defines.
-var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// getu4 decodes the \uXXXX escape at the start of s, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// skip syntax-checks and passes over one value of an unknown field;
-// depth counts the containers already open around it.
-func (p *lineParser) skip(depth int) error {
-	if p.i >= len(p.b) {
-		return p.syntaxError("looking for beginning of value")
-	}
-	switch c := p.b[p.i]; {
-	case c == '"':
-		_, err := p.str()
-		return err
-	case c == '{' || c == '[':
-		if depth++; depth > maxNestingDepth {
-			return fmt.Errorf("stream: malformed sample: exceeded max depth")
-		}
-		if c == '{' {
-			return p.object(func([]byte) error { return p.skip(depth) })
-		}
-		p.i++
-		p.ws()
-		if p.i < len(p.b) && p.b[p.i] == ']' {
-			p.i++
-			return nil
-		}
-		for {
-			if err := p.skip(depth); err != nil {
-				return err
-			}
-			p.ws()
-			if p.i < len(p.b) && p.b[p.i] == ',' {
-				p.i++
-				p.ws()
-				continue
-			}
-			if p.i < len(p.b) && p.b[p.i] == ']' {
-				p.i++
-				return nil
-			}
-			return p.syntaxError("after array element")
-		}
-	case c == 't':
-		return p.literal("true")
-	case c == 'f':
-		return p.literal("false")
-	case c == 'n':
-		return p.literal("null")
-	default:
-		_, err := p.number("a value", "valid JSON")
-		return err
-	}
-}
-
-// literal consumes the exact keyword lit.
-func (p *lineParser) literal(lit string) error {
-	for k := 0; k < len(lit); k++ {
-		if p.i >= len(p.b) || p.b[p.i] != lit[k] {
-			return p.syntaxError("in literal " + lit)
-		}
-		p.i++
-	}
-	return nil
-}
-
-// ws skips JSON whitespace.
-func (p *lineParser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\r', '\n':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// end requires nothing but whitespace after the top-level value.
-func (p *lineParser) end() error {
-	p.ws()
-	if p.i < len(p.b) {
-		return p.syntaxError("after top-level value")
-	}
-	return nil
 }
 
 // AppendEvent appends ev as one NDJSON line — byte-identical to what

@@ -69,6 +69,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// kernelCacheBytes bounds Train's kernel-row cache: 32 MiB, the full
+// n×n matrix of float64 for n up to 2048.
+const kernelCacheBytes = 32 << 20
+
 // Machine is a trained SVR model.
 type Machine struct {
 	cfg      Config
@@ -132,9 +136,6 @@ func Train(d *dataset.Dataset, cfg Config) (*Machine, error) {
 	}
 
 	kern := m.kernelFn()
-	// Cache diagonal; full kernel caching is O(n^2) memory, acceptable for
-	// the dataset sizes here (thousands) but we only cache rows on demand
-	// via the error vector update instead.
 	beta := make([]float64, n)
 	// fcache[i] = prediction(i) - y[i], maintained incrementally.
 	fcache := make([]float64, n)
@@ -146,6 +147,16 @@ func Train(d *dataset.Dataset, cfg Config) (*Machine, error) {
 	for i := 0; i < n; i++ {
 		diag[i] = kern(x[i], x[i])
 	}
+
+	// Kernel rows, each computed the first time its instance takes a
+	// step: every step adds delta*K(i,·) to the error cache, and a
+	// support vector steps in nearly every sweep. At most
+	// kernelCacheBytes of rows are kept, which is the whole matrix for
+	// any n ≤ 2048 — every training set MaxTrainSize (2000) admits;
+	// rows past the budget are recomputed into scratch on each step.
+	krows := make([][]float64, n)
+	spare := min(n, kernelCacheBytes/(8*n))
+	scratch := make([]float64, n)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(n)
@@ -190,8 +201,20 @@ func Train(d *dataset.Dataset, cfg Config) (*Machine, error) {
 			}
 			beta[i] = nb
 			// Update the error cache: f(x_j) changes by delta*K(i,j).
-			for j := 0; j < n; j++ {
-				fcache[j] += delta * kern(x[i], x[j])
+			ki := krows[i]
+			if ki == nil {
+				ki = scratch
+				if spare > 0 {
+					ki = make([]float64, n)
+					krows[i] = ki
+					spare--
+				}
+				for j := range ki {
+					ki[j] = kern(x[i], x[j])
+				}
+			}
+			for j, k := range ki {
+				fcache[j] += delta * k
 			}
 			changed++
 		}

@@ -1,6 +1,9 @@
 package svm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,6 +146,56 @@ func TestPredictFinite(t *testing.T) {
 	for _, in := range []dataset.Instance{{0, 0, 0}, {0, 50, -50}} {
 		if p := m.Predict(in); math.IsNaN(p) || math.IsInf(p, 0) {
 			t.Errorf("Predict(%v) = %v", in, p)
+		}
+	}
+}
+
+// trainGolden maps each case to the SHA-256 of Train's output — bias,
+// betas and support vectors as float bits — recorded before the kernel
+// row cache existed: caching kernel rows must not move a bit.
+var trainGolden = map[string]string{
+	"rbf":       "fd5614d51b9f9e72d6881c686f495ad65d5f437ca9bcab18132e90c1420a942d",
+	"linear":    "5eff091735a628961ce9ba804ac6b622f086f70e7dc48b5246a4c2e4399fa58a",
+	"subsample": "39f2298815f38afb4ae60fd8ab6ebe2337a95c59a2f93a90c864d490cd82bab7",
+	"sine":      "66f0a59e1edd236144bfb5061a86526195eb65c4765337ecdafc6f0b7125ab1c",
+}
+
+func TestTrainOutputHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sine := dataset.MustNew([]dataset.Attribute{{Name: "y"}, {Name: "x"}}, 0)
+	for i := 0; i < 500; i++ {
+		x := rng.Float64()*4 - 2
+		sine.MustAppend(dataset.Instance{math.Sin(2*x) + 0.05*rng.NormFloat64(), x})
+	}
+	linear := DefaultConfig()
+	linear.Kernel = KernelLinear
+	sub := DefaultConfig()
+	sub.MaxTrainSize = 250
+	cases := map[string]struct {
+		d   *dataset.Dataset
+		cfg Config
+	}{
+		"rbf":       {linearData(600, 2), DefaultConfig()},
+		"linear":    {linearData(600, 2), linear},
+		"subsample": {linearData(400, 5), sub},
+		"sine":      {sine, DefaultConfig()},
+	}
+	for name, tc := range cases {
+		m, err := Train(tc.d, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		put := func(v float64) { binary.Write(h, binary.LittleEndian, math.Float64bits(v)) }
+		put(m.b)
+		for i, sv := range m.sv {
+			put(m.beta[i])
+			for _, v := range sv {
+				put(v)
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != trainGolden[name] {
+			t.Errorf("%s: Train output hash %s, golden %s (%d support vectors)", name, got, trainGolden[name], len(m.sv))
 		}
 	}
 }
