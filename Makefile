@@ -73,7 +73,9 @@ bench-serve:
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus
 # the served batch endpoint with kernel on/off. The compiled batch
-# kernel must report 0 allocs/op. Plus the predict/classify request
+# kernel's 0 allocs/op is enforced by TestCompiledBatchKernel
+# (internal/mtree) and TestCompiledBaggerBitIdentical
+# (internal/ensemble). Plus the predict/classify request
 # codec (DESIGN.md §8, "Request codec") against the encoding/json path
 # on the 21-column served schema.
 bench-predict:
@@ -83,7 +85,10 @@ bench-predict:
 
 # Simulator hot-loop micro-benchmarks (see DESIGN.md §10): cache/TLB
 # probes, hierarchy walks, single-core Step and the per-section collect
-# loop. All of them must report 0 allocs/op in steady state. Plus the
+# loop. All of them run at 0 allocs/op in steady state, which
+# TestHotPathsAllocationFree (internal/sim/mem), TestStepAllocationFree
+# (internal/sim/cpu) and TestSectionLoopAllocationFree
+# (internal/counters) enforce in `make test`. Plus the
 # stream wire decoder (DESIGN.md §9, "Wire codec"): the row decoder vs
 # the encoding/json path on a served-schema line, ns and allocs per line;
 # and stream ingestion (DESIGN.md §9, "Scoring"), whose nosamples variant

@@ -191,7 +191,7 @@ func TestCensus(t *testing.T) {
 	tree := buildTree(t, d)
 	// Build a fake labeled collection: first half "benchA" (low L2M rows
 	// interleaved), second half "benchB".
-	col := &counters.Collection{Data: d.Clone()}
+	col := &counters.Collection{Data: d}
 	for i := 0; i < d.Len(); i++ {
 		name := "benchA"
 		if d.Value(i, 1) > 0.01 {

@@ -42,3 +42,19 @@ func BenchmarkSectionLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(trace.DefaultBlockLen), "insts/op")
 }
+
+// TestSectionLoopAllocationFree enforces BenchmarkSectionLoop's claim:
+// the steady-state collect loop, generator block fill plus core block
+// retire, allocates nothing.
+func TestSectionLoopAllocationFree(t *testing.T) {
+	cfg := DefaultCollectConfig()
+	core := cpu.New(cfg.CPU, cfg.Geometry, cfg.Branch)
+	gen, _ := workload.NewSectionSource(workload.Suite()[0], cfg.Seed).Next()
+	var block [trace.DefaultBlockLen]trace.Inst
+	if allocs := testing.AllocsPerRun(100, func() {
+		gen.NextBlock(block[:])
+		core.StepBlock(block[:])
+	}); allocs != 0 {
+		t.Errorf("section loop allocates %v objects per block, want 0", allocs)
+	}
+}

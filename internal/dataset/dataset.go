@@ -146,19 +146,6 @@ func (d *Dataset) FeatureIndices() []int {
 	return out
 }
 
-// Clone returns a deep copy of the dataset (schema and rows).
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		attrs:     append([]Attribute(nil), d.attrs...),
-		targetIdx: d.targetIdx,
-		rows:      make([]Instance, len(d.rows)),
-	}
-	for i, r := range d.rows {
-		out.rows[i] = r.Clone()
-	}
-	return out
-}
-
 // EmptyLike returns a Dataset with the same schema but no rows.
 func (d *Dataset) EmptyLike() *Dataset {
 	return &Dataset{attrs: append([]Attribute(nil), d.attrs...), targetIdx: d.targetIdx}
@@ -173,13 +160,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 		out.rows = append(out.rows, d.rows[i])
 	}
 	return out
-}
-
-// Shuffle permutes the rows in place using the supplied source.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.rows), func(i, j int) {
-		d.rows[i], d.rows[j] = d.rows[j], d.rows[i]
-	})
 }
 
 // Split partitions the rows by a predicate on the attribute value: rows with

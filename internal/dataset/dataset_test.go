@@ -213,16 +213,6 @@ func TestTrainTestSplit(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	d := MustNew(twoColSchema(), 0)
-	d.MustAppend(Instance{1, 2})
-	c := d.Clone()
-	c.Row(0)[0] = 99
-	if d.Target(0) == 99 {
-		t.Error("Clone shares row storage")
-	}
-}
-
 func TestMergeSchemaMismatch(t *testing.T) {
 	d := MustNew(twoColSchema(), 0)
 	other := MustNew([]Attribute{{Name: "a"}}, 0)
@@ -287,23 +277,5 @@ func TestSplitPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: shuffling preserves the multiset of rows.
-func TestShufflePreservesRows(t *testing.T) {
-	d := MustNew(twoColSchema(), 0)
-	sum := 0.0
-	for i := 0; i < 50; i++ {
-		d.MustAppend(Instance{float64(i), 0})
-		sum += float64(i)
-	}
-	d.Shuffle(rand.New(rand.NewSource(1)))
-	got := 0.0
-	for i := 0; i < d.Len(); i++ {
-		got += d.Target(i)
-	}
-	if got != sum {
-		t.Errorf("shuffle changed row contents: sum %v != %v", got, sum)
 	}
 }

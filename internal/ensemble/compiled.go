@@ -9,15 +9,19 @@ import (
 	"repro/internal/mtree"
 )
 
-// CompiledBagger is a bagged ensemble whose member trees have been
-// flattened into contiguous arrays (see mtree.CompiledTree). Single
-// predictions average the members in tree order exactly like Bagger, so
-// results are bit-identical; the batch kernel additionally runs
-// tree-major — one member across the whole batch before the next — so
-// each member's flat arrays stay hot in cache instead of being evicted
-// between rows. The per-row accumulation order is unchanged (member 0,
-// then 1, ...), keeping batch results bit-identical to per-row Predict.
+// CompiledBagger is a bagged ensemble's prediction kernel: its member
+// trees flattened into contiguous arrays (see mtree.CompiledTree).
+// Single predictions average the members in tree order exactly like
+// Bagger, so results are bit-identical; the batch kernel additionally
+// runs tree-major — one member across the whole batch before the next —
+// so each member's flat arrays stay hot in cache instead of being
+// evicted between rows. The per-row accumulation order is unchanged
+// (member 0, then 1, ...), keeping batch results bit-identical to
+// per-row Predict. Contributions answer from the source ensemble, which
+// must not change after compiling.
 type CompiledBagger struct {
+	src   *Bagger
+	desc  model.Description
 	trees []*mtree.CompiledTree
 }
 
@@ -31,7 +35,7 @@ func CompileBagger(b *Bagger) (*CompiledBagger, error) {
 	if b == nil || len(b.Trees) == 0 {
 		return nil, errors.New("ensemble: no members")
 	}
-	c := &CompiledBagger{trees: make([]*mtree.CompiledTree, len(b.Trees))}
+	c := &CompiledBagger{src: b, trees: make([]*mtree.CompiledTree, len(b.Trees))}
 	for i, t := range b.Trees {
 		m, err := t.CompileModel()
 		if err != nil {
@@ -39,6 +43,7 @@ func CompileBagger(b *Bagger) (*CompiledBagger, error) {
 		}
 		c.trees[i] = m.(*mtree.CompiledTree)
 	}
+	c.desc = b.Describe()
 	return c, nil
 }
 
@@ -81,37 +86,22 @@ func (c *CompiledBagger) PredictInto(dst []float64, rows []dataset.Instance) {
 	}
 }
 
-// Contributions reports the member-averaged Eq. 4 decomposition with
-// the same reduction as Bagger.Contributions (tree-order sums,
-// attribute-sorted output), evaluated on the compiled members.
+// Contributions answers from the source ensemble: the decomposition is
+// not a hot path, and Bagger is the reference the kernel is held to.
 func (c *CompiledBagger) Contributions(row dataset.Instance) []model.Contribution {
-	members := make([]contributor, len(c.trees))
-	for i, t := range c.trees {
-		members[i] = t
-	}
-	return memberContributions(members, row)
+	return c.src.Contributions(row)
 }
 
-// TopContribution implements model.Model: the first element of
-// Contributions, as for Bagger.
+// TopContribution answers from the source ensemble, as Contributions
+// does.
 func (c *CompiledBagger) TopContribution(row dataset.Instance) (model.Contribution, bool) {
-	return first(c.Contributions(row))
+	return c.src.TopContribution(row)
 }
 
-// NumLeaves sums the member leaf counts, matching Bagger.NumLeaves.
-func (c *CompiledBagger) NumLeaves() int {
-	s := 0
-	for _, t := range c.trees {
-		s += t.NumLeaves()
-	}
-	return s
-}
+// NumLeaves reports Bagger.NumLeaves, the member leaf total, as counted
+// at compile time.
+func (c *CompiledBagger) NumLeaves() int { return c.desc.NumLeaves }
 
-// Describe matches Bagger.Describe field for field.
-func (c *CompiledBagger) Describe() model.Description {
-	td := c.trees[0].Describe()
-	return model.Description{
-		Kind: Kind, Trees: len(c.trees), NumLeaves: c.NumLeaves(),
-		Target: td.Target, AttrNames: td.AttrNames, TrainN: td.TrainN, Machine: td.Machine,
-	}
-}
+// Describe returns the source ensemble's description, taken at compile
+// time so the per-request schema lookup walks no member.
+func (c *CompiledBagger) Describe() model.Description { return c.desc }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/mtree"
 )
 
 // Bagger implements model.Model, so the serving registry and the analysis
@@ -45,40 +44,7 @@ func (b *Bagger) Describe() model.Description {
 // tree order and ties sorted by attribute index, keeping the output
 // independent of scheduling.
 func (b *Bagger) Contributions(row dataset.Instance) []model.Contribution {
-	members := make([]contributor, len(b.Trees))
-	for i, t := range b.Trees {
-		members[i] = t
-	}
-	return memberContributions(members, row)
-}
-
-// TopContribution implements model.Model: the first element of
-// Contributions (ensembles have no single-walk fast path).
-func (b *Bagger) TopContribution(row dataset.Instance) (model.Contribution, bool) {
-	return first(b.Contributions(row))
-}
-
-// first returns the largest share of a sorted decomposition, and false
-// for an empty one.
-func first(cs []model.Contribution) (model.Contribution, bool) {
-	if len(cs) == 0 {
-		return model.Contribution{}, false
-	}
-	return cs[0], true
-}
-
-// contributor is the per-member surface the averaged decomposition
-// needs; both *mtree.Tree and *mtree.CompiledTree provide it.
-type contributor interface {
-	Classify(row dataset.Instance) (*mtree.Node, []mtree.PathStep)
-	Contributions(row dataset.Instance) []model.Contribution
-}
-
-// memberContributions implements the ensemble decomposition over any
-// member representation, so the pointer-walk and compiled ensembles
-// share one reduction (and therefore agree bit for bit).
-func memberContributions(members []contributor, row dataset.Instance) []model.Contribution {
-	if len(members) == 0 {
+	if len(b.Trees) == 0 {
 		return nil
 	}
 	type acc struct {
@@ -88,7 +54,7 @@ func memberContributions(members []contributor, row dataset.Instance) []model.Co
 	}
 	sums := map[int]*acc{}
 	meanPred := 0.0
-	for _, t := range members {
+	for _, t := range b.Trees {
 		leaf, _ := t.Classify(row)
 		meanPred += leaf.Model.Predict(row)
 		for _, c := range t.Contributions(row) {
@@ -101,7 +67,7 @@ func memberContributions(members []contributor, row dataset.Instance) []model.Co
 			a.cycles += c.Cycles
 		}
 	}
-	n := float64(len(members))
+	n := float64(len(b.Trees))
 	meanPred /= n
 
 	attrs := make([]int, 0, len(sums))
@@ -123,4 +89,14 @@ func memberContributions(members []contributor, row dataset.Instance) []model.Co
 	}
 	model.SortContributions(out)
 	return out
+}
+
+// TopContribution implements model.Model: the first element of
+// Contributions (ensembles have no single-walk fast path).
+func (b *Bagger) TopContribution(row dataset.Instance) (model.Contribution, bool) {
+	cs := b.Contributions(row)
+	if len(cs) == 0 {
+		return model.Contribution{}, false
+	}
+	return cs[0], true
 }

@@ -108,11 +108,14 @@ type Model interface {
 
 // Compilable is implemented by models that can be compiled into a
 // faster, semantically identical form — the pointer-linked M5' tree and
-// the bagged ensemble both compile to flat-array evaluators whose
-// predictions are bit-identical to their own. The serving registry
-// compiles every Compilable model at registration, and rejects a model
-// that does not end up a BatchPredictor, so the hot path always runs the
-// flat form while training, analysis and persistence keep the original.
+// the bagged ensemble both compile to flat-array prediction kernels
+// whose predictions are bit-identical to their own. A compiled model
+// keeps the receiver as its source and answers the cold queries
+// (contributions, classification) from it, so the receiver must not
+// change after compiling. The serving registry compiles every
+// Compilable model at registration, and rejects a model that does not
+// end up a BatchPredictor, so the hot path always runs the flat form
+// while training, analysis and persistence keep the original.
 type Compilable interface {
 	// CompileModel returns the compiled equivalent, or an error saying
 	// why the receiver cannot be compiled (a tree with no root or with a

@@ -7,7 +7,8 @@
 // ensemble files declare kind "bagged-m5"; anything else is treated as
 // a single-tree file (trees written before the discriminator existed
 // carry no kind at all). Loaded models come back as the pointer-linked
-// training structures; the serving registry compiles them.
+// training structures; the serving registry compiles them into
+// prediction kernels that keep the loaded model as their source.
 package modelio
 
 import (

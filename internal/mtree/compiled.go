@@ -2,59 +2,47 @@ package mtree
 
 import (
 	"repro/internal/dataset"
-	"repro/internal/linreg"
 	"repro/internal/model"
 )
 
-// CompiledTree is a trained tree flattened into contiguous arrays for
+// CompiledTree is a trained tree's prediction kernel: the walk and the
+// per-node linear models flattened into contiguous arrays for
 // branch-light, cache-friendly evaluation — the serving-side counterpart
 // of the flat cache arrays in internal/sim/mem. Nodes are laid out in
 // preorder: node 0 is the root and both children of any interior node
 // have larger indices, so a root-to-leaf walk touches strictly
-// increasing positions of a handful of slices instead of chasing heap
-// pointers through scattered Node allocations. Per-node linear models
-// are packed row-major into one coefficient arena (lmAttrs/lmCoefs,
-// indexed through the lmOff prefix table), so evaluating the models
-// along a smoothing path streams one contiguous region.
+// increasing positions of one slice instead of chasing heap pointers
+// through scattered Node allocations. Per-node linear models are packed
+// row-major into one coefficient arena (lmAttrs/lmCoefs, indexed through
+// the lmOff prefix table), so evaluating the models along a smoothing
+// path streams one contiguous region.
 //
-// A CompiledTree predicts bit-identically to the *Tree it was compiled
-// from — same comparisons, same coefficient order, same smoothing
-// arithmetic — which the differential property suite enforces. It
-// implements model.Model (and Classify, so /v1/classify keeps working
-// when the registry compiles on load) and adds the allocation-free
-// batch kernel PredictInto that /v1/predict uses to amortize per-row
-// overhead across a whole batch.
+// The arrays serve only the hot operations: Predict, the batch kernel
+// PredictInto/AccumulateInto that /v1/predict runs, and TopContribution,
+// which scores every /v1/stream sample. They predict bit-identically to
+// the *Tree they were compiled from — same comparisons, same
+// coefficient order, same smoothing arithmetic — which the differential
+// property suite enforces. Every other method answers from that source
+// tree, which the compiled form keeps and which must not change after
+// compiling; Describe returns a description taken once at compile time.
 type CompiledTree struct {
-	config     Config
-	targetName string
-	attrNames  []string
-	trainN     int
-	machine    string
+	src    *Tree
+	desc   model.Description
+	config Config
 
-	splitAttr []int32   // split column, -1 for leaves
-	threshold []float64 // split point, 0 for leaves
-	left      []int32   // child indices, 0 for leaves
-	right     []int32
-	nodeN     []int64 // training instances that reached the node
-	sd        []float64
-	mean      []float64
-	leafID    []int32
+	nodeN []int64 // training instances that reached the node
 
 	lmOff       []int32 // len(nodes)+1 prefix offsets into lmAttrs/lmCoefs
 	lmIntercept []float64
 	lmAttrs     []int32
 	lmCoefs     []float64
-	hasLM       []uint8    // 1 when the node carries a fitted model
-	lmNames     [][]string // per-node coefficient names (nil when absent)
 
-	// walk packs the four walk-critical fields into one 24-byte record
-	// per node, so each descent step touches a single cache line instead
-	// of four parallel arrays. Filled by Compile alongside the arrays
-	// above.
+	// walk packs the walk-critical fields into one 24-byte record per
+	// node, so each descent step touches a single cache line instead of
+	// several parallel arrays.
 	walk []walkNode
 
-	numLeaves int
-	depth     int // maximum root-to-leaf node count
+	depth int // maximum root-to-leaf node count
 }
 
 // walkNode is the hot-path view of one node: threshold, split attribute
@@ -78,38 +66,40 @@ var _ model.BatchPredictor = (*CompiledTree)(nil)
 // allocation per call.
 const compiledPathInline = 64
 
-// Compile flattens a trained tree. The result shares no state with t.
-// Returns nil for a nil tree, a tree without a root, or a tree whose
-// shape the flat arrays cannot express (see checkShape; Build never
+// Compile flattens a trained tree into its prediction kernel. The result
+// keeps t as its source, so t must not change afterwards. Returns nil
+// for a tree that fails the load-time check (see check; Build never
 // returns one, and ReadJSON rejects it).
 func Compile(t *Tree) *CompiledTree {
-	if t == nil || t.Root == nil || checkShape(t.Root) != nil {
+	if t.check() != nil {
 		return nil
 	}
 	return compile(t)
 }
 
-// compile flattens a rooted tree that checkShape accepts.
+// CompileModel implements model.Compilable: the serving registry calls
+// it on registration to switch the hot path to the flat-array form. A
+// tree that fails the check ReadJSON runs on a decoded file (a split or
+// model attribute outside the schema, a node without a linear model)
+// yields the error ReadJSON would report, and the registry rejects it:
+// a registered tree evaluates any row of its width.
+func (t *Tree) CompileModel() (model.Model, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	return compile(t), nil
+}
+
+// compile flattens a tree that check accepts.
 func compile(t *Tree) *CompiledTree {
 	nodes := countNodes(t.Root)
 	c := &CompiledTree{
+		src:         t,
+		desc:        t.Describe(),
 		config:      t.Config,
-		targetName:  t.TargetName,
-		attrNames:   append([]string(nil), t.AttrNames...),
-		trainN:      t.TrainN,
-		machine:     t.Machine,
-		splitAttr:   make([]int32, nodes),
-		threshold:   make([]float64, nodes),
-		left:        make([]int32, nodes),
-		right:       make([]int32, nodes),
 		nodeN:       make([]int64, nodes),
-		sd:          make([]float64, nodes),
-		mean:        make([]float64, nodes),
-		leafID:      make([]int32, nodes),
 		lmOff:       make([]int32, nodes+1),
 		lmIntercept: make([]float64, nodes),
-		hasLM:       make([]uint8, nodes),
-		lmNames:     make([][]string, nodes),
 		walk:        make([]walkNode, nodes),
 	}
 	// Preorder assignment means coefficient rows are appended in node
@@ -121,31 +111,19 @@ func compile(t *Tree) *CompiledTree {
 		next++
 		c.depth = max(c.depth, depth)
 		c.lmOff[i] = int32(len(c.lmCoefs))
-		c.splitAttr[i] = -1
 		c.nodeN[i] = int64(n.N)
-		c.sd[i] = n.SD
-		c.mean[i] = n.Mean
-		c.leafID[i] = int32(n.LeafID)
-		if m := n.Model; m != nil {
-			c.hasLM[i] = 1
-			c.lmIntercept[i] = m.Intercept
-			for _, a := range m.Attrs {
-				c.lmAttrs = append(c.lmAttrs, int32(a))
-			}
-			c.lmCoefs = append(c.lmCoefs, m.Coefs...)
-			if len(m.Names) > 0 {
-				c.lmNames[i] = append([]string(nil), m.Names...)
-			}
+		m := n.Model
+		c.lmIntercept[i] = m.Intercept
+		for _, a := range m.Attrs {
+			c.lmAttrs = append(c.lmAttrs, int32(a))
 		}
-		if n.IsLeaf() {
-			c.numLeaves++
-		} else {
-			c.splitAttr[i] = int32(n.SplitAttr)
-			c.threshold[i] = n.Threshold
-			c.left[i] = flatten(n.Left, depth+1)
-			c.right[i] = flatten(n.Right, depth+1)
+		c.lmCoefs = append(c.lmCoefs, m.Coefs...)
+		c.walk[i] = walkNode{attr: -1}
+		if !n.IsLeaf() {
+			left := flatten(n.Left, depth+1)
+			right := flatten(n.Right, depth+1)
+			c.walk[i] = walkNode{thr: n.Threshold, attr: int32(n.SplitAttr), child: [2]int32{left, right}}
 		}
-		c.walk[i] = walkNode{thr: c.threshold[i], attr: c.splitAttr[i], child: [2]int32{c.left[i], c.right[i]}}
 		return i
 	}
 	flatten(t.Root, 1)
@@ -290,74 +268,15 @@ func (c *CompiledTree) AccumulateInto(dst []float64, rows []dataset.Instance) {
 	c.batchInto(dst, rows, true)
 }
 
-// Classify routes an instance to its leaf, returning a materialized
-// leaf Node (LeafID, N, Mean and a model view over the packed
-// coefficients) plus the decision path — the same contract as
-// Tree.Classify, so the serving layer's /v1/classify works on compiled
-// trees unchanged.
+// Classify answers from the source tree: /v1/classify is not a hot
+// path, and the pointer walk is the reference the kernel is held to.
 func (c *CompiledTree) Classify(row dataset.Instance) (leaf *Node, path []PathStep) {
-	attr, thr := c.splitAttr, c.threshold
-	n := int32(0)
-	for attr[n] >= 0 {
-		a := attr[n]
-		path = append(path, PathStep{
-			Attr:      int(a),
-			Name:      c.attrName(int(a)),
-			Threshold: thr[n],
-			Above:     row[a] > thr[n],
-		})
-		if row[a] <= thr[n] {
-			n = c.left[n]
-		} else {
-			n = c.right[n]
-		}
-	}
-	return c.materialize(n), path
+	return c.src.Classify(row)
 }
 
-// materialize builds a standalone leaf Node view of flat node i. The
-// model's coefficient slices alias the packed arenas (callers must not
-// mutate them); Attrs is converted because linreg uses int indices.
-func (c *CompiledTree) materialize(i int32) *Node {
-	n := &Node{
-		SplitAttr: -1,
-		N:         int(c.nodeN[i]),
-		SD:        c.sd[i],
-		Mean:      c.mean[i],
-		LeafID:    int(c.leafID[i]),
-	}
-	if c.hasLM[i] != 0 {
-		off, end := c.lmOff[i], c.lmOff[i+1]
-		attrs := make([]int, end-off)
-		for j := range attrs {
-			attrs[j] = int(c.lmAttrs[off+int32(j)])
-		}
-		n.Model = &linreg.Model{
-			Intercept: c.lmIntercept[i],
-			Attrs:     attrs,
-			Coefs:     c.lmCoefs[off:end:end],
-			Names:     c.lmNames[i],
-		}
-	}
-	return n
-}
-
-// Contributions decomposes the unsmoothed leaf prediction into
-// per-event CPI shares — the paper's Eq. 4 — with arithmetic identical
-// to Tree.Contributions.
+// Contributions answers from the source tree, as Classify does.
 func (c *CompiledTree) Contributions(row dataset.Instance) []model.Contribution {
-	n := c.leafFor(row)
-	pred := c.lmPredict(n, row)
-	off, end := c.lmOff[n], c.lmOff[n+1]
-	out := make([]model.Contribution, 0, end-off)
-	for j := off; j < end; j++ {
-		if coef := c.lmCoefs[j]; coef != 0 {
-			a := int(c.lmAttrs[j])
-			out = append(out, contribution(a, c.attrName(a), coef, row[a], pred))
-		}
-	}
-	model.SortContributions(out)
-	return out
+	return c.src.Contributions(row)
 }
 
 // TopContribution implements model.Model with the selection rule of
@@ -379,44 +298,12 @@ func (c *CompiledTree) TopContribution(row dataset.Instance) (model.Contribution
 		return model.Contribution{}, false
 	}
 	a := int(c.lmAttrs[best])
-	return contribution(a, c.attrName(a), c.lmCoefs[best], row[a], c.lmPredict(n, row)), true
-}
-
-func (c *CompiledTree) attrName(a int) string {
-	if a >= 0 && a < len(c.attrNames) {
-		return c.attrNames[a]
-	}
-	return defaultAttrName(a)
+	return contribution(a, c.src.attrName(a), c.lmCoefs[best], row[a], c.lmPredict(n, row)), true
 }
 
 // NumLeaves reports the number of leaves (performance classes).
-func (c *CompiledTree) NumLeaves() int { return c.numLeaves }
+func (c *CompiledTree) NumLeaves() int { return c.desc.NumLeaves }
 
-// Describe matches the source tree's description field for field, so
-// registries and /v1/models listings are unchanged by compilation.
-func (c *CompiledTree) Describe() model.Description {
-	return model.Description{
-		Kind:      "m5-model-tree",
-		Target:    c.targetName,
-		AttrNames: c.attrNames,
-		TrainN:    c.trainN,
-		NumLeaves: c.numLeaves,
-		Trees:     1,
-		Machine:   c.machine,
-	}
-}
-
-// CompileModel implements model.Compilable: the serving registry calls
-// it on registration to switch the hot path to the flat-array form. A
-// tree that does not compile, or whose compiled form fails the checks
-// ReadJSON runs on a decoded file (a split or model attribute outside
-// the schema, a node without a linear model), yields the error ReadJSON
-// would report, and the registry rejects it: a registered tree
-// evaluates any row of its width.
-func (t *Tree) CompileModel() (model.Model, error) {
-	c, err := t.compileChecked()
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
+// Describe returns the source tree's description, taken at compile time
+// so the per-request schema lookup in the serving layer walks no nodes.
+func (c *CompiledTree) Describe() model.Description { return c.desc }

@@ -82,116 +82,42 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		Machine:    tj.Machine,
 		Root:       fromNodeJSON(tj.Root),
 	}
-	if _, err := t.compileChecked(); err != nil {
+	if err := t.check(); err != nil {
 		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
 	}
 	return t, nil
 }
 
-// compileChecked flattens t and runs the checks ReadJSON runs on a
-// decoded file: the node shapes first (the flat arrays cannot express a
-// bad one), then validate on the compiled form. A tree that passes
-// evaluates any row of its width without panicking.
-func (t *Tree) compileChecked() (*CompiledTree, error) {
+// check is the load-time validation of a tree's node graph, shared by
+// ReadJSON, Compile and CompileModel, so neither a decoded file nor a
+// tree assembled outside Build can yield a tree whose evaluation reads
+// outside a row or pairs the wrong model terms. One preorder walk
+// requires every node to carry a linear model whose attrs and coefs
+// pair up, every interior node to have two children and a split
+// attribute, and every split and model attribute to index a schema
+// column that fits the kernel's int32 indices. A tree that passes
+// evaluates any row of its width without panicking. Node and model-term
+// numbers in its errors count in preorder, the kernel's layout.
+func (t *Tree) check() error {
 	if t == nil || t.Root == nil {
-		return nil, fmt.Errorf("tree has no root")
+		return fmt.Errorf("tree has no root")
 	}
-	if err := checkShape(t.Root); err != nil {
-		return nil, err
-	}
-	c := compile(t)
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// validate cross-checks the flat arrays of a compiled tree, so neither a
-// decoded file nor a tree assembled outside Build can produce a tree
-// whose evaluation walks out of bounds or loops forever. Beyond
-// array shape it requires every node to carry a linear model and every
-// split and model attribute to index a schema column, so any accepted
-// tree evaluates a row of its width.
-func (c *CompiledTree) validate() error {
-	nodes := len(c.splitAttr)
-	if nodes == 0 {
-		return fmt.Errorf("tree has no nodes")
-	}
-	type arr struct {
-		name string
-		len  int
-	}
-	for _, a := range []arr{
-		{"threshold", len(c.threshold)},
-		{"left", len(c.left)}, {"right", len(c.right)},
-		{"node_n", len(c.nodeN)}, {"sd", len(c.sd)}, {"mean", len(c.mean)},
-		{"leaf_id", len(c.leafID)}, {"lm_intercept", len(c.lmIntercept)},
-		{"has_lm", len(c.hasLM)},
-	} {
-		if a.len != nodes {
-			return fmt.Errorf("array %s has %d entries, split_attr has %d nodes", a.name, a.len, nodes)
+	width := len(t.AttrNames)
+	nodes, terms := 0, 0
+	var walk func(n *Node) error
+	walk = func(n *Node) error {
+		i := nodes
+		nodes++
+		if (n.Left == nil) != (n.Right == nil) {
+			return fmt.Errorf("node with split_attr %d has one child; want zero or two", n.SplitAttr)
 		}
-	}
-	if len(c.lmOff) != nodes+1 {
-		return fmt.Errorf("array lm_off has %d entries, want nodes+1 = %d", len(c.lmOff), nodes+1)
-	}
-	if len(c.lmAttrs) != len(c.lmCoefs) {
-		return fmt.Errorf("arrays lm_attrs (%d) and lm_coefs (%d) disagree", len(c.lmAttrs), len(c.lmCoefs))
-	}
-	if c.lmOff[0] != 0 {
-		return fmt.Errorf("array lm_off starts at %d, want 0", c.lmOff[0])
-	}
-	for i := 0; i < nodes; i++ {
-		if c.lmOff[i+1] < c.lmOff[i] {
-			return fmt.Errorf("array lm_off decreases at node %d (%d -> %d)", i, c.lmOff[i], c.lmOff[i+1])
+		if int(int32(n.SplitAttr)) != n.SplitAttr {
+			return fmt.Errorf("split_attr %d out of range", n.SplitAttr)
 		}
-	}
-	if int(c.lmOff[nodes]) != len(c.lmCoefs) {
-		return fmt.Errorf("array lm_off ends at %d, lm_coefs has %d entries", c.lmOff[nodes], len(c.lmCoefs))
-	}
-	width := int32(len(c.attrNames))
-	for j, a := range c.lmAttrs {
-		if a < 0 || a >= width {
-			return fmt.Errorf("model term %d reads attribute %d outside the %d-column schema", j, a, width)
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		if c.hasLM[i] == 0 {
+		m := n.Model
+		if m == nil {
 			return fmt.Errorf("node %d has no linear model", i)
 		}
-		if c.splitAttr[i] < 0 {
-			if c.left[i] != 0 || c.right[i] != 0 {
-				return fmt.Errorf("leaf node %d has child links", i)
-			}
-			continue
-		}
-		if c.splitAttr[i] >= width {
-			return fmt.Errorf("node %d splits on attribute %d outside the %d-column schema", i, c.splitAttr[i], width)
-		}
-		for _, ch := range [2]int32{c.left[i], c.right[i]} {
-			// Children must follow their parent (preorder layout); the
-			// strictly-increasing walk is what guarantees termination.
-			if int(ch) <= i || int(ch) >= nodes {
-				return fmt.Errorf("node %d: child index %d outside (parent, %d)", i, ch, nodes)
-			}
-		}
-	}
-	return nil
-}
-
-// checkShape rejects the node shapes the flat arrays cannot express,
-// which validate cannot see once a tree is compiled: a node with a
-// single child, a model whose attrs and coefs differ in length (the
-// packed rows would pair the wrong terms), and an index too large for
-// int32.
-func checkShape(n *Node) error {
-	if (n.Left == nil) != (n.Right == nil) {
-		return fmt.Errorf("node with split_attr %d has one child; want zero or two", n.SplitAttr)
-	}
-	if int(int32(n.SplitAttr)) != n.SplitAttr {
-		return fmt.Errorf("split_attr %d out of range", n.SplitAttr)
-	}
-	if m := n.Model; m != nil {
 		if len(m.Attrs) != len(m.Coefs) {
 			return fmt.Errorf("node model has %d attrs but %d coefs", len(m.Attrs), len(m.Coefs))
 		}
@@ -199,15 +125,26 @@ func checkShape(n *Node) error {
 			if int(int32(a)) != a {
 				return fmt.Errorf("node model attr %d out of range", a)
 			}
+			if a < 0 || a >= width {
+				return fmt.Errorf("model term %d reads attribute %d outside the %d-column schema", terms, a, width)
+			}
+			terms++
 		}
+		if n.IsLeaf() {
+			return nil
+		}
+		if n.SplitAttr < 0 {
+			return fmt.Errorf("leaf node %d has child links", i)
+		}
+		if n.SplitAttr >= width {
+			return fmt.Errorf("node %d splits on attribute %d outside the %d-column schema", i, n.SplitAttr, width)
+		}
+		if err := walk(n.Left); err != nil {
+			return err
+		}
+		return walk(n.Right)
 	}
-	if n.IsLeaf() {
-		return nil
-	}
-	if err := checkShape(n.Left); err != nil {
-		return err
-	}
-	return checkShape(n.Right)
+	return walk(t.Root)
 }
 
 func toTreeJSON(t *Tree) *treeJSON {

@@ -63,41 +63,28 @@ func (t *Tree) leafFor(row dataset.Instance) *Node {
 	return n
 }
 
-// pathTo returns the nodes visited from root to leaf for an instance.
-func (t *Tree) pathTo(row dataset.Instance) []*Node {
-	path := make([]*Node, 0, 8)
+// Classify routes an instance to its leaf and returns the leaf together
+// with the decision path, the inputs to the paper's performance analysis:
+// the leaf's linear model answers "how much", and the path's high-side
+// split variables flag implicit performance limiters. The path is built
+// during the one descent.
+func (t *Tree) Classify(row dataset.Instance) (leaf *Node, path []PathStep) {
 	n := t.Root
-	for {
-		path = append(path, n)
-		if n.IsLeaf() {
-			return path
-		}
-		if row[n.SplitAttr] <= n.Threshold {
+	for !n.IsLeaf() {
+		a := n.SplitAttr
+		path = append(path, PathStep{
+			Attr:      a,
+			Name:      t.attrName(a),
+			Threshold: n.Threshold,
+			Above:     row[a] > n.Threshold,
+		})
+		if row[a] <= n.Threshold {
 			n = n.Left
 		} else {
 			n = n.Right
 		}
 	}
-}
-
-// Classify routes an instance to its leaf and returns the leaf together
-// with the decision path, the inputs to the paper's performance analysis:
-// the leaf's linear model answers "how much", and the path's high-side
-// split variables flag implicit performance limiters.
-func (t *Tree) Classify(row dataset.Instance) (leaf *Node, path []PathStep) {
-	nodes := t.pathTo(row)
-	leaf = nodes[len(nodes)-1]
-	path = make([]PathStep, 0, len(nodes)-1)
-	for i := 0; i < len(nodes)-1; i++ {
-		n := nodes[i]
-		path = append(path, PathStep{
-			Attr:      n.SplitAttr,
-			Name:      t.attrName(n.SplitAttr),
-			Threshold: n.Threshold,
-			Above:     row[n.SplitAttr] > n.Threshold,
-		})
-	}
-	return leaf, path
+	return n, path
 }
 
 // Leaf returns the leaf with the given 1-based LeafID, or nil.

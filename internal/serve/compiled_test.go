@@ -190,4 +190,36 @@ func TestBatchKernelResponseIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// /v1/classify on the registered tree answers what the pointer
+	// tree's own Classify says: leaf, decision path and leaf estimate.
+	reg := NewRegistry()
+	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
+		t.Fatal(err)
+	}
+	h := New(reg, configs[0]).Handler()
+	for _, rows := range []int{1, 64, 300} {
+		want := classifyResponse{Model: "cpi@v1", N: rows, Classes: make([]classification, rows)}
+		for i := range want.Classes {
+			row := d.Row(i)
+			leaf, path := tree.Classify(row)
+			steps := make([]classifyStep, len(path))
+			for j, st := range path {
+				steps[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
+			}
+			want.Classes[i] = classification{LeafID: leaf.LeafID, Path: steps,
+				Prediction: leaf.Model.Predict(row), TrainN: leaf.N, TrainMean: leaf.Mean}
+		}
+		wantBody, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(h, "/v1/classify", fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, rows)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("classify status %d: %s", rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != string(wantBody)+"\n" {
+			t.Fatalf("classify rows=%d: served body differs from the pointer tree\nserved: %s\nwant:   %s", rows, got, wantBody)
+		}
+	}
 }

@@ -106,14 +106,6 @@ func (p *Predictor) Lookup(pc, target uint64, taken bool) bool {
 	return correct
 }
 
-// MispredictRate returns Mispredicts/Branches (0 when idle).
-func (p *Predictor) MispredictRate() float64 {
-	if p.Branches == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Branches)
-}
-
 // Reset clears state and statistics.
 func (p *Predictor) Reset() {
 	for i := range p.pht {

@@ -102,9 +102,6 @@ func TestNotTakenNeedsNoBTB(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	p := New(DefaultConfig())
-	if p.MispredictRate() != 0 {
-		t.Error("idle mispredict rate nonzero")
-	}
 	p.Lookup(1, 2, true)
 	if p.Branches != 1 {
 		t.Errorf("Branches = %d", p.Branches)

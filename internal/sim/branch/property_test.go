@@ -59,9 +59,6 @@ func TestPredictorStatsAndDeterminism(t *testing.T) {
 		if a.Branches != b.Branches || a.Mispredicts != b.Mispredicts {
 			t.Fatal("stats diverged between identical runs")
 		}
-		if rate := a.MispredictRate(); rate < 0 || rate > 1 {
-			t.Fatalf("MispredictRate = %v", rate)
-		}
 	})
 }
 

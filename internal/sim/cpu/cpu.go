@@ -98,9 +98,6 @@ func New(cfg Config, geom mem.Geometry, bp branch.Config) *CPU {
 	}
 }
 
-// Config returns the timing configuration.
-func (c *CPU) Config() Config { return c.cfg }
-
 // Counters returns a snapshot of the PMU state.
 func (c *CPU) Counters() Counters { return c.ctr }
 

@@ -33,7 +33,7 @@ func fill(n int, startPC uint64) []trace.Inst {
 func TestBaseCPIApproachesIssueWidth(t *testing.T) {
 	c := run(fill(10000, 0x1000))
 	cpi := c.Counters().CPI()
-	want := 1 / c.Config().IssueWidth
+	want := 1 / defaultConfig().IssueWidth
 	if math.Abs(cpi-want) > 0.02 {
 		t.Errorf("hazard-free CPI %v, want ~%v", cpi, want)
 	}

@@ -67,3 +67,45 @@ func BenchmarkHierarchyFetch(b *testing.B) {
 		}
 	}
 }
+
+// TestHotPathsAllocationFree enforces the zero-allocation claim of the
+// benchmarks above: once warm, a cache or TLB probe, a hierarchy data
+// access and an instruction fetch allocate nothing. Addresses keep
+// advancing across runs, so misses, fills and prefetches are exercised
+// too, not only hits.
+func TestHotPathsAllocationFree(t *testing.T) {
+	c := NewCache(CacheConfig{Name: "L1D", SizeB: 32 << 10, Ways: 8, LineB: 64})
+	tlb := NewTLB(TLBConfig{Name: "DTLB", Entries: 256, Ways: 4, PageB: 4 << 10})
+	h := NewHierarchy(testCore2Geometry())
+	addr, seq, strided, pc := uint64(0), uint64(0), uint64(1<<30), uint64(0x400000)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Cache.Access", func() {
+			c.Access(addr)
+			c.Access((addr * 0x9E3779B97F4A7C15) >> 20)
+			addr += 64
+		}},
+		{"TLB.Access", func() {
+			tlb.Access(addr)
+			addr += 4 << 10
+		}},
+		{"Hierarchy.Data", func() {
+			h.Data(seq, true)
+			h.Data(strided, false)
+			seq += 64
+			strided += 4096
+		}},
+		{"Hierarchy.Fetch", func() {
+			if !h.FetchFast(pc) {
+				h.Fetch(pc)
+			}
+			pc += 1 << 12
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", tc.name, allocs)
+		}
+	}
+}

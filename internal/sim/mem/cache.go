@@ -231,9 +231,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return len(c.sets.occ) }
 
@@ -298,9 +295,6 @@ func (c *Cache) MissRate() float64 {
 	}
 	return float64(c.Misses) / float64(c.Accesses)
 }
-
-// LineB returns the line size in bytes.
-func (c *Cache) LineB() int64 { return c.cfg.LineB }
 
 // TLBConfig describes a translation lookaside buffer.
 type TLBConfig struct {

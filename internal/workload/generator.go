@@ -101,9 +101,6 @@ func NewGenerator(p Params, seed int64) *Generator {
 	}
 }
 
-// Params returns the kernel parameters.
-func (g *Generator) Params() Params { return g.p }
-
 // SetParams swaps in new kernel parameters while preserving streaming state
 // (data position, code position, loop state, RNG). Section-to-section
 // parameter jitter must not reset positions: restarting a multi-megabyte
