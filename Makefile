@@ -188,7 +188,10 @@ crossarch-smoke:
 # answer HTTP 400. Then hand a stream session off through the real binary:
 # stream a short NDJSON chunk to session s, drain every session, restore
 # the dump, and stream the next chunk to s, which must answer HTTP 200
-# and end in a "summary" line that counts both chunks. Every curl carries --max-time, so a
+# and end in a "summary" line that counts both chunks. The server runs
+# with -timeout 2s, and a predict body uploaded at 1 byte/s must be cut
+# off without HTTP 200 in under 10 s (curl's own limit is 30 s): the
+# connection deadline bounds a stalled client. Every curl carries --max-time, so a
 # wedged session fails the target instead of hanging it. Always kills
 # the server on exit.
 SMOKE_ADDR ?= 127.0.0.1:18466
@@ -198,7 +201,7 @@ SMOKE_CURL := curl -s --max-time 10
 serve-smoke:
 	@set -e; \
 	$(GO) build -o $(SMOKE_BIN) ./cmd/serve; \
-	$(SMOKE_BIN) -demo -demo-scale 0.05 -addr $(SMOKE_ADDR) & pid=$$!; \
+	$(SMOKE_BIN) -demo -demo-scale 0.05 -addr $(SMOKE_ADDR) -timeout 2s & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
 	ok=0; for i in $$(seq 1 150); do \
 	  $(SMOKE_CURL) -f http://$(SMOKE_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
@@ -239,6 +242,15 @@ serve-smoke:
 	tail -n 1 $(SMOKE_BIN).stream2.out | grep -q '^{"type":"summary".*"accepted":10,' || \
 	  { echo "serve-smoke: stream after restore did not end in a summary line counting both chunks:"; cat $(SMOKE_BIN).stream2.out; exit 1; }; \
 	echo "serve-smoke: session handoff OK (stream, drain, restore, stream):"; tail -n 1 $(SMOKE_BIN).stream2.out; \
+	t0=$$(date +%s); \
+	code=$$(curl -s --max-time 30 --limit-rate 1 -o $(SMOKE_BIN).slow.out -w '%{http_code}' \
+	  -X POST -H 'Content-Type: application/json' \
+	  -d '{"model":"demo","events":[{"L2M":0.004,"L1IM":0.002}]}' \
+	  http://$(SMOKE_ADDR)/v1/predict) && rc=0 || rc=$$?; \
+	secs=$$(( $$(date +%s) - t0 )); \
+	test "$$rc" != 28 && test "$$code" != 200 && test $$secs -lt 10 || \
+	  { echo "serve-smoke: a predict body sent at 1 byte/s ended after $$secs s with HTTP $$code (curl exit $$rc); want -timeout 2s to cut it off"; exit 1; }; \
+	echo "serve-smoke: slow-body client cut off after $$secs s (HTTP $$code, curl exit $$rc)"; \
 	echo "serve-smoke: metrics:"; $(SMOKE_CURL) http://$(SMOKE_ADDR)/metrics; \
 	echo "serve-smoke: PASS"
 

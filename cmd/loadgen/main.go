@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&rcfg.Workers, "workers", rcfg.Workers, "replay worker pool size")
 	fs.IntVar(&rcfg.QueueDepth, "queue", rcfg.QueueDepth, "dispatch queue depth (default workers*8)")
 	fs.DurationVar(&rcfg.MaxLateness, "max-lateness", rcfg.MaxLateness, "drop requests scheduled further in the past than this")
-	fs.DurationVar(&rcfg.RequestTimeout, "timeout", rcfg.RequestTimeout, "per-request timeout")
+	fs.DurationVar(&rcfg.ClientTimeout, "timeout", rcfg.ClientTimeout, "per-request timeout")
 	out := fs.String("out", "", "report JSON path (default stdout)")
 	benchJSON := fs.String("bench-json", "", "append go-test-json benchmark events here for cmd/benchdiff")
 	maxBudget := fs.Float64("max-error-budget", 1, "fail when the error budget exceeds this fraction (1 disables)")

@@ -26,6 +26,13 @@
 // not intra-request fan-out, use the cores. -jobs sets only the worker
 // count of -demo training.
 //
+// -timeout (default 10s, 0 disables) is the connection's read and write
+// deadline for each request, on every route, /v1/stream included: a
+// request must arrive within it and its response be written within it,
+// or the server closes the connection. Feed a long-running stream
+// session as a series of requests, each well inside the limit; the
+// session persists between them.
+//
 // -pprof serves net/http/pprof on its own listener (keep it off the
 // public address) with mutex and block profiling enabled, so lock
 // contention in the serving hot path is observable in production.
@@ -128,7 +135,7 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 		addr      = fs.String("addr", ":8080", "listen address")
 		jobs      = fs.Int("jobs", 0, "-demo training workers (0 = all cores, 1 = serial; the model is identical)")
 		cacheSize = fs.Int("cache", 4096, "LRU prediction cache entries, keyed on exact value bits (0 disables)")
-		timeout   = fs.Duration("timeout", 10*time.Second, "per-request handler timeout (0 disables; /v1/stream streams and is exempt)")
+		timeout   = fs.Duration("timeout", 10*time.Second, "connection read and write deadline per request, every route alike; a stalled client is disconnected (0 disables)")
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
 		sessTTL   = fs.Duration("session-ttl", serve.DefaultConfig().SessionTTL, "evict /v1/stream sessions idle this long (0 keeps them forever)")
@@ -179,14 +186,20 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	cfg.CacheSize = *cacheSize
 	cfg.MaxBodyBytes = *maxBody
 	cfg.MaxBatch = *maxBatch
-	cfg.RequestTimeout = *timeout
 	cfg.SessionTTL = *sessTTL
 	cfg.SessionShards = *sessShard
 
+	// -timeout bounds each request at the connection: reading it
+	// (headers and body) and writing its response. A client that stalls
+	// loses the connection, which ends the handler's blocked read or
+	// write. IdleTimeout is left zero, so keep-alive idling falls back
+	// to ReadTimeout.
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           serve.New(reg, cfg).Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       *timeout,
+		WriteTimeout:      *timeout,
 	}
 	var pprofSrv *http.Server
 	if *pprofAddr != "" {

@@ -57,7 +57,7 @@ func SplitImpacts(t *mtree.Tree, d *dataset.Dataset) []SplitImpact {
 		left, right := sub.Split(n.SplitAttr, n.Threshold)
 		si := SplitImpact{
 			Attr:      n.SplitAttr,
-			Name:      attrName(t, n.SplitAttr),
+			Name:      t.AttrName(n.SplitAttr),
 			Threshold: n.Threshold,
 			Depth:     depth,
 			LowN:      left.Len(),
@@ -83,13 +83,6 @@ func SplitImpacts(t *mtree.Tree, d *dataset.Dataset) []SplitImpact {
 		return out[i].MeanDifference > out[j].MeanDifference
 	})
 	return out
-}
-
-func attrName(t *mtree.Tree, a int) string {
-	if a >= 0 && a < len(t.AttrNames) {
-		return t.AttrNames[a]
-	}
-	return fmt.Sprintf("x%d", a)
 }
 
 // singleVarR2 fits CPI = a + b*x by least squares over the subset and

@@ -1,7 +1,8 @@
 package ensemble
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -42,50 +43,45 @@ func (b *Bagger) Describe() model.Description {
 // unsmoothed leaf prediction — so intercepts aside, the shares decompose
 // the ensemble's raw (pre-smoothing) estimate. Members are reduced in
 // tree order and ties sorted by attribute index, keeping the output
-// independent of scheduling.
+// independent of scheduling. Each member is walked to its leaf once, and
+// the returned slice is the only allocation.
 func (b *Bagger) Contributions(row dataset.Instance) []model.Contribution {
 	if len(b.Trees) == 0 {
 		return nil
 	}
-	type acc struct {
-		name   string
-		coef   float64
-		cycles float64
-	}
-	sums := map[int]*acc{}
+	// One entry per event any member's leaf uses: at most one per column.
+	out := make([]model.Contribution, 0, len(row))
 	meanPred := 0.0
 	for _, t := range b.Trees {
-		leaf, _ := t.Classify(row)
-		meanPred += leaf.Model.Predict(row)
-		for _, c := range t.Contributions(row) {
-			a := sums[c.Attr]
-			if a == nil {
-				a = &acc{name: c.Name}
-				sums[c.Attr] = a
+		lm := t.LeafFor(row).Model
+		meanPred += lm.Predict(row)
+		for i, a := range lm.Attrs {
+			coef := lm.Coefs[i]
+			if coef == 0 {
+				continue
 			}
-			a.coef += c.Coef
-			a.cycles += c.Cycles
+			j := 0
+			for j < len(out) && out[j].Attr != a {
+				j++
+			}
+			if j == len(out) {
+				out = append(out, model.Contribution{Attr: a, Name: t.AttrName(a), Rate: row[a]})
+			}
+			out[j].Coef += coef
+			out[j].Cycles += coef * row[a]
 		}
 	}
 	n := float64(len(b.Trees))
 	meanPred /= n
 
-	attrs := make([]int, 0, len(sums))
-	for a := range sums {
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	out := make([]model.Contribution, 0, len(attrs))
-	for _, a := range attrs {
-		s := sums[a]
-		c := model.Contribution{
-			Attr: a, Name: s.name,
-			Coef: s.coef / n, Rate: row[a], Cycles: s.cycles / n,
-		}
+	slices.SortFunc(out, func(x, y model.Contribution) int { return cmp.Compare(x.Attr, y.Attr) })
+	for i := range out {
+		c := &out[i]
+		c.Coef /= n
+		c.Cycles /= n
 		if meanPred != 0 {
 			c.Fraction = c.Cycles / meanPred
 		}
-		out = append(out, c)
 	}
 	model.SortContributions(out)
 	return out

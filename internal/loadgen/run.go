@@ -25,8 +25,9 @@ type RunConfig struct {
 	// slipped by more than this before a worker picked it up: once the
 	// backlog is that old, later sends only measure the queue.
 	MaxLateness time.Duration
-	// RequestTimeout bounds each request.
-	RequestTimeout time.Duration
+	// ClientTimeout bounds each request on the client side, from dial
+	// to the last response byte (http.Client.Timeout).
+	ClientTimeout time.Duration
 	// Client overrides the HTTP client (tests); nil builds one.
 	Client *http.Client
 }
@@ -34,11 +35,11 @@ type RunConfig struct {
 // DefaultRunConfig returns replay defaults sized for a local target.
 func DefaultRunConfig(baseURL string) RunConfig {
 	return RunConfig{
-		BaseURL:        baseURL,
-		Workers:        32,
-		QueueDepth:     0, // Workers * 8
-		MaxLateness:    2 * time.Second,
-		RequestTimeout: 10 * time.Second,
+		BaseURL:       baseURL,
+		Workers:       32,
+		QueueDepth:    0, // Workers * 8
+		MaxLateness:   2 * time.Second,
+		ClientTimeout: 10 * time.Second,
 	}
 }
 
@@ -55,12 +56,12 @@ func (c *RunConfig) validate() error {
 	if c.MaxLateness <= 0 {
 		c.MaxLateness = 2 * time.Second
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
+	if c.ClientTimeout <= 0 {
+		c.ClientTimeout = 10 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{
-			Timeout: c.RequestTimeout,
+			Timeout: c.ClientTimeout,
 			Transport: &http.Transport{
 				MaxIdleConns:        c.Workers * 2,
 				MaxIdleConnsPerHost: c.Workers * 2,

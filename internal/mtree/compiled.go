@@ -298,7 +298,7 @@ func (c *CompiledTree) TopContribution(row dataset.Instance) (model.Contribution
 		return model.Contribution{}, false
 	}
 	a := int(c.lmAttrs[best])
-	return contribution(a, c.src.attrName(a), c.lmCoefs[best], row[a], c.lmPredict(n, row)), true
+	return contribution(a, c.src.AttrName(a), c.lmCoefs[best], row[a], c.lmPredict(n, row)), true
 }
 
 // NumLeaves reports the number of leaves (performance classes).

@@ -15,12 +15,12 @@ var _ model.Model = (*Tree)(nil)
 // arithmetic (e.g. 6.69*L1IM/CPI ≈ 20%). The unsmoothed leaf prediction is
 // used so that intercept + sum(Cycles) reproduces it exactly.
 func (t *Tree) Contributions(row dataset.Instance) []model.Contribution {
-	lm := t.leafFor(row).Model
+	lm := t.LeafFor(row).Model
 	pred := lm.Predict(row)
 	out := make([]model.Contribution, 0, len(lm.Coefs))
 	for i, a := range lm.Attrs {
 		if coef := lm.Coefs[i]; coef != 0 {
-			out = append(out, contribution(a, t.attrName(a), coef, row[a], pred))
+			out = append(out, contribution(a, t.AttrName(a), coef, row[a], pred))
 		}
 	}
 	model.SortContributions(out)
@@ -30,7 +30,7 @@ func (t *Tree) Contributions(row dataset.Instance) []model.Contribution {
 // TopContribution implements model.Model: the first element of
 // Contributions, found in one walk over the leaf terms.
 func (t *Tree) TopContribution(row dataset.Instance) (model.Contribution, bool) {
-	lm := t.leafFor(row).Model
+	lm := t.LeafFor(row).Model
 	best := -1
 	var bestCyc float64
 	for i, a := range lm.Attrs {
@@ -46,7 +46,7 @@ func (t *Tree) TopContribution(row dataset.Instance) (model.Contribution, bool) 
 		return model.Contribution{}, false
 	}
 	a := lm.Attrs[best]
-	return contribution(a, t.attrName(a), lm.Coefs[best], row[a], lm.Predict(row)), true
+	return contribution(a, t.AttrName(a), lm.Coefs[best], row[a], lm.Predict(row)), true
 }
 
 // contribution is the Eq. 4 share of one leaf-model term, with its

@@ -17,7 +17,7 @@ func (t *Tree) Predict(row dataset.Instance) float64 {
 	if !t.Config.Smooth {
 		// Unsmoothed prediction needs no path at all: walk straight to
 		// the leaf and evaluate its model, allocation-free.
-		return t.leafFor(row).Model.Predict(row)
+		return t.LeafFor(row).Model.Predict(row)
 	}
 	// Smoothing blends ancestor models bottom-up, so the path is needed
 	// — but it lives in a stack buffer instead of a per-call heap slice
@@ -50,8 +50,9 @@ func (t *Tree) Predict(row dataset.Instance) float64 {
 // predictPathInline is the stack capacity of Predict's smoothing path.
 const predictPathInline = 64
 
-// leafFor walks an instance from the root to its leaf, allocation-free.
-func (t *Tree) leafFor(row dataset.Instance) *Node {
+// LeafFor walks an instance from the root to its leaf, allocation-free,
+// building no decision path (Classify builds one).
+func (t *Tree) LeafFor(row dataset.Instance) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
 		if row[n.SplitAttr] <= n.Threshold {
@@ -74,7 +75,7 @@ func (t *Tree) Classify(row dataset.Instance) (leaf *Node, path []PathStep) {
 		a := n.SplitAttr
 		path = append(path, PathStep{
 			Attr:      a,
-			Name:      t.attrName(a),
+			Name:      t.AttrName(a),
 			Threshold: n.Threshold,
 			Above:     row[a] > n.Threshold,
 		})

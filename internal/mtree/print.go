@@ -38,7 +38,7 @@ func (t *Tree) writeNode(b *strings.Builder, n *Node, depth int) {
 
 func (t *Tree) writeBranch(b *strings.Builder, parent, child *Node, depth int, op string) {
 	indent := strings.Repeat("|   ", depth)
-	cond := fmt.Sprintf("%s%s %s %.6g :", indent, t.attrName(parent.SplitAttr), op, parent.Threshold)
+	cond := fmt.Sprintf("%s%s %s %.6g :", indent, t.AttrName(parent.SplitAttr), op, parent.Threshold)
 	if child.IsLeaf() {
 		fmt.Fprintf(b, "%s LM%d (%s)\n", cond, child.LeafID, t.leafShare(child))
 		return

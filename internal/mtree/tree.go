@@ -388,7 +388,7 @@ func (t *Tree) WalkLeaves(fn func(leaf *Node, path []PathStep)) {
 			fn(n, path)
 			return
 		}
-		step := PathStep{Attr: n.SplitAttr, Name: t.attrName(n.SplitAttr), Threshold: n.Threshold}
+		step := PathStep{Attr: n.SplitAttr, Name: t.AttrName(n.SplitAttr), Threshold: n.Threshold}
 		walk(n.Left, append(path, step))
 		step.Above = true
 		walk(n.Right, append(path, step))
@@ -396,13 +396,11 @@ func (t *Tree) WalkLeaves(fn func(leaf *Node, path []PathStep)) {
 	walk(t.Root, nil)
 }
 
-func (t *Tree) attrName(a int) string {
+// AttrName is the name of schema column a, or "x<a>" for a column the
+// tree has no name for.
+func (t *Tree) AttrName(a int) string {
 	if a >= 0 && a < len(t.AttrNames) {
 		return t.AttrNames[a]
 	}
-	return defaultAttrName(a)
+	return fmt.Sprintf("x%d", a)
 }
-
-// defaultAttrName is the rendering fallback for a column with no
-// recorded name, shared by the pointer and compiled trees.
-func defaultAttrName(a int) string { return fmt.Sprintf("x%d", a) }

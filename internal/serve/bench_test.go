@@ -131,9 +131,7 @@ func BenchmarkServeConcurrentPredict(b *testing.B) {
 	if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 		b.Fatal(err)
 	}
-	scfg := DefaultConfig()
-	scfg.RequestTimeout = 0
-	h := New(reg, scfg).Handler()
+	h := New(reg, DefaultConfig()).Handler()
 
 	bodies := make([]string, 64)
 	for i := range bodies {

@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 )
 
-// Every error the API emits — handler rejections, the timeout wrapper,
-// the mux's method fallbacks — shares one JSON envelope:
+// Every error the API emits — handler rejections and the mux's method
+// fallbacks — shares one JSON envelope:
 //
 //	{"error":{"code":"<stable-code>","message":"<human detail>"}}
 //
@@ -31,9 +30,6 @@ const (
 	// ErrCodeUnsupported: the model cannot answer this endpoint, e.g.
 	// classify on an ensemble (HTTP 422).
 	ErrCodeUnsupported = "unsupported"
-	// ErrCodeTimeout: the request exceeded RequestTimeout (HTTP 503,
-	// written by http.TimeoutHandler with a pre-rendered envelope).
-	ErrCodeTimeout = "timeout"
 	// ErrCodeInternal: server-side failure (HTTP 500).
 	ErrCodeInternal = "internal"
 	// ErrCodeStreamAborted: in-band NDJSON error line on /v1/stream
@@ -51,14 +47,6 @@ type apiError struct {
 type errorEnvelope struct {
 	Error apiError `json:"error"`
 }
-
-// timeoutBody is the envelope http.TimeoutHandler writes on 503; it
-// must be pre-rendered because the wrapper takes a fixed string.
-var timeoutBody = func() string {
-	b, _ := json.Marshal(errorEnvelope{Error: apiError{
-		Code: ErrCodeTimeout, Message: "request timed out"}})
-	return string(b)
-}()
 
 // writeError writes the unified envelope with the given status, code
 // and formatted message.

@@ -40,10 +40,9 @@
 // evaluated on its own goroutine — concurrent requests, not
 // intra-request fan-out, fill the cores — and the optional LRU cache
 // keys on exact value bits, so it can never change a response. Request
-// bodies are size-capped, hold exactly one JSON value, and handlers
-// are time-limited (except the streaming /v1/stream route,
-// which flushes incrementally instead — see Handler), making the hot
-// path safe to expose.
+// bodies are size-capped and hold exactly one JSON value; time limits
+// belong to the connection (the http.Server's read and write deadlines,
+// see cmd/serve), which bound every route alike.
 package serve
 
 import (
@@ -73,11 +72,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxBatch caps the number of rows per request.
 	MaxBatch int
-	// RequestTimeout bounds handler time per request; 0 disables. It is
-	// applied per route and does not cover /v1/stream, whose incremental
-	// NDJSON response and stateful ingestion make a buffered timeout
-	// wrapper wrong (see Handler).
-	RequestTimeout time.Duration
 	// Stream tunes the /v1/stream monitor sessions (phase, drift and
 	// refutation detectors).
 	Stream stream.Config
@@ -95,13 +89,12 @@ type Config struct {
 // DefaultConfig returns production-leaning defaults.
 func DefaultConfig() Config {
 	return Config{
-		CacheSize:      4096,
-		MaxBodyBytes:   1 << 20, // 1 MiB
-		MaxBatch:       4096,
-		RequestTimeout: 10 * time.Second,
-		Stream:         stream.DefaultConfig(),
-		SessionShards:  16,
-		SessionTTL:     15 * time.Minute,
+		CacheSize:     4096,
+		MaxBodyBytes:  1 << 20, // 1 MiB
+		MaxBatch:      4096,
+		Stream:        stream.DefaultConfig(),
+		SessionShards: 16,
+		SessionTTL:    15 * time.Minute,
 	}
 }
 
@@ -166,30 +159,21 @@ func New(reg *Registry, cfg Config) *Server {
 }
 
 // Handler returns the service's HTTP handler: the routed endpoints, each
-// wrapped in per-endpoint instrumentation and (except /v1/stream) the
-// request timeout.
-//
-// /v1/stream is deliberately outside http.TimeoutHandler: that wrapper
-// buffers the entire response, which would defeat the endpoint's
-// incremental NDJSON delivery, and its 503 cannot undo monitor state the
-// ingested prefix already advanced — a client retrying the same batch
-// after a timeout would double-ingest into a non-idempotent session.
-// The route is still bounded by MaxBodyBytes, MaxBatch and the server's
-// read timeouts.
+// wrapped in per-endpoint instrumentation. Every route runs on the
+// connection's goroutine and writes straight to it, so /v1/stream
+// flushes its NDJSON incrementally. Bounding a stalled client is the
+// serving http.Server's job (cmd/serve -timeout sets its read and write
+// deadlines): closing the connection ends the handler's blocked read or
+// write.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
-		serve := s.instrument(rt.path, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+		mux.Handle(rt.method+" "+rt.path,
+			s.instrument(rt.path, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) }))
 		// Method-generic fallback: the mux routes a wrong-method request
 		// here instead of its own text/plain 405, so the rejection carries
 		// the API's JSON error shape, an Allow header, and metrics.
-		reject := s.instrument(rt.path, methodNotAllowed(rt.allow()))
-		if s.cfg.RequestTimeout > 0 && rt.path != "/v1/stream" {
-			serve = http.TimeoutHandler(serve, s.cfg.RequestTimeout, timeoutBody)
-			reject = http.TimeoutHandler(reject, s.cfg.RequestTimeout, timeoutBody)
-		}
-		mux.Handle(rt.method+" "+rt.path, serve)
-		mux.Handle(rt.path, reject)
+		mux.Handle(rt.path, s.instrument(rt.path, methodNotAllowed(rt.allow())))
 	}
 	return mux
 }

@@ -283,8 +283,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// represent: stop after the events before it, state is consistent.
 		return
 	}
-	// Push completed events to the client now: this route is outside
-	// http.TimeoutHandler precisely so incremental delivery works.
+	// Push completed events to the client now, ahead of the summary.
 	if flusher, ok := w.(http.Flusher); ok && len(events) > 0 {
 		flusher.Flush()
 	}

@@ -284,11 +284,10 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestStreamResponseFlushesIncrementally pins the /v1/stream timeout
-// exemption: http.TimeoutHandler's writer buffers everything and does
-// not implement http.Flusher, so a Flush reaching the recorder proves
-// the route streams its NDJSON directly while the default
-// RequestTimeout still guards every other endpoint.
+// TestStreamResponseFlushesIncrementally pins incremental delivery on
+// /v1/stream: a buffering wrapper (http.TimeoutHandler's writer, say)
+// does not implement http.Flusher, so a Flush reaching the recorder
+// proves the route streams its NDJSON directly to the connection.
 func TestStreamResponseFlushesIncrementally(t *testing.T) {
 	s, _, _ := newTestServer(t, streamConfig())
 	h := s.Handler()
