@@ -21,13 +21,13 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# Full (not -short) race run of the serving hot path: the lock-striped
-# session table, the atomic histogram and sharded prediction cache, and
-# the stream/phase machinery behind them. These packages carry the
-# concurrency added for multi-session serving, so they get a dedicated
-# race gate beyond the -short sweep above.
+# Full (not -short) race run of the serving hot path: the session table
+# and its per-session locks, the atomic latency histogram, the striped
+# prediction cache, and the stream/phase machinery behind them. These
+# packages carry the concurrency added for multi-session serving, so
+# they get a dedicated race gate beyond the -short sweep above.
 race-serve:
-	$(GO) test -race ./internal/serve/... ./internal/stream/... ./internal/shard/...
+	$(GO) test -race ./internal/serve/... ./internal/stream/...
 
 check: vet race
 

@@ -18,7 +18,7 @@
 //	serve -model cpi=tree.json [-model cpi@v2=tree2.json] [-addr :8080]
 //	      [-cache 4096] [-timeout 10s]
 //	      [-max-body 1048576] [-max-batch 4096]
-//	      [-session-ttl 15m] [-session-shards 16]
+//	      [-session-ttl 15m]
 //	      [-pprof 127.0.0.1:6060]
 //	serve -demo [-jobs N]       # no files: trains a small tree in-process
 //
@@ -139,7 +139,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 		maxBody   = fs.Int64("max-body", 1<<20, "maximum request body bytes")
 		maxBatch  = fs.Int("max-batch", 4096, "maximum rows per request")
 		sessTTL   = fs.Duration("session-ttl", serve.DefaultConfig().SessionTTL, "evict /v1/stream sessions idle this long (0 keeps them forever)")
-		sessShard = fs.Int("session-shards", serve.DefaultConfig().SessionShards, "stream session table stripes (rounded up to a power of two)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this extra address with mutex/block profiling on (empty disables)")
 		demo      = fs.Bool("demo", false, "train a small tree on the built-in simulator and serve it as \"demo\"")
 		demoScale = fs.Float64("demo-scale", 0.05, "suite scale for -demo training")
@@ -187,7 +186,6 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	cfg.MaxBodyBytes = *maxBody
 	cfg.MaxBatch = *maxBatch
 	cfg.SessionTTL = *sessTTL
-	cfg.SessionShards = *sessShard
 
 	// -timeout bounds each request at the connection: reading it
 	// (headers and body) and writing its response. A client that stalls

@@ -25,6 +25,7 @@ import (
 	"repro/internal/march"
 	"repro/internal/mtree"
 	"repro/internal/parallel"
+	"repro/internal/refute"
 	"repro/internal/serve"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -241,15 +242,18 @@ func TestEnsembleDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestRefutationDeterministicAcrossJobsAndShards asserts the serving
-// stack's refutation verdicts are a pure function of the ingested
-// stream: the /v1/stream NDJSON response (events, summary, refutation
-// digest) and the full GET /v1/sessions/{id}/refutation report are
-// byte-identical at every session-table shard count. The trace goes bad
-// mid-way (a negated DTLB rate), so the invariance covers violated
-// windows, streaks and verdict transitions, not just the all-clean path.
-// (Scoring has no worker count: every sample is scored on arrival.)
-func TestRefutationDeterministicAcrossJobsAndShards(t *testing.T) {
+// TestRefutationDeterministicAcrossHandoff asserts the serving stack's
+// refutation verdicts are a pure function of the ingested stream: a
+// session drained mid-trace into a fresh server and restored there
+// answers the rest of the trace exactly as an uninterrupted session
+// does. The concatenated /v1/stream NDJSON responses (events, summary,
+// refutation digest) and the final GET /v1/sessions/{id}/refutation
+// report are compared byte for byte. The trace goes bad mid-way (a
+// negated DTLB rate) and the handoff lands inside a refutation window,
+// so the invariance covers violated windows, streaks and verdict
+// transitions, not just the all-clean path. (Scoring has no worker
+// count: every sample is scored on arrival.)
+func TestRefutationDeterministicAcrossHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d := dataset.MustNew([]dataset.Attribute{
 		{Name: "CPI"}, {Name: "L1IM"}, {Name: "L2M"}, {Name: "DtlbLdM"},
@@ -284,44 +288,55 @@ func TestRefutationDeterministicAcrossJobsAndShards(t *testing.T) {
 		}
 	}
 
-	var wantStream, wantReport []byte
-	for _, shards := range []int{1, 16} {
+	newHandler := func() http.Handler {
 		reg := serve.NewRegistry()
 		if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 			t.Fatal(err)
 		}
 		scfg := serve.DefaultConfig()
-		scfg.SessionShards = shards
 		scfg.CacheSize = 0
-		h := serve.New(reg, scfg).Handler()
-
-		req := httptest.NewRequest(http.MethodPost, "/v1/stream?model=cpi&session=det",
-			strings.NewReader(trace.String()))
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		return serve.New(reg, scfg).Handler()
+	}
+	serveOne := func(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			t.Fatalf("shards=%d: stream status %d: %s", shards, rec.Code, rec.Body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
 		}
-		ref := httptest.NewRecorder()
-		h.ServeHTTP(ref, httptest.NewRequest(http.MethodGet, "/v1/sessions/det/refutation?model=cpi", nil))
-		if ref.Code != 200 {
-			t.Fatalf("shards=%d: refutation status %d: %s", shards, ref.Code, ref.Body)
-		}
-		if wantStream == nil {
-			wantStream = rec.Body.Bytes()
-			wantReport = ref.Body.Bytes()
-			if !bytes.Contains(wantReport, []byte(`"verdict":"refuted"`)) {
-				t.Fatalf("corrupted trace was not refuted: %s", wantReport)
-			}
-			continue
-		}
-		if !bytes.Equal(rec.Body.Bytes(), wantStream) {
-			t.Errorf("shards=%d: /v1/stream response differs from shards=1", shards)
-		}
-		if !bytes.Equal(ref.Body.Bytes(), wantReport) {
-			t.Errorf("shards=%d: refutation report differs from shards=1", shards)
-		}
+		return rec
+	}
+	const streamPath = "/v1/stream?model=cpi&session=det"
+	const reportPath = "/v1/sessions/det/refutation?model=cpi"
+	lines := strings.SplitAfter(trace.String(), "\n")
+	first, rest := strings.Join(lines[:40], ""), strings.Join(lines[40:], "")
+
+	// The uninterrupted run: the same two requests on one server.
+	h := newHandler()
+	wantStream := serveOne(h, http.MethodPost, streamPath, first).Body.String() +
+		serveOne(h, http.MethodPost, streamPath, rest).Body.String()
+	wantReport := serveOne(h, http.MethodGet, reportPath, "").Body.String()
+	if !strings.Contains(wantReport, `"verdict":"refuted"`) {
+		t.Fatalf("corrupted trace was not refuted: %s", wantReport)
+	}
+
+	// The handoff run: drain after section 40, inside the second
+	// refutation window, and restore into a fresh server.
+	if 40%refute.WindowSections == 0 {
+		t.Fatal("handoff at a window boundary: the test no longer crosses an open window")
+	}
+	h = newHandler()
+	gotStream := serveOne(h, http.MethodPost, streamPath, first).Body.String()
+	dump := serveOne(h, http.MethodPost, "/v1/sessions/drain", "").Body.String()
+	h = newHandler()
+	serveOne(h, http.MethodPost, "/v1/sessions/restore", dump)
+	gotStream += serveOne(h, http.MethodPost, streamPath, rest).Body.String()
+	if gotStream != wantStream {
+		t.Errorf("/v1/stream responses differ across a drain/restore handoff:\n got  %s\n want %s", gotStream, wantStream)
+	}
+	if got := serveOne(h, http.MethodGet, reportPath, "").Body.String(); got != wantReport {
+		t.Errorf("refutation report differs across a drain/restore handoff:\n got  %s\n want %s", got, wantReport)
 	}
 }
 

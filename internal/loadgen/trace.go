@@ -193,8 +193,7 @@ type TraceConfig struct {
 	// cluster per session — a prediction cache sees realistic reuse
 	// instead of all-unique or all-identical keys. Stream requests
 	// carry their session id (?session=sN), so the server keeps one
-	// monitor timeline per synthetic client and the run spreads over
-	// the session table's shards.
+	// monitor timeline per synthetic client.
 	Sessions int `json:"sessions"`
 	// BatchSize is the row count of each batch predict request.
 	BatchSize int `json:"batch_size"`
@@ -483,8 +482,8 @@ func buildRequest(cfg *TraceConfig, kind string, sess int,
 		}
 		// Each synthetic session streams into its own server-side monitor
 		// timeline (?session=sN), so a run with -sessions N exercises the
-		// session table's shard spread and TTL bookkeeping instead of
-		// funnelling every stream request into one session lock.
+		// session table and its TTL bookkeeping instead of funnelling
+		// every stream request into one session lock.
 		return Request{Kind: kind, Route: "/v1/stream",
 			Path:        fmt.Sprintf("/v1/stream?model=%s&session=s%d", cfg.Model, sess),
 			ContentType: "application/x-ndjson", Body: []byte(b.String()),

@@ -158,9 +158,10 @@ func BenchmarkServeConcurrentPredict(b *testing.B) {
 
 // BenchmarkServeConcurrentStream measures /v1/stream under concurrent
 // producers of the SAME model, each on its own session (run with
-// -cpu 1,4,8). Before sessions were sharded this serialized on the
-// model's one session lock — held across the response write — so the
-// benchmark pins the scaling the shard table buys.
+// -cpu 1,4,8). Each request takes the session table's lock only for
+// the map lookup and its own session's lock only for ingestion, and
+// writes its response with no lock held, so producers on different
+// sessions overlap and ns/op should fall as -cpu rises.
 func BenchmarkServeConcurrentStream(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/shard"
 )
 
 // PredictionCache is a bounded cache from (model ref, feature vector) to a
@@ -19,13 +18,13 @@ import (
 // hand sweeps its entry ring and reclaims the first entry not referenced
 // since its last pass.
 //
-// The cache is lock-striped the same way as the session table: keys route
-// to a power-of-two number of independently locked shards by the shared
-// shard.Hash, so concurrent inserts and refreshes contend only when they
-// collide on a shard. Small caches stay single-shard, which keeps the
-// clock sweep global and eviction order exactly what a capacity-N clock
-// would do; capacity splits across shards as evenly as possible
-// (remainders go to the low shards), so the configured bound is exact.
+// The cache is lock-striped: keys route to a power-of-two number of
+// independently locked shards by an FNV-1a hash of the key, so
+// concurrent inserts and refreshes contend only when they collide on a
+// shard. Small caches stay single-shard, which keeps the clock sweep
+// global and eviction order exactly what a capacity-N clock would do;
+// capacity splits across shards as evenly as possible (remainders go to
+// the low shards), so the configured bound is exact.
 //
 // Keys are built by AppendKey from the exact bit patterns of the feature
 // values, so a hit is only possible for a bit-identical input and
@@ -90,7 +89,18 @@ func NewPredictionCache(capacity int) *PredictionCache {
 }
 
 func (c *PredictionCache) shardFor(key []byte) *cacheShard {
-	return c.shards[shard.HashBytes(key)&c.mask]
+	return c.shards[fnv1a(key)&c.mask]
+}
+
+// fnv1a is the 32-bit FNV-1a hash of key: fixed, unlike the runtime's
+// per-process map seed, so a key lands on the same shard in every run.
+func fnv1a(key []byte) uint32 {
+	h := uint32(2166136261)
+	for _, b := range key {
+		h ^= uint32(b)
+		h *= 16777619
+	}
+	return h
 }
 
 // GetBytes looks up a key built by AppendKey, marking it recently used

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 )
 
 // Every error the API emits — handler rejections and the mux's method
@@ -30,6 +32,9 @@ const (
 	// ErrCodeUnsupported: the model cannot answer this endpoint, e.g.
 	// classify on an ensemble (HTTP 422).
 	ErrCodeUnsupported = "unsupported"
+	// ErrCodeTimeout: the request body did not arrive before the
+	// connection's read deadline (HTTP 408).
+	ErrCodeTimeout = "timeout"
 	// ErrCodeInternal: server-side failure (HTTP 500).
 	ErrCodeInternal = "internal"
 	// ErrCodeStreamAborted: in-band NDJSON error line on /v1/stream
@@ -55,4 +60,32 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})
+}
+
+// bodyStatus classifies an error reading or decoding a request body:
+// 413 when the body exceeds MaxBodyBytes, whatever it holds; 408 when
+// the connection's read deadline cut the read off, which is a stalled
+// client, not a malformed body; else 400.
+func bodyStatus(err error) int {
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusRequestTimeout
+	}
+	return http.StatusBadRequest
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded, with the status bodyStatus gives; a 400 carries err's
+// message.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
+	switch status := bodyStatus(err); status {
+	case http.StatusRequestEntityTooLarge:
+		writeError(w, status, ErrCodeTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	case http.StatusRequestTimeout:
+		writeError(w, status, ErrCodeTimeout, "request body not received before the connection's read deadline")
+	default:
+		writeError(w, status, ErrCodeBadRequest, "%v", err)
+	}
 }

@@ -14,9 +14,9 @@ import (
 
 // The metamorphic suite: every event /v1/stream emits is a function of
 // each session's section sequence alone. Replaying the same timelines
-// under a different request chunking, session-table shard count, or
-// with drain/restore handoffs at arbitrary sections — inside refutation
-// windows included — must yield the same concatenated non-summary
+// under a different request chunking, or with drain/restore handoffs to
+// a fresh server at arbitrary sections — inside refutation windows
+// included — must yield the same concatenated non-summary
 // events per session, byte for byte. Summary lines are per-request
 // bookkeeping and are left out.
 
@@ -63,15 +63,13 @@ func sessionEvents(t *testing.T, body string) []string {
 	return out
 }
 
-func metamorphicServer(t *testing.T, fx *wireFixtureData, shards int) http.Handler {
+func metamorphicServer(t *testing.T, fx *wireFixtureData) http.Handler {
 	t.Helper()
 	reg := NewRegistry()
 	if err := reg.Register("cpi", "v1", fx.tree, ""); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SessionShards = shards
-	return New(reg, cfg).Handler()
+	return New(reg, DefaultConfig()).Handler()
 }
 
 func TestStreamMetamorphicInvariance(t *testing.T) {
@@ -86,8 +84,8 @@ func TestStreamMetamorphicInvariance(t *testing.T) {
 			}
 			path := func(si int) string { return fmt.Sprintf("/v1/stream?model=cpi&session=s%d", si) }
 
-			// Reference: one shard, each timeline in one request.
-			h := metamorphicServer(t, fx, 1)
+			// Reference: each timeline in one request.
+			h := metamorphicServer(t, fx)
 			want := make([][]string, len(lines))
 			types := map[string]int{}
 			for si, sl := range lines {
@@ -108,9 +106,8 @@ func TestStreamMetamorphicInvariance(t *testing.T) {
 				t.Fatalf("reference replay has no %q events (%v): the invariance tests nothing", need, types)
 			}
 
-			proptest.Run(t, "chunks-shards-restores", 4, func(t *testing.T, r *proptest.Rand) {
-				shards := []int{1, 16}[r.Intn(2)]
-				h := metamorphicServer(t, fx, shards)
+			proptest.Run(t, "chunks-restores", 4, func(t *testing.T, r *proptest.Rand) {
+				h := metamorphicServer(t, fx)
 				got := make([][]string, len(lines))
 				pos := make([]int, len(lines))
 				midWindow := false
@@ -132,16 +129,14 @@ func TestStreamMetamorphicInvariance(t *testing.T) {
 					if !more {
 						break
 					}
-					// Hand every session to a fresh server with the other
-					// shard count: always after the first round, then at
-					// random.
+					// Hand every session to a fresh server: always after
+					// the first round, then at random.
 					if round == 0 || r.Bool(0.35) {
 						drain := post(h, "/v1/sessions/drain", "")
 						if drain.Code != http.StatusOK {
 							t.Fatalf("drain: status %d: %s", drain.Code, drain.Body)
 						}
-						shards = 17 - shards
-						h = metamorphicServer(t, fx, shards)
+						h = metamorphicServer(t, fx)
 						if rec := post(h, "/v1/sessions/restore", drain.Body.String()); rec.Code != http.StatusOK {
 							t.Fatalf("restore: status %d: %s", rec.Code, rec.Body)
 						}

@@ -27,24 +27,12 @@ var latencyBucketsMs = []float64{
 
 // histogram is a fixed-bucket latency histogram built from atomics
 // only — no lock is ever taken on the observe path, so recording a
-// latency cannot contend with request handling. State is striped:
-// observations land round-robin on one of histStripes independently
-// allocated stripes (so the hot counters do not all share cache lines)
-// and the stripes are merged at snapshot time. A snapshot taken while
+// latency cannot contend with request handling. A snapshot taken while
 // observations are in flight may see an observation's bucket increment
 // before its total — a transient off-by-a-few skew that vanishes once
 // writers quiesce, which is when the exact cross-validation (loadgen)
 // reads it.
 type histogram struct {
-	next    atomic.Uint32
-	stripes []*histStripe
-}
-
-// histStripes is the stripe count; a power of two so the round-robin
-// pick is a mask, sized to spread writers without bloating snapshots.
-const histStripes = 8
-
-type histStripe struct {
 	counts []atomic.Uint64 // len(latencyBucketsMs)+1, last is overflow
 	total  atomic.Uint64
 	sumNs  atomic.Int64
@@ -52,44 +40,31 @@ type histStripe struct {
 }
 
 func newHistogram() *histogram {
-	h := &histogram{stripes: make([]*histStripe, histStripes)}
-	for i := range h.stripes {
-		h.stripes[i] = &histStripe{counts: make([]atomic.Uint64, len(latencyBucketsMs)+1)}
-	}
-	return h
+	return &histogram{counts: make([]atomic.Uint64, len(latencyBucketsMs)+1)}
 }
 
 func (h *histogram) observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(latencyBucketsMs, ms)
-	st := h.stripes[h.next.Add(1)&(histStripes-1)]
-	st.counts[i].Add(1)
-	st.total.Add(1)
-	st.sumNs.Add(int64(d))
+	h.counts[sort.SearchFloat64s(latencyBucketsMs, ms)].Add(1)
+	h.total.Add(1)
+	h.sumNs.Add(int64(d))
 	for {
-		cur := st.maxNs.Load()
-		if int64(d) <= cur || st.maxNs.CompareAndSwap(cur, int64(d)) {
+		cur := h.maxNs.Load()
+		if int64(d) <= cur || h.maxNs.CompareAndSwap(cur, int64(d)) {
 			break
 		}
 	}
 }
 
-// snapshot merges the stripes into one latency summary: count, mean,
-// max, p50/p90/p99 and the cumulative buckets.
+// snapshot summarizes the histogram: count, mean, max, p50/p90/p99 and
+// the cumulative buckets.
 func (h *histogram) snapshot() latencySnapshot {
-	counts := make([]uint64, len(latencyBucketsMs)+1)
-	var total uint64
-	var sumNs, maxNs int64
-	for _, st := range h.stripes {
-		for i := range counts {
-			counts[i] += st.counts[i].Load()
-		}
-		total += st.total.Load()
-		sumNs += st.sumNs.Load()
-		if m := st.maxNs.Load(); m > maxNs {
-			maxNs = m
-		}
+	counts := make([]uint64, len(h.counts))
+	for i := range counts {
+		counts[i] = h.counts[i].Load()
 	}
+	total := h.total.Load()
+	sumNs, maxNs := h.sumNs.Load(), h.maxNs.Load()
 	maxMs := float64(maxNs) / float64(time.Millisecond)
 	s := latencySnapshot{MaxMs: maxMs, Count: total}
 	if total == 0 {
@@ -307,15 +282,6 @@ func (s metricsSnapshot) renderText() []byte {
 	fmt.Fprintf(&b, "serve_stream_session_hits_total %d\n", s.Streams.Hits)
 	fmt.Fprintf(&b, "serve_stream_session_misses_total %d\n", s.Streams.Misses)
 	fmt.Fprintf(&b, "serve_stream_session_evictions_total %d\n", s.Streams.Evictions)
-	// Per-shard counters of the session table, in shard order: the
-	// exposition stays deterministic because the stripe count and the
-	// key→shard hash are both fixed.
-	for i, sh := range s.Streams.Shards {
-		fmt.Fprintf(&b, "serve_stream_shard_sessions{shard=\"%d\"} %d\n", i, sh.Size)
-		fmt.Fprintf(&b, "serve_stream_shard_hits_total{shard=\"%d\"} %d\n", i, sh.Hits)
-		fmt.Fprintf(&b, "serve_stream_shard_misses_total{shard=\"%d\"} %d\n", i, sh.Misses)
-		fmt.Fprintf(&b, "serve_stream_shard_evictions_total{shard=\"%d\"} %d\n", i, sh.Evictions)
-	}
 	return b.Bytes()
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,9 +115,8 @@ func (d *requestDecoder) reset() {
 }
 
 // decodeRequest reads a size-capped body and decodes it, writing the
-// HTTP error itself on failure: 413 for a body over MaxBodyBytes,
-// whatever it holds, else 400 for a malformed one. The caller releases
-// the returned decoder.
+// HTTP error itself on failure (see writeBodyError). The caller
+// releases the returned decoder.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *requestDecoder {
 	d := requestDecoders.Get().(*requestDecoder)
 	err := d.read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
@@ -129,13 +127,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *requestD
 		return d
 	}
 	d.release()
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-	} else {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-	}
+	s.writeBodyError(w, err)
 	return nil
 }
 

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -212,6 +215,61 @@ func TestPredictAdversarialBodies(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != code || env.Error.Message == "" {
 				t.Errorf("%s %s: bad error envelope (want code %q): %.200s", path, tc.name, code, rec.Body)
 			}
+		}
+	}
+}
+
+// cutBody is a request body that yields its bytes and then, instead of
+// io.EOF, err: what a body read returns when the connection fails
+// partway through.
+type cutBody struct {
+	r   io.Reader
+	err error
+}
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		err = b.err
+	}
+	return n, err
+}
+
+// TestBodyReadErrors pins how every body-reading route answers a read
+// that fails: a read cut off by the connection's read deadline is 408
+// with the timeout code, whether it lands mid-value or after a complete
+// one, and any other read failure stays 400.
+func TestBodyReadErrors(t *testing.T) {
+	s, _, d := newTestServer(t, streamConfig())
+	h := s.Handler()
+	deadline := &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}
+	reset := &net.OpError{Op: "read", Net: "tcp", Err: errors.New("connection reset by peer")}
+	predict := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 2))
+	sample := strings.SplitAfter(streamTrace(2, 1, 100, 0, 7), "\n")[0]
+	cases := []struct {
+		path, body string
+		err        error
+		status     int
+		code       string
+	}{
+		{"/v1/predict", predict[:20], deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/predict", predict, deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/predict", predict[:20], reset, http.StatusBadRequest, ErrCodeBadRequest},
+		{"/v1/stream?model=cpi", sample[:20], deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/stream?model=cpi", sample, deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/stream?model=cpi", sample[:20], reset, http.StatusBadRequest, ErrCodeBadRequest},
+		{"/v1/sessions/restore", `{"sessions":[`, deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/sessions/restore", `{"sessions":[]}`, deadline, http.StatusRequestTimeout, ErrCodeTimeout},
+		{"/v1/sessions/restore", `{"sessions":[`, reset, http.StatusBadRequest, ErrCodeBadRequest},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest(http.MethodPost, tc.path, &cutBody{strings.NewReader(tc.body), tc.err})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var env errorEnvelope
+		if rec.Code != tc.status || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != tc.code {
+			t.Errorf("%s after %d bytes, %v: %d %s, want %d with code %q",
+				tc.path, len(tc.body), tc.err, rec.Code, bytes.TrimSpace(rec.Body.Bytes()), tc.status, tc.code)
 		}
 	}
 }

@@ -720,3 +720,17 @@ func TestCacheKeyExactBits(t *testing.T) {
 		t.Error("identical inputs key differently")
 	}
 }
+
+// TestCacheHashFNV1a pins the cache's stripe hash to 32-bit FNV-1a
+// reference values: fixed across runs and machines, unlike the runtime
+// map hash.
+func TestCacheHashFNV1a(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		want uint32
+	}{{"", 2166136261}, {"a", 0xe40c292c}, {"foobar", 0xbf9cf968}} {
+		if got := fnv1a([]byte(c.key)); got != c.want {
+			t.Errorf("fnv1a(%q) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+}

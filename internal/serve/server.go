@@ -48,6 +48,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -55,7 +56,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mtree"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -75,9 +75,6 @@ type Config struct {
 	// Stream tunes the /v1/stream monitor sessions (phase, drift and
 	// refutation detectors).
 	Stream stream.Config
-	// SessionShards is the stripe count of the stream session table,
-	// rounded up to a power of two (0 = 16).
-	SessionShards int
 	// SessionTTL evicts stream sessions idle for this long; 0 keeps
 	// sessions forever (the pre-TTL behavior).
 	SessionTTL time.Duration
@@ -89,12 +86,11 @@ type Config struct {
 // DefaultConfig returns production-leaning defaults.
 func DefaultConfig() Config {
 	return Config{
-		CacheSize:     4096,
-		MaxBodyBytes:  1 << 20, // 1 MiB
-		MaxBatch:      4096,
-		Stream:        stream.DefaultConfig(),
-		SessionShards: 16,
-		SessionTTL:    15 * time.Minute,
+		CacheSize:    4096,
+		MaxBodyBytes: 1 << 20, // 1 MiB
+		MaxBatch:     4096,
+		Stream:       stream.DefaultConfig(),
+		SessionTTL:   15 * time.Minute,
 	}
 }
 
@@ -146,11 +142,7 @@ func (rt route) allow() string {
 // New creates a Server over a registry.
 func New(reg *Registry, cfg Config) *Server {
 	s := &Server{cfg: cfg, reg: reg}
-	s.streams = newStreamSessions(shard.Options{
-		Shards: cfg.SessionShards,
-		TTL:    cfg.SessionTTL,
-		Now:    cfg.Clock,
-	})
+	s.streams = newStreamSessions(cfg.SessionTTL, cfg.Clock)
 	if cfg.CacheSize > 0 {
 		s.cache = NewPredictionCache(cfg.CacheSize)
 	}
@@ -241,31 +233,24 @@ type predictResponse struct {
 }
 
 // decodeBody decodes a size-capped body holding exactly one JSON value
-// with encoding/json (the /v1/sessions/restore dump), distinguishing
-// oversized bodies (413) from malformed ones (400).
-// Anything but whitespace after the value is malformed: a second value
-// would otherwise be silently dropped.
+// with encoding/json (the /v1/sessions/restore dump), writing the HTTP
+// error itself on failure (see writeBodyError). Anything but whitespace
+// after the value is malformed: a second value would otherwise be
+// silently dropped.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var tooLarge *http.MaxBytesError
 	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
 			return true
 		}
-		if !errors.As(err, &tooLarge) {
+		if bodyStatus(err) == http.StatusBadRequest {
 			err = errors.New("unexpected data after the JSON value")
 		}
 	}
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-			"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-	} else {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			"malformed request body: %v", err)
-	}
+	s.writeBodyError(w, fmt.Errorf("malformed request body: %w", err))
 	return false
 }
 

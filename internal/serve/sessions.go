@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 
 	"repro/internal/refute"
 	"repro/internal/stream"
@@ -36,12 +35,12 @@ type sessionState struct {
 // session) order with each one's monitor stats.
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	sessions := []sessionInfo{} // render [] rather than null when empty
-	s.streams.tab.Range(func(_ string, sess *streamSession) {
+	for _, sess := range s.streams.list() {
 		sess.mu.Lock()
 		st := sess.p.Stats()
 		sess.mu.Unlock()
 		sessions = append(sessions, sessionInfo{Model: sess.model, Session: sess.id, Stats: st})
-	})
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": sessions})
 }
 
@@ -51,15 +50,9 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 // reachable — the drained dump is the authoritative handoff copy, so
 // drain when producers are quiesced.
 func (s *Server) handleSessionsDrain(w http.ResponseWriter, r *http.Request) {
-	drained := s.streams.tab.Drain()
-	keys := make([]string, 0, len(drained))
-	for k := range drained {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	drained := s.streams.drain()
 	states := make([]sessionState, 0, len(drained))
-	for _, k := range keys {
-		sess := drained[k]
+	for _, sess := range drained {
 		sess.mu.Lock()
 		st := sess.p.State()
 		sess.mu.Unlock()
@@ -95,7 +88,7 @@ func (s *Server) handleSessionsRestore(w http.ResponseWriter, r *http.Request) {
 		restored = append(restored, &streamSession{model: e.Ref(), id: st.Session, p: p})
 	}
 	for _, sess := range restored {
-		s.streams.tab.Put(sessionKey(sess.model, sess.id), sess)
+		s.streams.put(sess)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"restored": len(restored)})
 }
@@ -123,7 +116,7 @@ func (s *Server) handleSessionRefutation(w http.ResponseWriter, r *http.Request)
 	if id == "-" {
 		id = ""
 	}
-	sess, ok := s.streams.tab.Get(sessionKey(e.Ref(), id))
+	sess, ok := s.streams.lookup(e.Ref(), id)
 	if !ok {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound,
 			"no live session %q for model %s", id, e.Ref())

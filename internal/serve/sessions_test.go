@@ -76,9 +76,6 @@ func TestStreamSessionQueryParam(t *testing.T) {
 	if snap.Streams.Misses != 2 {
 		t.Errorf("session table misses %d, want 2 (one per created session)", snap.Streams.Misses)
 	}
-	if len(snap.Streams.Shards) != 16 {
-		t.Errorf("%d shard stats, want 16", len(snap.Streams.Shards))
-	}
 }
 
 // TestStreamConcurrentSessionsIndependent is the regression test for
@@ -95,7 +92,7 @@ func TestStreamConcurrentSessionsIndependent(t *testing.T) {
 	if rec := postNDJSON(h, "/v1/stream?model=cpi&session=a", trace); rec.Code != 200 {
 		t.Fatalf("seed request: status %d: %s", rec.Code, rec.Body)
 	}
-	sess, ok := s.streams.tab.Get(sessionKey("cpi@v1", "a"))
+	sess, ok := s.streams.lookup("cpi@v1", "a")
 	if !ok {
 		t.Fatal("session a not in the table")
 	}

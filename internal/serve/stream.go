@@ -2,14 +2,14 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/refute"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -28,9 +28,9 @@ import (
 // the same model concurrently without interleaving their sections.
 // Omitting ?session= addresses the model's default session, which keeps
 // the pre-session API shape working unchanged. The table behind the
-// keys is lock-striped (internal/shard) with TTL eviction, so session
-// lookup scales with cores and an abandoned producer's state does not
-// pin memory forever.
+// keys is one map behind one mutex, held only for the map operation
+// itself; TTL eviction keeps an abandoned producer's state from pinning
+// memory forever.
 
 // streamSession is one live monitor timeline. The processor is not safe
 // for concurrent use, so each session serializes its ingestion; other
@@ -47,39 +47,159 @@ type streamSession struct {
 	p     *stream.Processor
 }
 
-// streamSessions is the striped session table. The session key is the
-// model ref and session id joined by a NUL (refs and ids are
-// URL-derived and never contain one), so sessions of one model spread
-// across shards like any other keys.
+// streamSessions is the session table: a map from session key to
+// session and its last use, with TTL eviction and hit/miss/eviction
+// counters, all behind one mutex. Entries unused for ttl are evicted
+// lazily when accessed and by a whole-table sweep that get and lookup
+// run at most once per ttl/4, so idle sessions cannot pin memory
+// forever. The clock is injectable, so tests observe exact eviction
+// counts. The table lock is never held across ingestion or a session
+// lock; get holds it while it constructs a new session.
 type streamSessions struct {
-	tab *shard.Table[*streamSession]
+	mu        sync.Mutex
+	m         map[string]*sessionEntry
+	ttl       time.Duration // 0 keeps sessions forever
+	now       func() time.Time
+	lastSweep int64 // unix nanos of the last sweep
+
+	hits, misses, evictions uint64
 }
 
-func newStreamSessions(opts shard.Options) *streamSessions {
-	return &streamSessions{tab: shard.New[*streamSession](opts)}
+type sessionEntry struct {
+	sess     *streamSession
+	lastUsed int64 // unix nanos
 }
 
+func newStreamSessions(ttl time.Duration, now func() time.Time) *streamSessions {
+	if now == nil {
+		now = time.Now
+	}
+	return &streamSessions{m: map[string]*sessionEntry{}, ttl: ttl, now: now}
+}
+
+// sessionKey joins the model ref and session id with a NUL (refs never
+// contain one), so sorting keys orders sessions by (model, session).
 func sessionKey(ref, id string) string {
 	return ref + "\x00" + id
 }
 
-// get returns the live session for (ref, id), creating it with mk on a
-// miss or after TTL eviction.
-func (ss *streamSessions) get(ref, id string, mk func() (*stream.Processor, error)) (*streamSession, error) {
-	sess, _, err := ss.tab.GetOrCreate(sessionKey(ref, id), func() (*streamSession, error) {
-		p, err := mk()
-		if err != nil {
-			return nil, err
+func (ss *streamSessions) expired(e *sessionEntry, nowNs int64) bool {
+	return ss.ttl > 0 && nowNs-e.lastUsed >= int64(ss.ttl)
+}
+
+// sweep evicts every expired entry. The caller holds ss.mu.
+func (ss *streamSessions) sweep(nowNs int64) {
+	for k, e := range ss.m {
+		if ss.expired(e, nowNs) {
+			delete(ss.m, k)
+			ss.evictions++
 		}
-		return &streamSession{model: ref, id: id, p: p}, nil
-	})
-	return sess, err
+	}
+}
+
+// live returns the unexpired entry under key, refreshing its last use
+// and counting a hit or a miss; an expired entry is evicted. Before the
+// probe it sweeps the whole table if the last sweep is ttl/4 old. The
+// caller holds ss.mu.
+func (ss *streamSessions) live(key string, nowNs int64) *sessionEntry {
+	if ss.ttl > 0 && nowNs-ss.lastSweep >= int64(ss.ttl/4) {
+		ss.lastSweep = nowNs
+		ss.sweep(nowNs)
+	}
+	e, ok := ss.m[key]
+	if ok && ss.expired(e, nowNs) {
+		delete(ss.m, key)
+		ss.evictions++
+		ok = false
+	}
+	if !ok {
+		ss.misses++
+		return nil
+	}
+	e.lastUsed = nowNs
+	ss.hits++
+	return e
+}
+
+// get returns the live session for (ref, id), creating it with mk on a
+// miss or after TTL eviction. mk runs under the table lock, so
+// concurrent first requests for one key build exactly one session, and
+// a failed mk leaves no entry behind.
+func (ss *streamSessions) get(ref, id string, mk func() (*stream.Processor, error)) (*streamSession, error) {
+	key := sessionKey(ref, id)
+	nowNs := ss.now().UnixNano()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if e := ss.live(key, nowNs); e != nil {
+		return e.sess, nil
+	}
+	p, err := mk()
+	if err != nil {
+		return nil, err
+	}
+	sess := &streamSession{model: ref, id: id, p: p}
+	ss.m[key] = &sessionEntry{sess: sess, lastUsed: nowNs}
+	return sess, nil
+}
+
+// lookup returns the live session for (ref, id) without creating one.
+func (ss *streamSessions) lookup(ref, id string) (*streamSession, bool) {
+	nowNs := ss.now().UnixNano()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if e := ss.live(sessionKey(ref, id), nowNs); e != nil {
+		return e.sess, true
+	}
+	return nil, false
+}
+
+// put installs sess, replacing any session under its key.
+func (ss *streamSessions) put(sess *streamSession) {
+	nowNs := ss.now().UnixNano()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.m[sessionKey(sess.model, sess.id)] = &sessionEntry{sess: sess, lastUsed: nowNs}
+}
+
+// list returns every stored session (expired ones not yet swept
+// included) in key order, so listings and rollups are deterministic.
+func (ss *streamSessions) list() []*streamSession {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.sorted()
+}
+
+// drain empties the table and returns its live sessions in key order:
+// the caller becomes their exclusive owner. Entries already past their
+// TTL are counted as evictions and not returned.
+func (ss *streamSessions) drain() []*streamSession {
+	nowNs := ss.now().UnixNano()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.sweep(nowNs)
+	out := ss.sorted()
+	clear(ss.m)
+	return out
+}
+
+// sorted returns the stored sessions in key order. The caller holds
+// ss.mu.
+func (ss *streamSessions) sorted() []*streamSession {
+	keys := make([]string, 0, len(ss.m))
+	for k := range ss.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*streamSession, len(keys))
+	for i, k := range keys {
+		out[i] = ss.m[k].sess
+	}
+	return out
 }
 
 // streamsSnapshot aggregates every session's monitor counters for the
-// /metrics report, plus the session table's per-shard counters — the
-// observable proof that traffic spreads across stripes and that TTL
-// eviction is reclaiming abandoned sessions.
+// /metrics report, plus the session table's counters — the observable
+// proof that TTL eviction is reclaiming abandoned sessions.
 type streamsSnapshot struct {
 	Sessions        int    `json:"sessions"`
 	Accepted        uint64 `json:"accepted"`
@@ -96,17 +216,15 @@ type streamsSnapshot struct {
 	RefuteRefuted      int               `json:"refute_refuted_sessions"`
 	RefuteViolations   uint64            `json:"refute_violations"`
 	RelationViolations map[string]uint64 `json:"refute_relation_violations,omitempty"`
-	// Hits/Misses/Evictions are the session-table totals; Shards breaks
-	// them down per stripe.
-	Hits      uint64             `json:"hits"`
-	Misses    uint64             `json:"misses"`
-	Evictions uint64             `json:"evictions"`
-	Shards    []shard.ShardStats `json:"shards,omitempty"`
+	// Hits/Misses/Evictions are the session table's counters.
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 func (ss *streamSessions) snapshot() streamsSnapshot {
 	var snap streamsSnapshot
-	ss.tab.Range(func(_ string, s *streamSession) {
+	for _, s := range ss.list() {
 		s.mu.Lock()
 		st := s.p.Stats()
 		rep := s.p.Refutation()
@@ -136,11 +254,10 @@ func (ss *streamSessions) snapshot() streamsSnapshot {
 			snap.RelationViolations[rel.Name] += rel.Violations
 			snap.RefuteViolations += rel.Violations
 		}
-	})
-	stats := ss.tab.Stats()
-	total := stats.Total()
-	snap.Hits, snap.Misses, snap.Evictions = total.Hits, total.Misses, total.Evictions
-	snap.Shards = stats.Shards
+	}
+	ss.mu.Lock()
+	snap.Hits, snap.Misses, snap.Evictions = ss.hits, ss.misses, ss.evictions
+	ss.mu.Unlock()
 	return snap
 }
 
@@ -209,13 +326,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge,
-					"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			} else {
-				writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-			}
+			s.writeBodyError(w, err)
 			return
 		}
 		if rec.Err != nil && schemaErr == nil {

@@ -502,11 +502,11 @@ func TestStreamAdversarialBodies(t *testing.T) {
 		{"oversized body, unknown event on line 1", h,
 			`{"events":{"NoSuchEvent":1}}` + "\n" + `{"events":{"L2M":1}}` + rep(" ", 4096) + "\n",
 			http.StatusRequestEntityTooLarge, ErrCodeTooLarge, "bytes"},
-		// The scanner hands out the truncated last line before the read
-		// error, so a body cut mid-sample reports that line as malformed.
+		// A line cut short by the failed read is the read failure, not a
+		// malformed sample.
 		{"oversized body cut mid-line", h,
 			`{"events":{"NoSuchEvent":1}}` + "\n" + `{"pad":"` + rep("x", 4096) + `","events":{"L2M":1}}` + "\n",
-			http.StatusBadRequest, ErrCodeBadRequest, "line 2"},
+			http.StatusRequestEntityTooLarge, ErrCodeTooLarge, "bytes"},
 		{"over MaxBatch, target as event", h,
 			`{"events":{"CPI":1}}` + "\n" + rep(valid, 8),
 			http.StatusRequestEntityTooLarge, ErrCodeTooLarge, "batch exceeds"},

@@ -157,6 +157,12 @@ func (d *Decoder) scan() ([]byte, error) {
 		return nil, d.err
 	}
 	for d.sc.Scan() {
+		if d.sc.Err() != nil {
+			// The read failed and the scanner is handing out what it
+			// had buffered; a line cut short there is the failure, not
+			// a malformed sample.
+			break
+		}
 		d.line++
 		if b := d.sc.Bytes(); len(trimSpace(b)) > 0 {
 			return b, nil
