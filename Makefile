@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-predict bench-micro bench-json bench-compare experiments paper-check crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
+.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-smoke bench-predict bench-micro bench-json bench-compare experiments paper-check crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
 
 build:
 	$(GO) build ./...
@@ -22,8 +22,9 @@ race:
 	$(GO) test -race -short ./...
 
 # Full (not -short) race run of the serving hot path: the session table
-# and its per-session locks, the atomic latency histogram, the striped
-# prediction cache, and the stream/phase machinery behind them. These
+# and its per-session locks, the atomic latency histogram, the
+# prediction cache's stripe locks, and the stream/phase machinery
+# behind them. These
 # packages carry the concurrency added for multi-session serving, so
 # they get a dedicated race gate beyond the -short sweep above.
 race-serve:
@@ -66,9 +67,16 @@ bench-parallel:
 bench:
 	$(GO) test -run '^$$' -bench . .
 
-# Served-prediction latency, cached vs uncached (see DESIGN.md §8).
+# Served-prediction latency (see DESIGN.md §8): cache off, warm hits,
+# and the all-miss live-traffic shape (tree-cached-miss).
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x ./internal/serve/
+
+# Every serving and stream benchmark once: `go test ./...` compiles
+# benchmarks but never runs them, so one that fails its own status
+# check would otherwise go unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/serve/ ./internal/stream/
 
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus

@@ -14,10 +14,14 @@ import (
 )
 
 // BenchmarkServePredict measures the full request path — JSON decode,
-// registry lookup, prediction, JSON encode — for a 64-row batch, with the
-// LRU cache cold-off and warm-on. A single small tree predicts in a few
-// hundred nanoseconds, so for it the cache is overhead; the bagged
-// ensemble shows where a warm hit pays: it skips all member predictions.
+// registry lookup, cache probe, prediction, JSON encode — for a 64-row
+// batch, with the prediction cache off and on. The -cached cases repeat
+// one body, so after the warm-up every row is a warm hit: a single small
+// tree predicts in a few hundred nanoseconds, so for it a hit saves
+// little, while the bagged ensemble shows where a hit pays: it skips all
+// member predictions. tree-cached-miss is the shape of live traffic:
+// 21 columns, rows that never repeat, and more distinct bodies than
+// cap/64, so every row misses a full cache and its insert evicts.
 func BenchmarkServePredict(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()
@@ -33,24 +37,36 @@ func BenchmarkServePredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	wideTree, err := mtree.Build(wideData(2000, 3), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 
-	body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 64))
+	body := []string{fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 64))}
+	const cacheSize = 4096
+	wide := wideData(2*cacheSize, 5)
+	missBodies := make([]string, wide.Len()/64)
+	for i := range missBodies {
+		missBodies[i] = fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(wide, 64*i, 64*(i+1)))
+	}
 
-	run := func(b *testing.B, m model.Model, scfg Config) {
+	run := func(b *testing.B, m model.Model, scfg Config, bodies []string) {
 		reg := NewRegistry()
 		if err := reg.Register("cpi", "v1", m, ""); err != nil {
 			b.Fatal(err)
 		}
 		h := New(reg, scfg).Handler()
-		// One warm-up request fills the cache where enabled.
-		if rec := post(h, "/v1/predict", body); rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		// One warm-up pass over the bodies fills the cache where enabled.
+		for _, body := range bodies {
+			if rec := post(h, "/v1/predict", body); rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
 		}
 		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
+		b.SetBytes(int64(len(bodies[0])))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rec := post(h, "/v1/predict", body)
+			rec := post(h, "/v1/predict", bodies[i%len(bodies)])
 			if rec.Code != http.StatusOK {
 				b.Fatalf("status %d", rec.Code)
 			}
@@ -60,10 +76,11 @@ func BenchmarkServePredict(b *testing.B) {
 	withCache := func(cache int) Config {
 		return Config{CacheSize: cache, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
 	}
-	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, withCache(0)) })
-	b.Run("tree-cached", func(b *testing.B) { run(b, tree, withCache(4096)) })
-	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, withCache(0)) })
-	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, withCache(4096)) })
+	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, withCache(0), body) })
+	b.Run("tree-cached", func(b *testing.B) { run(b, tree, withCache(cacheSize), body) })
+	b.Run("tree-cached-miss", func(b *testing.B) { run(b, wideTree, withCache(cacheSize), missBodies) })
+	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, withCache(0), body) })
+	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, withCache(cacheSize), body) })
 }
 
 // BenchmarkServePredictBatch measures the batch endpoint's compiled
@@ -116,9 +133,10 @@ func BenchmarkServePredictBatch(b *testing.B) {
 // BenchmarkServeConcurrentPredict measures the request path under
 // concurrent clients (run with -cpu 1,4,8 to see core scaling): every
 // goroutine posts single-row predictions against the same model, so
-// the cache shards, the atomic histogram and the endpoint counters are
-// all on the contended path. The parallelism under test is request
-// concurrency: each request is evaluated on its own goroutine.
+// the prediction cache's stripe locks, the atomic histogram and the
+// endpoint counters are all on the contended path. The parallelism
+// under test is request concurrency: each request is evaluated on its
+// own goroutine.
 func BenchmarkServeConcurrentPredict(b *testing.B) {
 	d := perfData(2000, 17)
 	cfg := mtree.DefaultConfig()
@@ -202,19 +220,19 @@ func BenchmarkServeConcurrentStream(b *testing.B) {
 	})
 }
 
-// BenchmarkPredictionCache isolates the cache itself.
+// BenchmarkPredictionCache isolates a warm hit on the cache: keying
+// the row and probing it.
 func BenchmarkPredictionCache(b *testing.B) {
+	const ref = "cpi@v1"
 	c := NewPredictionCache(1024)
 	d := perfData(256, 23)
-	keys := make([][]byte, d.Len())
-	for i := range keys {
-		keys[i] = AppendKey(nil, "cpi@v1", d.Row(i))
-		c.PutBytes(keys[i], float64(i))
+	for i := 0; i < d.Len(); i++ {
+		cachePut(c, ref, d.Row(i), float64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.GetBytes(keys[i%len(keys)]); !ok {
+		if _, ok := cacheGet(c, ref, d.Row(i%d.Len())); !ok {
 			b.Fatal("miss")
 		}
 	}

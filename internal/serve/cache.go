@@ -1,189 +1,204 @@
 package serve
 
 import (
-	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 )
 
 // PredictionCache is a bounded cache from (model ref, feature vector) to a
 // predicted value with clock (second-chance) eviction. Tree prediction is
-// already cheap — a handful of comparisons plus a dot product — so the hit
-// path has to be cheaper still to be worth having: it takes one shard's
-// read lock, one map probe and two atomic operations, with no per-hit list
-// surgery or allocation. Evictions approximate LRU: each shard's clock
-// hand sweeps its entry ring and reclaims the first entry not referenced
-// since its last pass.
+// already cheap — a handful of comparisons plus a dot product — so a probe
+// has to cost about as much as that to be worth having. Each row is keyed
+// exactly once: rowHash folds the model ref and every value's bit pattern
+// into one fixed-seed 64-bit hash, computed outside any lock, and the
+// stripe choice, the probe and the insert all reuse it. A probe then takes
+// one stripe's mutex for one map lookup and one row compare, and
+// allocates nothing.
 //
-// The cache is lock-striped: keys route to a power-of-two number of
-// independently locked shards by an FNV-1a hash of the key, so
-// concurrent inserts and refreshes contend only when they collide on a
-// shard. Small caches stay single-shard, which keeps the clock sweep
-// global and eviction order exactly what a capacity-N clock would do;
-// capacity splits across shards as evenly as possible (remainders go to
-// the low shards), so the configured bound is exact.
+// The cache is lock-striped: the hash's top bits pick one of up to 16
+// independently locked stripes, so concurrent requests contend only when
+// their rows land on the same stripe, and only for one row's probe or
+// insert. Each stripe indexes a flat ring of slots by hash; its clock
+// hand sweeps the ring and reclaims the first slot not referenced since
+// its last pass, reusing the slot's row buffer, so steady-state inserts
+// allocate nothing. Small caches stay on one stripe, which keeps the
+// clock sweep global and eviction order exactly what a capacity-N clock
+// would do; capacity splits across stripes as evenly as possible
+// (remainders go to the low stripes), so the configured bound is exact.
 //
-// Keys are built by AppendKey from the exact bit patterns of the feature
-// values, so a hit is only possible for a bit-identical input and
-// caching can never change a response.
+// A hit requires the same ref and the same bits for every value, so a
+// hash collision is a miss (the newer row takes the slot), never a wrong
+// value, and caching can never change a response.
 type PredictionCache struct {
-	shards []*cacheShard
-	mask   uint32
-	cap    int
+	stripes []cacheStripe
+	shift   uint // hash >> shift is the stripe index
+	cap     int
 }
 
-// cacheShard is one independently locked clock cache over a slice of the
+// cacheStripe is one independently locked clock cache over a slice of the
 // capacity.
-type cacheShard struct {
-	mu           sync.RWMutex
-	cap          int
-	ring         []*cacheEntry // insertion ring the clock hand sweeps
+type cacheStripe struct {
+	mu           sync.Mutex
+	index        map[uint64]int32 // row hash -> slot
+	slots        []cacheSlot      // the ring the clock hand sweeps
 	hand         int
-	items        map[string]*cacheEntry
-	hits, misses atomic.Uint64
+	hits, misses uint64
 }
 
-type cacheEntry struct {
-	key  string
-	bits atomic.Uint64 // Float64bits of the cached prediction
-	ref  atomic.Bool   // referenced since the hand last passed
+// cacheSlot is one cached row.
+type cacheSlot struct {
+	hash uint64
+	ref  string    // the registry's ref string, shared, not copied
+	row  []float64 // owned copy of the row; the next entry reuses it
+	val  float64
+	used bool // referenced since the hand last passed
 }
 
-// cacheShardFloor is the smallest per-shard capacity worth striping for:
-// below it the cache stays on fewer (or one) shards, so tiny caches keep
-// exact global clock eviction and shards never round down to zero slots.
-const cacheShardFloor = 64
+// cacheStripeFloor is the smallest per-stripe capacity worth striping
+// for: tiny caches keep exact global clock eviction on fewer (or one)
+// stripes, and stripes never round down to zero slots.
+const cacheStripeFloor = 64
 
 // NewPredictionCache creates a cache bounded to capacity entries.
 // Capacity must be positive; callers disable caching by not constructing
-// one (a nil *PredictionCache is inert).
+// one (a nil *PredictionCache reports empty Stats).
 func NewPredictionCache(capacity int) *PredictionCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	n := 16
-	for n > 1 && capacity/n < cacheShardFloor {
+	for n > 1 && capacity/n < cacheStripeFloor {
 		n >>= 1
 	}
 	c := &PredictionCache{
-		shards: make([]*cacheShard, n),
-		mask:   uint32(n - 1),
-		cap:    capacity,
+		stripes: make([]cacheStripe, n),
+		shift:   uint(64 - bits.TrailingZeros(uint(n))),
+		cap:     capacity,
 	}
 	base, extra := capacity/n, capacity%n
-	for i := range c.shards {
+	for i := range c.stripes {
 		sc := base
 		if i < extra {
 			sc++
 		}
-		c.shards[i] = &cacheShard{
-			cap:   sc,
-			ring:  make([]*cacheEntry, 0, sc),
-			items: make(map[string]*cacheEntry, sc),
-		}
+		c.stripes[i].index = make(map[uint64]int32, sc)
+		c.stripes[i].slots = make([]cacheSlot, 0, sc)
 	}
 	return c
 }
 
-func (c *PredictionCache) shardFor(key []byte) *cacheShard {
-	return c.shards[fnv1a(key)&c.mask]
-}
+// Multipliers of xxHash64, whose round and final avalanche rowHash uses.
+const (
+	hashPrime1 = 0x9e3779b185ebca87
+	hashPrime2 = 0xc2b2ae3d27d4eb4f
+	hashPrime3 = 0x165667b19e3779f9
+)
 
-// fnv1a is the 32-bit FNV-1a hash of key: fixed, unlike the runtime's
-// per-process map seed, so a key lands on the same shard in every run.
-func fnv1a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
+// refHash is the hash state after the model ref: a request hashes its ref
+// once and hands the result to rowHash for each row.
+func refHash(ref string) uint64 {
+	h := uint64(hashPrime3)
+	for i := 0; i < len(ref); i++ {
+		h = (h ^ uint64(ref[i])) * hashPrime1
 	}
 	return h
 }
 
-// GetBytes looks up a key built by AppendKey, marking it recently used
-// on a hit. The string conversion happens inside the map index
-// expression, which the compiler performs without copying, so a lookup
-// allocates nothing. A nil cache always misses without counting.
-func (c *PredictionCache) GetBytes(key []byte) (float64, bool) {
-	if c == nil {
-		return 0, false
+// rowHash is the row's cache hash: one xxHash64 round per value's
+// Float64bits on top of seed (see refHash), then xxHash64's avalanche so
+// the top bits that pick the stripe depend on every value. Unlike the
+// runtime's map seed it is fixed, so a row lands on one stripe in every run.
+func rowHash(seed uint64, row dataset.Instance) uint64 {
+	h := seed
+	for _, v := range row {
+		h = bits.RotateLeft64(h+math.Float64bits(v)*hashPrime2, 31) * hashPrime1
 	}
-	sh := c.shardFor(key)
-	sh.mu.RLock()
-	e, ok := sh.items[string(key)]
-	sh.mu.RUnlock()
-	if !ok {
-		sh.misses.Add(1)
-		return 0, false
-	}
-	e.ref.Store(true)
-	sh.hits.Add(1)
-	return math.Float64frombits(e.bits.Load()), true
+	h = (h ^ h>>33) * hashPrime2
+	h = (h ^ h>>29) * hashPrime3
+	return h ^ h>>32
 }
 
-// PutBytes inserts or refreshes a key built by AppendKey, evicting an
-// entry second-chance style when the shard is full. The refresh path
-// allocates nothing; only a genuine insert copies the key into an owned
-// string. A nil cache ignores the call.
-func (c *PredictionCache) PutBytes(key []byte, val float64) {
-	if c == nil {
-		return
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[string(key)]; ok {
-		e.bits.Store(math.Float64bits(val))
-		e.ref.Store(true)
-		return
-	}
-	sh.insert(string(key), val)
-}
-
-// insert adds a new entry (caller holds the shard's write lock and has
-// ruled out a refresh), reclaiming a ring slot from the clock hand when
-// the shard is full.
-func (sh *cacheShard) insert(key string, val float64) {
-	e := &cacheEntry{key: key}
-	e.bits.Store(math.Float64bits(val))
-	if len(sh.ring) < sh.cap {
-		sh.ring = append(sh.ring, e)
-		sh.items[key] = e
-		return
-	}
-	// Second chance: skip (and strip the reference bit of) every entry
-	// used since the hand last came by; evict the first one that was not.
-	// Bounded: after one full sweep every bit is clear.
-	for {
-		v := sh.ring[sh.hand]
-		if v.ref.Load() {
-			v.ref.Store(false)
-			sh.hand = (sh.hand + 1) % sh.cap
-			continue
+// get looks up the row hashed to h under ref, marking its slot recently
+// used on a hit and counting one hit or miss.
+func (c *PredictionCache) get(h uint64, ref string, row dataset.Instance) (float64, bool) {
+	st := &c.stripes[h>>c.shift]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if i, ok := st.index[h]; ok {
+		if s := &st.slots[i]; s.ref == ref && sameBits(s.row, row) {
+			s.used = true
+			st.hits++
+			return s.val, true
 		}
-		delete(sh.items, v.key)
-		sh.ring[sh.hand] = e
-		sh.items[key] = e
-		sh.hand = (sh.hand + 1) % sh.cap
-		return
 	}
+	st.misses++
+	return 0, false
+}
+
+// put inserts or refreshes the row hashed to h under ref. A row whose
+// hash collides with a different cached row takes over that row's slot.
+func (c *PredictionCache) put(h uint64, ref string, row dataset.Instance, val float64) {
+	st := &c.stripes[h>>c.shift]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	i, refresh := st.index[h]
+	if !refresh {
+		i = st.victim()
+		st.index[h] = i
+	}
+	s := &st.slots[i]
+	s.hash, s.ref, s.row, s.val, s.used = h, ref, append(s.row[:0], row...), val, refresh
+}
+
+// victim returns the slot for a new entry: the next unused one while the
+// ring fills, then — second chance — the first slot the clock hand finds
+// unreferenced since its last pass, stripping the reference bit of every
+// slot it skips, and dropping the victim's index entry. Bounded: after
+// one full sweep every bit is clear. The caller holds st.mu.
+func (st *cacheStripe) victim() int32 {
+	if n := len(st.slots); n < cap(st.slots) {
+		st.slots = st.slots[:n+1]
+		return int32(n)
+	}
+	for {
+		i := st.hand
+		st.hand = (st.hand + 1) % len(st.slots)
+		if s := &st.slots[i]; s.used {
+			s.used = false
+		} else {
+			delete(st.index, s.hash)
+			return int32(i)
+		}
+	}
+}
+
+// sameBits compares value bits, so -0 and +0 differ.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats returns the hit/miss counters and the current size, summed over
-// the shards.
+// the stripes.
 func (c *PredictionCache) Stats() (hits, misses uint64, size int) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		size += len(sh.items)
-		sh.mu.RUnlock()
-		hits += sh.hits.Load()
-		misses += sh.misses.Load()
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		st.mu.Lock()
+		hits, misses, size = hits+st.hits, misses+st.misses, size+len(st.index)
+		st.mu.Unlock()
 	}
 	return hits, misses, size
 }
@@ -194,21 +209,4 @@ func (c *PredictionCache) Cap() int {
 		return 0
 	}
 	return c.cap
-}
-
-// AppendKey appends the cache key for one instance under one model to dst
-// and returns the extended slice: the model reference, a NUL separator,
-// then the 8-byte bit pattern of each value. Bit patterns — not formatted
-// decimals — keep the key exact, compact, and collision-free. Callers on
-// the hot path hand in a stack scratch buffer and pass the result
-// straight to GetBytes/PutBytes, so keying a request allocates nothing.
-func AppendKey(dst []byte, modelRef string, row dataset.Instance) []byte {
-	dst = append(dst, modelRef...)
-	dst = append(dst, 0)
-	var scratch [8]byte
-	for _, v := range row {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		dst = append(dst, scratch[:]...)
-	}
-	return dst
 }

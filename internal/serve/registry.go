@@ -36,6 +36,9 @@ type Entry struct {
 	Path  string
 	Model servedModel
 
+	// ref is "name@version", built once at registration so every request
+	// (and every prediction-cache slot) shares one string.
+	ref string
 	// cols maps every attribute name, the target included, to its
 	// column: the /v1/predict and /v1/classify named-events index.
 	cols map[string]int
@@ -46,7 +49,7 @@ type Entry struct {
 }
 
 // Ref is the entry's canonical reference, "name@version".
-func (e *Entry) Ref() string { return e.Name + "@" + e.Version }
+func (e *Entry) Ref() string { return e.ref }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -102,7 +105,7 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 		return fmt.Errorf("serve: model %s@%s already registered", name, version)
 	}
 	desc := sm.Describe()
-	e := &Entry{Name: name, Version: version, Path: path, Model: sm, cols: make(map[string]int, len(desc.AttrNames))}
+	e := &Entry{Name: name, Version: version, Path: path, Model: sm, ref: name + "@" + version, cols: make(map[string]int, len(desc.AttrNames))}
 	for i, n := range desc.AttrNames {
 		e.cols[n] = i
 	}

@@ -683,54 +683,3 @@ func TestModelDetail(t *testing.T) {
 		t.Errorf("bad 404 envelope: %s", rec.Body)
 	}
 }
-
-func TestCacheEviction(t *testing.T) {
-	c := NewPredictionCache(2)
-	key := func(ref string) []byte { return AppendKey(nil, ref, dataset.Instance{1, 2}) }
-	c.PutBytes(key("a"), 1)
-	c.PutBytes(key("b"), 2)
-	if _, ok := c.GetBytes(key("a")); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.PutBytes(key("c"), 3)
-	if _, ok := c.GetBytes(key("b")); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.GetBytes(key("a")); !ok || v != 1 {
-		t.Error("a lost")
-	}
-	if v, ok := c.GetBytes(key("c")); !ok || v != 3 {
-		t.Error("c lost")
-	}
-}
-
-// TestCacheKeyExactBits: keys are the exact value bits under the model
-// reference, so near-identical inputs and different models never share
-// an entry.
-func TestCacheKeyExactBits(t *testing.T) {
-	r1 := dataset.Instance{0, 1.00000001, 2}
-	r2 := dataset.Instance{0, 1.00000002, 2}
-	if bytes.Equal(AppendKey(nil, "m", r1), AppendKey(nil, "m", r2)) {
-		t.Error("exact keying collided for distinct inputs")
-	}
-	if bytes.Equal(AppendKey(nil, "m1", r1), AppendKey(nil, "m2", r1)) {
-		t.Error("different models share a key")
-	}
-	if !bytes.Equal(AppendKey(nil, "m", r1), AppendKey(nil, "m", dataset.Instance{0, 1.00000001, 2})) {
-		t.Error("identical inputs key differently")
-	}
-}
-
-// TestCacheHashFNV1a pins the cache's stripe hash to 32-bit FNV-1a
-// reference values: fixed across runs and machines, unlike the runtime
-// map hash.
-func TestCacheHashFNV1a(t *testing.T) {
-	for _, c := range []struct {
-		key  string
-		want uint32
-	}{{"", 2166136261}, {"a", 0xe40c292c}, {"foobar", 0xbf9cf968}} {
-		if got := fnv1a([]byte(c.key)); got != c.want {
-			t.Errorf("fnv1a(%q) = %#x, want %#x", c.key, got, c.want)
-		}
-	}
-}

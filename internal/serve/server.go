@@ -51,6 +51,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -314,8 +316,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // predictBatch predicts every row through the model's batch kernel.
 // Without a cache the kernel runs straight into the response buffer;
-// with one, rows are probed first and the kernel runs only over the
-// misses, which are then scattered back and inserted. Keys are the
+// with one, every row is hashed once and probed, the kernel runs only
+// over the misses, and their values are scattered back and inserted
+// under the same hashes: one hit or one miss per row. A hit needs the
 // exact value bits, so dst[i] is bit-identical to Predict(rows[i])
 // either way and the cache can never change a response.
 func (s *Server) predictBatch(m servedModel, ref string, rows []dataset.Instance) []float64 {
@@ -324,28 +327,43 @@ func (s *Server) predictBatch(m servedModel, ref string, rows []dataset.Instance
 		m.PredictInto(out, rows)
 		return out
 	}
-	var kb [256]byte
-	missIdx := make([]int, 0, len(rows))
-	missRows := make([]dataset.Instance, 0, len(rows))
+	sc := missScratchPool.Get().(*missScratch)
+	defer missScratchPool.Put(sc)
+	sc.idx, sc.hash, sc.rows = sc.idx[:0], sc.hash[:0], sc.rows[:0]
+	seed := refHash(ref)
 	for i, row := range rows {
-		if v, ok := s.cache.GetBytes(AppendKey(kb[:0], ref, row)); ok {
+		h := rowHash(seed, row)
+		if v, ok := s.cache.get(h, ref, row); ok {
 			out[i] = v
 			continue
 		}
-		missIdx = append(missIdx, i)
-		missRows = append(missRows, row)
+		sc.idx = append(sc.idx, i)
+		sc.hash = append(sc.hash, h)
+		sc.rows = append(sc.rows, row)
 	}
-	if len(missRows) == 0 {
-		return out
+	if len(sc.rows) > 0 {
+		sc.vals = slices.Grow(sc.vals[:0], len(sc.rows))[:len(sc.rows)]
+		m.PredictInto(sc.vals, sc.rows)
+		for j, i := range sc.idx {
+			out[i] = sc.vals[j]
+			s.cache.put(sc.hash[j], ref, rows[i], sc.vals[j])
+		}
 	}
-	miss := make([]float64, len(missRows))
-	m.PredictInto(miss, missRows)
-	for j, i := range missIdx {
-		out[i] = miss[j]
-		s.cache.PutBytes(AppendKey(kb[:0], ref, rows[i]), miss[j])
-	}
+	clear(sc.rows) // the pool must not pin the request's rows
 	return out
 }
+
+// missScratch is predictBatch's per-request miss list — row indices,
+// hashes, rows and kernel output — pooled so that a request with the
+// cache on allocates no more than one with it off.
+type missScratch struct {
+	idx  []int
+	hash []uint64
+	rows []dataset.Instance
+	vals []float64
+}
+
+var missScratchPool = sync.Pool{New: func() any { return new(missScratch) }}
 
 // classifier is the optional classification surface: single trees route
 // an instance to one leaf (the paper's performance class); ensembles do

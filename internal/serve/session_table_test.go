@@ -178,13 +178,15 @@ func TestStreamSessionsSweepOncePerQuarterTTL(t *testing.T) {
 }
 
 // TestStreamSessionsDrainAndList: list and drain return sessions in key
-// order, drain empties the table, and drain drops and counts sessions
+// order, drain empties the table, and both drop and count sessions
 // already past their TTL.
 func TestStreamSessionsDrainAndList(t *testing.T) {
 	clk := newFakeClock()
 	ss := newStreamSessions(time.Minute, clk.Now)
-	ss.put(&streamSession{model: "m@v1", id: "stale"})
-	clk.Advance(2 * time.Minute)
+	ss.put(&streamSession{model: "m@v1", id: "stale"}) // expires at +60s
+	clk.Advance(30 * time.Second)
+	ss.put(&streamSession{model: "m@v1", id: "aging"}) // expires at +90s
+	clk.Advance(10 * time.Second)
 	// Stored in scrambled order, across two models: key order is (model,
 	// session id).
 	for _, i := range []int{7, 2, 9, 0, 4} {
@@ -199,17 +201,23 @@ func TestStreamSessionsDrainAndList(t *testing.T) {
 		return out
 	}
 
-	// list holds the unswept expired session too.
-	want := "[a@v1/s0 a@v1/s2 a@v1/s4 a@v1/s7 a@v1/s9 m@v1/s0 m@v1/s2 m@v1/s4 m@v1/s7 m@v1/s9 m@v1/stale]"
+	// At +65s list drops and counts the expired session.
+	clk.Advance(25 * time.Second)
+	want := "[a@v1/s0 a@v1/s2 a@v1/s4 a@v1/s7 a@v1/s9 m@v1/aging m@v1/s0 m@v1/s2 m@v1/s4 m@v1/s7 m@v1/s9]"
 	if got := fmt.Sprint(keys(ss.list())); got != want {
 		t.Fatalf("list order %s, want %s", got, want)
 	}
+	if size, _, _, evictions := tableCounts(ss); size != 11 || evictions != 1 {
+		t.Fatalf("after list: size %d evictions %d, want 11 and 1", size, evictions)
+	}
+	// At +95s drain does the same.
+	clk.Advance(30 * time.Second)
 	want = "[a@v1/s0 a@v1/s2 a@v1/s4 a@v1/s7 a@v1/s9 m@v1/s0 m@v1/s2 m@v1/s4 m@v1/s7 m@v1/s9]"
 	if got := fmt.Sprint(keys(ss.drain())); got != want {
 		t.Fatalf("drained %s, want %s", got, want)
 	}
-	if size, _, _, evictions := tableCounts(ss); size != 0 || evictions != 1 {
-		t.Fatalf("after drain: size %d evictions %d, want 0 and 1", size, evictions)
+	if size, _, _, evictions := tableCounts(ss); size != 0 || evictions != 2 {
+		t.Fatalf("after drain: size %d evictions %d, want 0 and 2", size, evictions)
 	}
 }
 

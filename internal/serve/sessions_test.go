@@ -158,6 +158,39 @@ func TestStreamSessionTTLEviction(t *testing.T) {
 	}
 }
 
+// TestIdleServerDropsExpiredSessions: once a session's TTL passes on a
+// server that gets no more /v1/stream traffic, the session is neither
+// listed by /v1/sessions nor counted in /metrics, and its eviction is
+// counted once.
+func TestIdleServerDropsExpiredSessions(t *testing.T) {
+	clk := newFakeClock()
+	cfg := streamConfig()
+	cfg.SessionTTL = time.Minute
+	cfg.Clock = clk.Now
+	s, _, _ := newTestServer(t, cfg)
+	h := s.Handler()
+	if rec := postNDJSON(h, "/v1/stream?model=cpi&session=a", streamTrace(40, 20, 100, 0, 7)); rec.Code != 200 {
+		t.Fatalf("stream: status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := get(h, "/v1/sessions"); !strings.Contains(rec.Body.String(), `"session":"a"`) {
+		t.Fatalf("live session not listed: %s", rec.Body)
+	}
+
+	clk.Advance(2 * time.Minute)
+	metrics := get(h, "/metrics").Body.String()
+	for _, line := range []string{"serve_stream_sessions 0\n", "serve_stream_session_evictions_total 1\n"} {
+		if !strings.Contains(metrics, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if rec := get(h, "/v1/sessions"); !strings.Contains(rec.Body.String(), `"sessions":[]`) {
+		t.Errorf("expired session still listed: %s", rec.Body)
+	}
+	if _, _, _, evictions := tableCounts(s.streams); evictions != 1 {
+		t.Errorf("evictions %d, want 1", evictions)
+	}
+}
+
 // TestSessionsDrainRestoreRoundTrip is the replica-handoff acceptance
 // test: drain live sessions out of one server, restore them into a
 // fresh one, and (1) the restored listing's per-session Stats are

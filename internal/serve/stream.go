@@ -50,11 +50,12 @@ type streamSession struct {
 // streamSessions is the session table: a map from session key to
 // session and its last use, with TTL eviction and hit/miss/eviction
 // counters, all behind one mutex. Entries unused for ttl are evicted
-// lazily when accessed and by a whole-table sweep that get and lookup
-// run at most once per ttl/4, so idle sessions cannot pin memory
-// forever. The clock is injectable, so tests observe exact eviction
-// counts. The table lock is never held across ingestion or a session
-// lock; get holds it while it constructs a new session.
+// lazily when accessed, by a whole-table sweep that get and lookup run
+// at most once per ttl/4, and by the sweep list and drain run every
+// time, so idle sessions cannot pin memory forever and are never listed
+// or counted once expired. The clock is injectable, so tests observe
+// exact eviction counts. The table lock is never held across ingestion
+// or a session lock; get holds it while it constructs a new session.
 type streamSessions struct {
 	mu        sync.Mutex
 	m         map[string]*sessionEntry
@@ -161,11 +162,15 @@ func (ss *streamSessions) put(sess *streamSession) {
 	ss.m[sessionKey(sess.model, sess.id)] = &sessionEntry{sess: sess, lastUsed: nowNs}
 }
 
-// list returns every stored session (expired ones not yet swept
-// included) in key order, so listings and rollups are deterministic.
+// list returns the live sessions in key order, so listings and rollups
+// are deterministic. Like drain, it first evicts (and counts) every entry
+// already past its TTL, so an idle server neither lists nor counts
+// expired sessions.
 func (ss *streamSessions) list() []*streamSession {
+	nowNs := ss.now().UnixNano()
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	ss.sweep(nowNs)
 	return ss.sorted()
 }
 
