@@ -72,11 +72,11 @@ bench:
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x ./internal/serve/
 
-# Every serving and stream benchmark once: `go test ./...` compiles
+# Every serving, stream and JSON-scanner benchmark once: `go test ./...` compiles
 # benchmarks but never runs them, so one that fails its own status
 # check would otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/serve/ ./internal/stream/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/serve/ ./internal/stream/ ./internal/jsonscan/
 
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus
@@ -85,11 +85,13 @@ bench-smoke:
 # (internal/mtree) and TestCompiledBaggerBitIdentical
 # (internal/ensemble). Plus the predict/classify request
 # codec (DESIGN.md §8, "Request codec") against the encoding/json path
-# on the 21-column served schema.
+# on the 21-column served schema, and the scanner's number parse on its
+# exact and fallback paths.
 bench-predict:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictCompiled' -benchtime 2s ./internal/mtree/
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredictBatch' -benchtime 50x ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictDecode' -benchtime 2s ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkFloat' -benchtime 2s ./internal/jsonscan/
 
 # Simulator hot-loop micro-benchmarks (see DESIGN.md §10): cache/TLB
 # probes, hierarchy walks, single-core Step and the per-section collect

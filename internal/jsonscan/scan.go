@@ -8,9 +8,12 @@
 //
 // Every piece follows encoding/json exactly: Str decodes to the bytes
 // encoding/json would (U+FFFD for invalid UTF-8 and unpaired
-// surrogates), Number accepts the JSON number grammar and Float rejects
-// what strconv.ParseFloat reports out of range, and Skip enforces
-// encoding/json's nesting limit. Differential fuzz targets in both
+// surrogates), Number accepts the JSON number grammar, Float yields the
+// bits strconv.ParseFloat does and rejects what it reports out of range,
+// and Skip enforces encoding/json's nesting limit. Float parses a number
+// in the pass that checks its grammar: short numbers, the common case
+// for counter rates, take Clinger's exact fast path, and only the rest
+// go through strconv.ParseFloat. Differential fuzz targets in both
 // caller packages hold the decoders built on it to encoding/json's
 // accept set.
 package jsonscan
@@ -155,12 +158,25 @@ func (s *Scanner) Array(elem func() error) error {
 	}
 }
 
-// Float parses a JSON number as encoding/json does for a float64: the
-// JSON grammar, then strconv.ParseFloat, whose range error rejects.
+// Float parses a JSON number as encoding/json does for a float64: to
+// the bits strconv.ParseFloat gives, rejecting what it reports out of
+// range. The number is parsed in the pass that scans it: when its
+// significant digits fit a float64 exactly and its power of ten is
+// exact (Clinger's fast path, as strconv's own), the value is one
+// correctly rounded multiply or divide; any other token goes to
+// strconv.ParseFloat.
 func (s *Scanner) Float(what string) (float64, error) {
-	tok, err := s.Number(what, "a number")
+	tok, mant, exp, exact, err := s.number(what, "a number")
 	if err != nil {
 		return 0, err
+	}
+	if exact && mant < 1<<53 {
+		if f, ok := scaleExact(float64(mant), exp); ok {
+			if tok[0] == '-' {
+				f = -f
+			}
+			return f, nil
+		}
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
@@ -169,50 +185,100 @@ func (s *Scanner) Float(what string) (float64, error) {
 	return v, nil
 }
 
+// scaleExact returns f·10^exp for an integer f below 2^53 when that is
+// one correctly rounded operation on exact operands (Clinger 1990).
+func scaleExact(f float64, exp int) (float64, bool) {
+	switch {
+	case exp >= 0 && exp <= 22:
+		return f * pow10[exp], true
+	case exp < 0 && exp >= -22:
+		return f / pow10[-exp], true
+	case exp > 22 && exp <= 22+15:
+		// A short f takes the tens beyond 10^22 while it stays an
+		// exact integer.
+		if f *= pow10[exp-22]; f <= 1e15 {
+			return f * 1e22, true
+		}
+	}
+	return 0, false
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
 // Number scans a JSON number token; any other value is a type error
 // naming what and want.
 func (s *Scanner) Number(what, want string) ([]byte, error) {
+	tok, _, _, _, err := s.number(what, want)
+	return tok, err
+}
+
+// number is the JSON number grammar. Besides the token it returns the
+// number's decimal form, mant·10^exp: mant holds the significant digits
+// (leading zeros dropped) and is exact when there are at most 19 of
+// them; exp is the exponent less the fraction's length, with the
+// exponent's digits capped so it cannot overflow.
+func (s *Scanner) number(what, want string) (tok []byte, mant uint64, exp int, exact bool, err error) {
 	b, start := s.b, s.i
 	i := start
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	nd := 0
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			nd++
 		}
 	default:
 		if i == start {
-			return nil, s.TypeError(what, want)
+			return nil, 0, 0, false, s.TypeError(what, want)
 		}
 		s.i = i
-		return nil, s.SyntaxError("in numeric literal")
+		return nil, 0, 0, false, s.SyntaxError("in numeric literal")
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		if i >= len(b) || b[i] < '0' || b[i] > '9' {
 			s.i = i
-			return nil, s.SyntaxError("after decimal point in numeric literal")
+			return nil, 0, 0, false, s.SyntaxError("after decimal point in numeric literal")
 		}
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			// Zeros before the first nonzero digit only scale.
+			if mant = mant*10 + uint64(b[i]-'0'); mant != 0 {
+				nd++
+			}
+			exp--
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
 		if i >= len(b) || b[i] < '0' || b[i] > '9' {
 			s.i = i
-			return nil, s.SyntaxError("in exponent of numeric literal")
+			return nil, 0, 0, false, s.SyntaxError("in exponent of numeric literal")
 		}
+		e := 0
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		if neg {
+			e = -e
+		}
+		exp += e
 	}
 	s.i = i
-	return b[start:i], nil
+	return b[start:i], mant, exp, nd <= 19, nil
 }
 
 // Str scans a JSON string at the cursor and returns its decoded bytes:

@@ -9,8 +9,9 @@ import (
 
 // scanSeeds cover every grammar path: escapes, invalid UTF-8, surrogate
 // pairs and lone surrogates, number forms and their malformed
-// neighbours, literals, nesting and trailing data.
-var scanSeeds = []string{
+// neighbours, literals, nesting and trailing data, plus the edges of
+// Float's exact path.
+var scanSeeds = append([]string{
 	`{}`, `[]`, `null`, `true`, `false`, `0`, `-0`, `1.5e-7`, `1E+2`, `"x"`,
 	` {"a":[1,{"b":null}],"c":"\n"} `,
 	`{"a":1,}`, `[1,]`, `[1 2]`, `{"a" 1}`, `{1:2}`, `tru`, `nul`, `-`, `01`, `1.`, `.5`, `+1`, `1e`, `1e+`,
@@ -18,7 +19,7 @@ var scanSeeds = []string{
 	`"\"\\\/\b\f\n\r\t"`, `1e400`, `-1e400`, `1e-400`, `1.7976931348623157e308`, `5e-324`,
 	`{"a":1} x`, `{"a":1}{}`, "\ufeff{}", `[` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `]`,
 	`[` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `]`,
-}
+}, floatBoundaries...)
 
 // FuzzScan holds the scanner to encoding/json: Skip accepts exactly the
 // documents json.Valid accepts, Str decodes exactly the strings
