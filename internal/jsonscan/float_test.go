@@ -13,7 +13,9 @@ import (
 // mantissa limit, the exact powers of ten (10^22) and the 10^15 integers
 // that may take more (10^37), 19 and 20 significant digits (including
 // 20-digit mantissas that wrap a uint64 to a small value), runs of
-// leading and trailing zeros, a capped exponent, and the float64 range.
+// leading and trailing zeros, capped exponents (alone, and offset by a
+// 10,000-digit fraction so the capped part would cancel it), and the
+// float64 range.
 var floatBoundaries = []string{
 	`0`, `-0`, `-0.0e5`, `0e400`, `-0.000e-400`,
 	`9007199254740991`, `9007199254740992`, `9007199254740993`, `-9007199254740993`,
@@ -32,13 +34,22 @@ var floatBoundaries = []string{
 	`1e400`, `-1e400`, `1e-400`, `5e-324`, `4.9e-324`, `2.4703282292062327e-324`,
 	`2.2250738585072014e-308`, `1.7976931348623157e308`, `1.7976931348623158e308`, `1.7976931348623159e308`,
 	`0.1`, `0.2`, `0.3`, `0.02995`, `0.26255`, `3.9409547499999746`, `1.5e-7`, `1E+2`, `1e-0`,
+	longFrac + `1e1000000`, longFrac + `1e1002200`, longFrac + `1e1003700`, `-` + longFrac + `1e1000000`,
+	longFrac + `1e10000`, longFrac + `1e0000010000`, longFrac + `1e-1000000`, longFrac + `0e1000000`,
 }
+
+// longFrac is "0." and 9,999 zeros: a fraction that puts the digit
+// after it at 10^-10000.
+var longFrac = "0." + strings.Repeat("0", 9999)
 
 // randDecimal draws a JSON number with 1–20 significant digits, either
 // sign, a decimal point anywhere (or none), optional leading zeros in
 // the fraction, and a value exponent — the power of ten on the digits
 // read as an integer — in [-40, 40], written through an exponent part
-// whenever the point placement does not already give it.
+// whenever the point placement does not already give it. One draw in
+// eight that starts with "0." has about 10,000 leading zeros instead;
+// half of those append digits to the exponent, so it is capped while
+// its first five digits still cancel the fraction.
 func randDecimal(r *xrand.Rand) string {
 	var b strings.Builder
 	if r.Intn(2) == 0 {
@@ -51,13 +62,20 @@ func randDecimal(r *xrand.Rand) string {
 		digits[k] = byte('0' + r.Intn(10))
 	}
 	exp := r.Intn(81) - 40
-	frac := 0 // digits written after the point
+	frac := 0  // digits written after the point
+	tail := "" // digits appended to the exponent part
 	switch k := r.Intn(nd + 1); {
 	case k == nd:
 		b.Write(digits)
 	case k == 0:
 		b.WriteString("0.")
 		z := r.Intn(4)
+		if r.Intn(8) == 0 {
+			z = 9950 + r.Intn(100)
+			if r.Intn(2) == 0 {
+				tail = strconv.Itoa(r.Intn(1000))
+			}
+		}
 		b.WriteString(strings.Repeat("0", z))
 		b.Write(digits)
 		frac = z + nd
@@ -67,7 +85,7 @@ func randDecimal(r *xrand.Rand) string {
 		b.Write(digits[k:])
 		frac = nd - k
 	}
-	if e := exp + frac; e != 0 || r.Intn(4) == 0 {
+	if e := exp + frac; e != 0 || tail != "" || r.Intn(4) == 0 {
 		b.WriteByte("eE"[r.Intn(2)])
 		if e < 0 {
 			b.WriteByte('-')
@@ -76,6 +94,7 @@ func randDecimal(r *xrand.Rand) string {
 			b.WriteByte('+')
 		}
 		b.WriteString(strconv.Itoa(e))
+		b.WriteString(tail)
 	}
 	return b.String()
 }

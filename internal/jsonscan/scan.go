@@ -161,10 +161,10 @@ func (s *Scanner) Array(elem func() error) error {
 // Float parses a JSON number as encoding/json does for a float64: to
 // the bits strconv.ParseFloat gives, rejecting what it reports out of
 // range. The number is parsed in the pass that scans it: when its
-// significant digits fit a float64 exactly and its power of ten is
-// exact (Clinger's fast path, as strconv's own), the value is one
-// correctly rounded multiply or divide; any other token goes to
-// strconv.ParseFloat.
+// significant digits fit a float64 exactly and its power of ten, read
+// in full, is exact (Clinger's fast path, as strconv's own), the value
+// is one correctly rounded multiply or divide; any other token, a
+// capped exponent among them, goes to strconv.ParseFloat.
 func (s *Scanner) Float(what string) (float64, error) {
 	tok, mant, exp, exact, err := s.number(what, "a number")
 	if err != nil {
@@ -216,16 +216,19 @@ func (s *Scanner) Number(what, want string) ([]byte, error) {
 
 // number is the JSON number grammar. Besides the token it returns the
 // number's decimal form, mant·10^exp: mant holds the significant digits
-// (leading zeros dropped) and is exact when there are at most 19 of
-// them; exp is the exponent less the fraction's length, with the
-// exponent's digits capped so it cannot overflow.
+// (leading zeros dropped), and exp is the exponent less the fraction's
+// length. The exponent's digits stop accumulating at five, as in
+// strconv's own reader, so it cannot overflow. exact reports that
+// mant·10^exp is the number's value: at most 19 significant digits and
+// an exponent read in full, so a capped exponent always reaches
+// strconv.ParseFloat.
 func (s *Scanner) number(what, want string) (tok []byte, mant uint64, exp int, exact bool, err error) {
 	b, start := s.b, s.i
 	i := start
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	nd := 0
+	nd, capped := 0, false
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
@@ -270,6 +273,8 @@ func (s *Scanner) number(what, want string) (tok []byte, mant uint64, exp int, e
 		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
 			if e < 10000 {
 				e = e*10 + int(b[i]-'0')
+			} else {
+				capped = true
 			}
 		}
 		if neg {
@@ -278,7 +283,7 @@ func (s *Scanner) number(what, want string) (tok []byte, mant uint64, exp int, e
 		exp += e
 	}
 	s.i = i
-	return b[start:i], mant, exp, nd <= 19, nil
+	return b[start:i], mant, exp, nd <= 19 && !capped, nil
 }
 
 // Str scans a JSON string at the cursor and returns its decoded bytes:
