@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-smoke bench-predict bench-micro bench-json bench-compare experiments paper-check crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race bench-load fuzz-short
+.PHONY: build test check vet race race-serve cover bench bench-parallel bench-serve bench-smoke bench-predict bench-micro experiments paper-check crossarch-smoke serve-smoke model-smoke monitor-smoke refute-smoke loadgen-smoke loadgen-smoke-race fuzz-short
 
 build:
 	$(GO) build ./...
@@ -68,9 +68,12 @@ bench:
 	$(GO) test -run '^$$' -bench . .
 
 # Served-prediction latency (see DESIGN.md §8): cache off, warm hits,
-# and the all-miss live-traffic shape (tree-cached-miss).
+# and the all-miss live-traffic shape (tree-cached-miss). Then the
+# concurrent predict and stream benchmarks at 1, 2, 4 and 8 cores, the
+# repository's core-scaling run.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkServeConcurrent(Predict|Stream)$$' -benchtime 50x -cpu 1,2,4,8 ./internal/serve/
 
 # Every serving, stream and JSON-scanner benchmark once: `go test ./...` compiles
 # benchmarks but never runs them, so one that fails its own status
@@ -106,37 +109,6 @@ bench-predict:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/sim/... ./internal/counters/
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode|BenchmarkStreamIngest' -benchtime 2s ./internal/stream/
-
-# Machine-readable benchmark snapshot: the speedup, serving-latency,
-# stream-ingestion and simulator micro-benchmarks in `go test -json`
-# form, concatenated into one dated file for regression diffing across
-# commits.
-BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
-bench-json:
-	@set -e; : > $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel' -benchtime 2x -json . >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x -json ./internal/serve/ >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkServeConcurrent' -benchtime 50x -cpu 1,4,8 -json ./internal/serve/ >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictCompiled' -benchtime 2s -json ./internal/mtree/ >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamIngest' -benchtime 20x -json ./internal/stream/ >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode' -benchtime 2s -json ./internal/stream/ >> $(BENCH_JSON); \
-	$(GO) test -run '^$$' -bench . -benchtime 2s -json ./internal/sim/... ./internal/counters/ >> $(BENCH_JSON); \
-	echo "wrote $(BENCH_JSON)"
-
-# Informational benchmark regression check: re-run the snapshot suite into
-# a scratch file and diff it against the committed baseline with
-# cmd/benchdiff (a dependency-free benchstat stand-in). Never fails by
-# default — benchmark numbers on shared CI machines wobble by ±10-30% —
-# so treat the printed table as a signal, not a gate. Pass
-# BENCH_THRESHOLD=<percent> to make regressions beyond that fatal on a
-# quiet machine.
-BENCH_BASELINE  ?= BENCH_2026-08-08.json
-BENCH_THRESHOLD ?= 0
-bench-compare:
-	@set -e; tmp=$$(mktemp /tmp/bench-compare.XXXXXX.json); \
-	trap 'rm -f $$tmp' EXIT; \
-	$(MAKE) --no-print-directory bench-json BENCH_JSON=$$tmp; \
-	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$tmp -threshold $(BENCH_THRESHOLD)
 
 # Brief runs of every fuzz target (NDJSON sample decoder and the
 # predict/classify request codec — both differential against
@@ -336,30 +308,6 @@ loadgen-smoke-race:
 	  LOADGEN_SERVE_BUILDFLAGS=-race \
 	  LOADGEN_ADDR=127.0.0.1:18468 \
 	  LOADGEN_BIN=/tmp/repro-loadgen-smoke-race
-
-# Load benchmark snapshot: replay steady and burst traces against a demo
-# server and append benchdiff-compatible latency events (p50/p95/p99 per
-# traffic kind) to a dated BENCH_LOAD_*.json, diffable across commits
-# with `go run ./cmd/benchdiff`. Latency numbers from shared CI machines
-# wobble; treat the diff as a signal, like bench-compare.
-BENCH_LOAD_JSON ?= BENCH_LOAD_$(shell date +%Y-%m-%d).json
-bench-load:
-	@set -e; : > $(BENCH_LOAD_JSON); \
-	$(GO) build -o $(LOADGEN_BIN).serve ./cmd/serve; \
-	$(GO) build -o $(LOADGEN_BIN) ./cmd/loadgen; \
-	$(LOADGEN_BIN).serve -demo -demo-scale 0.05 -addr $(LOADGEN_ADDR) & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
-	ok=0; for i in $$(seq 1 150); do \
-	  curl -sf http://$(LOADGEN_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
-	  sleep 0.2; \
-	done; \
-	test $$ok -eq 1 || { echo "bench-load: server never became healthy"; exit 1; }; \
-	for mode in steady burst; do \
-	  $(LOADGEN_BIN) -target http://$(LOADGEN_ADDR) -model demo \
-	    -mode $$mode -duration 5s -rps 200 -seed 1 \
-	    -out /dev/null -bench-json $(BENCH_LOAD_JSON); \
-	done; \
-	echo "wrote $(BENCH_LOAD_JSON)"
 
 # End-to-end smoke test of the streaming monitor: cmd/monitor -demo
 # trains a model, streams a synthetic two-phase trace with an injected

@@ -1,11 +1,12 @@
 // Command loadgen synthesizes a seeded request trace and replays it
-// open-loop against a running serve instance: the capacity harness
-// behind `make bench-load`. The model's schema is discovered from
-// GET /v1/models/{ref}, the trace is fully materialized before the
-// first request (same seed = byte-identical trace, so two runs measure
-// the servers, not the generator), latency is measured from scheduled
-// arrivals (coordinated-omission corrected), and the client's counters
-// are cross-validated against the server's own /v1/metrics.json.
+// open-loop against a running serve instance: a load and soak driver for
+// the serve API (the defined benchmark is perfbench). The model's schema
+// is discovered from GET /v1/models/{ref}, the trace is fully
+// materialized before the first request (same seed = byte-identical
+// trace, so two runs measure the servers, not the generator), latency is
+// measured from scheduled arrivals (coordinated-omission corrected), and
+// the client's counters are cross-validated against the server's own
+// /v1/metrics.json.
 //
 // Usage:
 //
@@ -17,15 +18,11 @@
 //	        [-sessions 16] [-batch 64] [-stream-batch 16]
 //	        [-payload clean|corrupt] [-seed 1]
 //	        [-workers 32] [-queue 256] [-max-lateness 2s] [-timeout 10s]
-//	        [-out report.json] [-bench-json bench.json]
-//	        [-max-error-budget 0.01] [-no-validate]
+//	        [-out report.json] [-max-error-budget 0.01]
 //
 // The JSON report goes to -out (default stdout) and a human summary to
-// stderr. -bench-json appends `go test -json`-style benchmark events
-// (BenchmarkLoadgen/<mode>/<kind>/<stat>) so cmd/benchdiff can compare
-// load reports across builds like any other BENCH_*.json snapshot. The
-// exit status is non-zero when the counter cross-check fails or the
-// error budget exceeds -max-error-budget.
+// stderr. The exit status is non-zero when the counter cross-check fails
+// or the error budget exceeds -max-error-budget.
 package main
 
 import (
@@ -79,9 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.DurationVar(&rcfg.MaxLateness, "max-lateness", rcfg.MaxLateness, "drop requests scheduled further in the past than this")
 	fs.DurationVar(&rcfg.ClientTimeout, "timeout", rcfg.ClientTimeout, "per-request timeout")
 	out := fs.String("out", "", "report JSON path (default stdout)")
-	benchJSON := fs.String("bench-json", "", "append go-test-json benchmark events here for cmd/benchdiff")
 	maxBudget := fs.Float64("max-error-budget", 1, "fail when the error budget exceeds this fraction (1 disables)")
-	noValidate := fs.Bool("no-validate", false, "skip the client-vs-server counter cross-check")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -133,13 +128,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if !*noValidate {
-		after, err := loadgen.FetchMetrics(nil, rcfg.BaseURL)
-		if err != nil {
-			return err
-		}
-		loadgen.Validate(rep, before, after)
+	after, err := loadgen.FetchMetrics(nil, rcfg.BaseURL)
+	if err != nil {
+		return err
 	}
+	loadgen.Validate(rep, before, after)
 
 	body, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -152,14 +145,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	summarize(stderr, rep)
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "loadgen: wrote benchmark events to %s\n", *benchJSON)
-	}
-
-	if rep.Validation != nil && !rep.Validation.Consistent {
+	if !rep.Validation.Consistent {
 		return fmt.Errorf("client and server counters disagree (see validation.checks in the report)")
 	}
 	if rep.Totals.ErrorBudget > *maxBudget {
@@ -175,12 +161,7 @@ func summarize(w io.Writer, rep *loadgen.Report) {
 		rep.WallSeconds, rep.Totals.OfferedRPS, rep.Totals.AchievedRPS)
 	fmt.Fprintf(w, "%-10s %8s %8s %8s %6s %9s %9s %9s %9s\n",
 		"kind", "offered", "ok", "errors", "drop", "p50ms", "p95ms", "p99ms", "maxms")
-	kinds := make([]string, 0, len(rep.Endpoints))
-	for k := range rep.Endpoints {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
+	for _, k := range sortedKeys(rep.Endpoints) {
 		ep := rep.Endpoints[k]
 		fmt.Fprintf(w, "%-10s %8d %8d %8d %6d %9.3f %9.3f %9.3f %9.3f\n",
 			k, ep.Offered, ep.OK, ep.Errors+ep.TransportErrors,
@@ -191,12 +172,11 @@ func summarize(w io.Writer, rep *loadgen.Report) {
 	fmt.Fprintf(w, "%-10s %8d %8d %8d %6d  error budget %.4f\n",
 		"total", t.Offered, t.OK, t.Errors+t.TransportErrors,
 		t.DroppedLate+t.RejectedQueue, t.ErrorBudget)
-	for code, n := range errorCodes(rep) {
-		fmt.Fprintf(w, "loadgen:   %d x %s\n", n, code)
+	codes := errorCodes(rep)
+	for _, code := range sortedKeys(codes) {
+		fmt.Fprintf(w, "loadgen:   %d x %s\n", codes[code], code)
 	}
 	switch {
-	case rep.Validation == nil:
-		fmt.Fprintln(w, "loadgen: validation skipped")
 	case !rep.Validation.Exact:
 		fmt.Fprintf(w, "loadgen: validation inexact: %s\n", rep.Validation.Note)
 	case rep.Validation.Consistent:
@@ -218,49 +198,13 @@ func errorCodes(rep *loadgen.Report) map[string]int {
 	return all
 }
 
-// writeBenchJSON appends synthetic `go test -json` benchmark events so
-// cmd/benchdiff can diff load reports like any other BENCH_*.json
-// snapshot. Latencies are converted to ns/op; names carry the mode so
-// runs with different shapes never compare against each other.
-func writeBenchJSON(path string, rep *loadgen.Report) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
+// sortedKeys returns m's keys in ascending order, so the summary prints
+// the same lines in the same order for the same report.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	emit := func(name string, ms float64) error {
-		return enc.Encode(map[string]string{
-			"Action":  "output",
-			"Package": "repro/cmd/loadgen",
-			"Output":  fmt.Sprintf("%s 1 %.0f ns/op\n", name, ms*1e6),
-		})
-	}
-	kinds := make([]string, 0, len(rep.Endpoints))
-	for k := range rep.Endpoints {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	mode := string(rep.Config.Mode)
-	for _, k := range kinds {
-		ep := rep.Endpoints[k]
-		if ep.OK == 0 {
-			continue
-		}
-		base := fmt.Sprintf("BenchmarkLoadgen/%s/%s", mode, k)
-		for _, stat := range []struct {
-			name string
-			ms   float64
-		}{
-			{"p50", ep.Latency.P50Ms},
-			{"p95", ep.Latency.P95Ms},
-			{"p99", ep.Latency.P99Ms},
-			{"service_p50", ep.Service.P50Ms},
-		} {
-			if err := emit(base+"/"+stat.name, stat.ms); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	sort.Strings(keys)
+	return keys
 }

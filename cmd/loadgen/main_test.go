@@ -1,14 +1,13 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -46,19 +45,18 @@ func testServer(t *testing.T) string {
 }
 
 // TestRunEndToEnd drives the whole CLI: discovery, synthesis, replay,
-// report, validation exit status, and benchdiff-compatible output.
+// report and validation exit status.
 func TestRunEndToEnd(t *testing.T) {
 	base := testServer(t)
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "report.json")
-	benchPath := filepath.Join(dir, "bench.json")
 
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-target", base, "-model", "cpi",
 		"-mode", "steady", "-duration", "400ms", "-rps", "120",
 		"-seed", "9", "-workers", "16",
-		"-out", outPath, "-bench-json", benchPath,
+		"-out", outPath,
 		"-max-error-budget", "0",
 	}, &stdout, &stderr)
 	if err != nil {
@@ -81,28 +79,6 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "validation ok") {
 		t.Errorf("summary missing validation verdict:\n%s", stderr.String())
-	}
-
-	// The bench file must parse with cmd/benchdiff's line shape.
-	resultRe := regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-	f, err := os.Open(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	matched := 0
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var ev struct{ Action, Package, Output string }
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bench event not JSON: %v: %s", err, sc.Text())
-		}
-		if resultRe.MatchString(ev.Output) {
-			matched++
-		}
-	}
-	if matched < 4 {
-		t.Errorf("only %d benchdiff-parseable lines in %s", matched, benchPath)
 	}
 }
 
@@ -132,5 +108,42 @@ func TestRunFlagErrors(t *testing.T) {
 	}, &out, &errBuf)
 	if err == nil || !strings.Contains(err.Error(), "error budget") {
 		t.Errorf("budget gate did not trip: %v", err)
+	}
+}
+
+// TestSummarizeSortsErrorCodes pins the order of the "N x code" lines:
+// the summary must print them by code, not in map order, so two runs of
+// the same trace write the same stderr.
+func TestSummarizeSortsErrorCodes(t *testing.T) {
+	predict, stream := map[string]int{}, map[string]int{}
+	var want []string
+	for k := 0; k < 12; k++ {
+		code := fmt.Sprintf("code_%02d", k)
+		if k%2 == 0 {
+			predict[code] = k + 1
+		} else {
+			stream[code] = k + 1
+		}
+		want = append(want, fmt.Sprintf("loadgen:   %d x %s", k+1, code))
+	}
+	rep := &loadgen.Report{
+		Endpoints: map[string]*loadgen.EndpointReport{
+			"predict": {ErrorsByCode: predict},
+			"stream":  {ErrorsByCode: stream},
+		},
+		Validation: &loadgen.Validation{Exact: true, Consistent: true},
+	}
+	for run := 0; run < 20; run++ {
+		var buf bytes.Buffer
+		summarize(&buf, rep)
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "loadgen:   ") {
+				got = append(got, line)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d: error lines\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

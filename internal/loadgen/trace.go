@@ -1,6 +1,7 @@
 // Package loadgen synthesizes and replays request traces against the
-// serve API: the capacity harness behind `make bench-load` and every
-// end-to-end scaling claim. It is modeled on serverless trace
+// serve API: the load and soak harness behind `make loadgen-smoke` and
+// cmd/loadgen (the defined benchmark is perfbench, which drives its own
+// closed loop). It is modeled on serverless trace
 // synthesizers (vhive/invitro): a seeded generator turns a rate shape
 // (steady, ramp, RPS sweep, burst) and a traffic mix into a fully
 // materialized trace — every request's arrival offset, endpoint and
@@ -189,11 +190,11 @@ type TraceConfig struct {
 	// Mix weighs the traffic kinds.
 	Mix Mix `json:"mix"`
 	// Sessions is the number of distinct synthetic clients. Each
-	// session draws its own base event-rate profile, so payloads
-	// cluster per session — a prediction cache sees realistic reuse
-	// instead of all-unique or all-identical keys. Stream requests
-	// carry their session id (?session=sN), so the server keeps one
-	// monitor timeline per synthetic client.
+	// session draws its own base event-rate profile, and stream
+	// requests carry their session id (?session=sN), so each client
+	// gets its own stream timeline on the server. Rows are drawn at
+	// full precision and do not repeat, so a prediction cache sees no
+	// reuse from them.
 	Sessions int `json:"sessions"`
 	// BatchSize is the row count of each batch predict request.
 	BatchSize int `json:"batch_size"`
@@ -350,7 +351,7 @@ func Synthesize(cfg TraceConfig) (*Trace, error) {
 	tgt := cfg.Schema.targetIndex()
 
 	// Per-session base profiles: each session's event rates center on
-	// its own draws, so payload reuse clusters by session.
+	// its own draws, so each session's stream reads like one client.
 	base := make([][]float64, cfg.Sessions)
 	for i := range base {
 		base[i] = make([]float64, len(events))

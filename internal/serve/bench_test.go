@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,8 @@ import (
 // tree predicts in a few hundred nanoseconds, so for it a hit saves
 // little, while the bagged ensemble shows where a hit pays: it skips all
 // member predictions. tree-cached-miss is the shape of live traffic:
-// 21 columns, rows that never repeat, and more distinct bodies than
+// 21 columns of short decimals (five significant digits, as counter
+// rates print), rows that never repeat, and more distinct bodies than
 // cap/64, so every row misses a full cache and its insert evicts.
 func BenchmarkServePredict(b *testing.B) {
 	d := perfData(2000, 17)
@@ -45,6 +47,18 @@ func BenchmarkServePredict(b *testing.B) {
 	body := []string{fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 64))}
 	const cacheSize = 4096
 	wide := wideData(2*cacheSize, 5)
+	seen := make(map[string]bool, wide.Len())
+	for i := 0; i < wide.Len(); i++ {
+		row := wide.Row(i)
+		for j, v := range row {
+			row[j], _ = strconv.ParseFloat(strconv.FormatFloat(v, 'g', 5, 64), 64)
+		}
+		key := fmt.Sprint(row)
+		if seen[key] {
+			b.Fatalf("miss row %d repeats an earlier row", i)
+		}
+		seen[key] = true
+	}
 	missBodies := make([]string, wide.Len()/64)
 	for i := range missBodies {
 		missBodies[i] = fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(wide, 64*i, 64*(i+1)))
