@@ -75,11 +75,13 @@ bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServePredict' -benchtime 50x ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeConcurrent(Predict|Stream)$$' -benchtime 50x -cpu 1,2,4,8 ./internal/serve/
 
-# Every serving, stream and JSON-scanner benchmark once: `go test ./...` compiles
-# benchmarks but never runs them, so one that fails its own status
-# check would otherwise go unnoticed.
+# Every serving, stream and JSON-scanner benchmark once, plus the
+# training benchmarks (BenchmarkBuildServed, BenchmarkFitGreedy):
+# `go test ./...` compiles benchmarks but never runs them, so one that
+# fails its own status check would otherwise go unnoticed.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/serve/ ./internal/stream/ ./internal/jsonscan/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildServed|BenchmarkFitGreedy' -benchtime 1x ./internal/mtree/ ./internal/linreg/
 
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
 # vs flat-array walk vs the batch kernel, single tree and ensemble, plus
@@ -105,10 +107,13 @@ bench-predict:
 # stream wire decoder (DESIGN.md §9, "Wire codec"): the row decoder vs
 # the encoding/json path on a served-schema line, ns and allocs per line;
 # and stream ingestion (DESIGN.md §9, "Scoring"), whose nosamples variant
-# shows the scoring path's own allocations per sample.
+# shows the scoring path's own allocations per sample. Plus training
+# (DESIGN.md §17): the served tree's serial build on the
+# golden collection, and the greedy leaf search on its full feature set.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/sim/... ./internal/counters/
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamDecode|BenchmarkStreamIngest' -benchtime 2s ./internal/stream/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildServed|BenchmarkFitGreedy' -benchtime 2s ./internal/mtree/ ./internal/linreg/
 
 # Brief runs of every fuzz target (NDJSON sample decoder and the
 # predict/classify request codec — both differential against

@@ -8,11 +8,15 @@
 // equations with a small ridge term, solved by Cholesky.
 //
 // FitGreedy is the greedy attribute-elimination loop used by M5/M5'. It
-// solves standardized normal equations with a small ridge by Cholesky,
-// and drops attributes while doing so reduces the Akaike-style
+// drops attributes while doing so reduces the Akaike-style
 // complexity-corrected training error err*(n+v)/(n-v), yielding the
 // compact, interpretable leaf equations shown in the paper (Eq. 4 and
-// Eq. 5). Only Fit uses QR.
+// Eq. 5). It accumulates standardized normal equations once and solves
+// every candidate subset on them with a small ridge by Cholesky. Each
+// round of the search factors the current set once; the trial that
+// drops one attribute resumes that factor and factors only the columns
+// right of the dropped one (cholFrom), with results bit-identical to a
+// fresh factorization. Only Fit uses QR.
 package linreg
 
 import (
@@ -290,12 +294,26 @@ func solveRidge(d *dataset.Dataset, features []int, lambda float64) ([]float64, 
 }
 
 // cholSolve solves the symmetric positive-definite p x p system m x = y by
-// Cholesky factorization m = L L'. It overwrites m with L, writes the
-// forward-substitution result L z = y into z and the solution into x, and
-// allocates nothing. It reports false when m is not positive definite.
+// Cholesky factorization m = L L', reading only m's lower triangle. It
+// overwrites that triangle with L, writes the forward-substitution result
+// L z = y into z and the solution into x, and allocates nothing. It
+// reports false when m is not positive definite.
 func cholSolve(m, y, z, x []float64, p int) bool {
-	for k := 0; k < p; k++ {
-		rowK := m[k*p : k*p+k]
+	return cholFrom(m, y, z, x, p, 0)
+}
+
+// cholFrom is cholSolve resumed at column from. Every entry of L and of z
+// is one sequential sum over the earlier columns, subtracted in column
+// order; cholFrom expects the first from of those subtractions done. On
+// entry m's columns < from already hold L, its trailing lower triangle
+// holds the entries of the system minus their column-< from terms, z[:from]
+// holds the forward-substitution result, and y[from:] holds the right-hand
+// side minus its column-< from terms. The result is then bit-identical to
+// cholSolve on the whole system, and a system that is not positive definite
+// fails at the same column.
+func cholFrom(m, y, z, x []float64, p, from int) bool {
+	for k := from; k < p; k++ {
+		rowK := m[k*p+from : k*p+k]
 		s := m[k*p+k]
 		for _, v := range rowK {
 			s -= v * v
@@ -305,7 +323,7 @@ func cholSolve(m, y, z, x []float64, p int) bool {
 		}
 		m[k*p+k] = math.Sqrt(s)
 		for i := k + 1; i < p; i++ {
-			rowI := m[i*p : i*p+k]
+			rowI := m[i*p+from : i*p+k]
 			s := m[i*p+k]
 			for j, v := range rowK {
 				s -= rowI[j] * v
@@ -313,11 +331,11 @@ func cholSolve(m, y, z, x []float64, p int) bool {
 			m[i*p+k] = s / m[k*p+k]
 		}
 	}
-	for i := 0; i < p; i++ {
-		rowI := m[i*p : i*p+i]
+	for i := from; i < p; i++ {
+		rowI := m[i*p+from : i*p+i]
 		s := y[i]
 		for j, v := range rowI {
-			s -= v * z[j]
+			s -= v * z[from+j]
 		}
 		z[i] = s / m[i*p+i]
 	}
@@ -366,11 +384,15 @@ func CorrectedError(m *Model, d *dataset.Dataset) float64 {
 // sparse, readable equations in the paper.
 //
 // The search runs on cached normal equations: X'X and X'y are accumulated
-// once over the data, and each candidate subset is solved by Cholesky on
-// the corresponding submatrix — O(p^3) per candidate instead of a fresh
-// O(n p^2) decomposition. Every candidate reuses the scratch greedyState
-// owns, so the allocations of one call do not grow with the number of
-// candidates tried.
+// once over the data, and every candidate subset is solved by Cholesky on
+// the matching submatrix instead of a fresh O(n p^2) decomposition. Each
+// round tries the current set minus one attribute, so it factors the
+// current set once and resumes that factor for every trial: the trial
+// that drops active column a shares the factor's columns left of a and
+// factors only its trailing block, O((p-a)^3) instead of O(p^3). The
+// resumed solve is bit-identical to a full one (see cholFrom). Every
+// candidate reuses the scratch greedyState owns, so the allocations of
+// one call do not grow with the number of candidates tried.
 func FitGreedy(d *dataset.Dataset, features []int) (*Model, error) {
 	n := d.Len()
 	if n == 0 {
@@ -397,9 +419,10 @@ func FitGreedy(d *dataset.Dataset, features []int) (*Model, error) {
 	for len(cur) > 0 {
 		improved := false
 		nextErr := bestErr * (1 + dropTol)
+		g.factorBase(cur)
 		for drop := range cur {
 			trial = append(append(trial[:0], cur[:drop]...), cur[drop+1:]...)
-			if err := g.solve(trial, beta); err != nil {
+			if err := g.solveDrop(cur, drop, trial, beta); err != nil {
 				continue
 			}
 			if e := g.correctedError(beta, trial); e < nextErr {
@@ -443,8 +466,8 @@ const ridgeRel = 1e-6
 // features plus the raw data needed to score candidate subsets. Solving in
 // standardized space keeps the system well conditioned even though raw
 // event rates span five orders of magnitude. Candidate sets are positions
-// into the feature list; the trial scratch is sized for the full set once,
-// so solving and scoring a candidate allocates nothing.
+// into the feature list; the trial and round scratch is sized for the
+// full set once, so solving and scoring a candidate allocates nothing.
 type greedyState struct {
 	mean  []float64 // per-feature means
 	sd    []float64 // per-feature standard deviations (0 for constants)
@@ -460,18 +483,37 @@ type greedyState struct {
 	rhs    []float64 // X'y restricted to active
 	z, x   []float64 // forward-substitution result and standardized solution
 	pred   []float64 // per-row prediction of the candidate being scored
+
+	// Round scratch: the current set's factor at the first ridge, which
+	// solveDrop resumes for each one-drop trial. part starts as that
+	// set's system and loses the terms of baseL's columns < partCol.
+	base         []int     // non-constant positions of the current set
+	baseOK       bool      // the current set is positive definite at the first ridge
+	baseL        []float64 // its Cholesky factor (lower triangle)
+	baseZ, baseX []float64 // its forward-substitution result and solution
+	part, partY  []float64 // partial sums of its system (lower triangle) and rhs
+	partCol      int
 }
 
 func newGreedyState(d *dataset.Dataset, features []int) *greedyState {
 	n := d.Len()
 	p := len(features)
+	// The p-vectors and p x p matrices share one allocation: FitGreedy
+	// runs at every node of every tree.
+	buf := make([]float64, 9*p+4*p*p)
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
 	g := &greedyState{
-		mean: make([]float64, p), sd: make([]float64, p),
-		xtx: make([]float64, p*p), xty: make([]float64, p),
+		mean: take(p), sd: take(p), xtx: take(p * p), xty: take(p),
 		cols: make([][]float64, p), y: make([]float64, n),
-		active: make([]int, 0, p), chol: make([]float64, p*p),
-		rhs: make([]float64, p), z: make([]float64, p), x: make([]float64, p),
+		active: make([]int, 0, p), chol: take(p * p),
+		rhs: take(p), z: take(p), x: take(p),
 		pred: make([]float64, n),
+		base: make([]int, 0, p), baseL: take(p * p),
+		baseZ: take(p), baseX: take(p), part: take(p * p), partY: take(p),
 	}
 	raw := make([]float64, n*p)
 	for j, f := range features {
@@ -512,7 +554,6 @@ func newGreedyState(d *dataset.Dataset, features []int) *greedyState {
 // feature positions into beta[:len(set)+1], solving the standardized ridge
 // system and mapping back.
 func (g *greedyState) solve(set []int, beta []float64) error {
-	p := len(g.mean)
 	// Keep only non-constant columns; constants get zero coefficients.
 	active := g.active[:0]
 	for _, pos := range set {
@@ -521,62 +562,165 @@ func (g *greedyState) solve(set []int, beta []float64) error {
 		}
 	}
 	k := len(active)
-	beta = beta[:len(set)+1]
-	clear(beta)
+	x := g.x[:k]
 	if k > 0 {
-		m, rhs, x := g.chol[:k*k], g.rhs[:k], g.x[:k]
-		for r, pos := range active {
-			rhs[r] = g.xty[pos]
-		}
-		reg := ridgeRel * float64(len(g.y))
+		m, rhs := g.chol[:k*k], g.rhs[:k]
+		reg := g.firstRidge()
 		solved := false
 		for attempt := 0; attempt < 6 && !solved; attempt++ {
-			for r, pr := range active {
-				for c, pc := range active {
-					m[r*k+c] = g.xtx[pr*p+pc]
-				}
-				m[r*k+r] += reg
-			}
+			g.fillSystem(m, rhs, active, reg)
 			solved = cholSolve(m, rhs, g.z[:k], x, k)
 			reg *= 1000
 		}
 		if !solved {
 			return ErrSingular
 		}
-		// Map standardized coefficients back to raw units; active is set
-		// with the constant positions left out, in the same order.
-		i := 0
-		for j, pos := range set {
-			if g.sd[pos] > 0 {
-				beta[1+j] = x[i] / g.sd[pos]
-				i++
-			}
+	}
+	g.unstandardize(set, x, beta)
+	return nil
+}
+
+// firstRidge is the ridge of solve's first attempt.
+func (g *greedyState) firstRidge() float64 { return ridgeRel * float64(len(g.y)) }
+
+// fillSystem writes the lower triangle of the ridge system over the active
+// positions into m (len(active) square) and its right-hand side into rhs.
+func (g *greedyState) fillSystem(m, rhs []float64, active []int, reg float64) {
+	p, k := len(g.mean), len(active)
+	for r, pr := range active {
+		row := g.xtx[pr*p:]
+		for c, pc := range active[:r+1] {
+			m[r*k+c] = row[pc]
+		}
+		m[r*k+r] += reg
+		rhs[r] = g.xty[pr]
+	}
+}
+
+// unstandardize maps the standardized solution x over set's non-constant
+// positions, in set order, to [intercept, coefs...] in raw units in
+// beta[:len(set)+1]; constant positions get zero coefficients.
+func (g *greedyState) unstandardize(set []int, x, beta []float64) {
+	beta = beta[:len(set)+1]
+	clear(beta)
+	i := 0
+	for j, pos := range set {
+		if g.sd[pos] > 0 {
+			beta[1+j] = x[i] / g.sd[pos]
+			i++
 		}
 	}
 	beta[0] = g.yMean
 	for j, pos := range set {
 		beta[0] -= beta[1+j] * g.mean[pos]
 	}
+}
+
+// factorBase starts a round of one-drop trials from the current set: it
+// factors the set's system at the first ridge into baseL and resets the
+// partial sums. When that system is not positive definite, solveDrop
+// falls back to solve for every trial of the round.
+func (g *greedyState) factorBase(set []int) {
+	g.base = g.base[:0]
+	for _, pos := range set {
+		if g.sd[pos] > 0 {
+			g.base = append(g.base, pos)
+		}
+	}
+	k := len(g.base)
+	g.fillSystem(g.part, g.partY, g.base, g.firstRidge())
+	copy(g.baseL[:k*k], g.part[:k*k])
+	g.baseOK = cholSolve(g.baseL[:k*k], g.partY[:k], g.baseZ[:k], g.baseX[:k], k)
+	g.partCol = 0
+}
+
+// solveDrop is solve(trial, beta) for the trial that leaves cur[drop] out
+// of the current set cur, with the same result bits. Dropping active
+// column a keeps baseL's columns < a (rows below a move up by one), so
+// only the trailing block is factored, from the partial sums advanced to
+// column a. Dropping a constant leaves the active set, and so the whole
+// solution, unchanged. If the trailing block is not positive definite at
+// the first ridge, solve's full retry loop runs as it would without the
+// resumed factor.
+func (g *greedyState) solveDrop(cur []int, drop int, trial []int, beta []float64) error {
+	if !g.baseOK {
+		return g.solve(trial, beta)
+	}
+	if g.sd[cur[drop]] == 0 {
+		g.unstandardize(trial, g.baseX[:len(g.base)], beta)
+		return nil
+	}
+	a := 0
+	for _, pos := range cur[:drop] {
+		if g.sd[pos] > 0 {
+			a++
+		}
+	}
+	g.advance(a)
+	k, t := len(g.base), len(g.base)-1
+	m, rhs, z, x := g.chol[:t*t], g.rhs[:t], g.z[:t], g.x[:t]
+	copy(z, g.baseZ[:a])
+	for r := 0; r < t; r++ {
+		if r < a {
+			copy(m[r*t:r*t+r+1], g.baseL[r*k:r*k+r+1])
+			continue
+		}
+		src := (r + 1) * k
+		copy(m[r*t:r*t+a], g.baseL[src:src+a])
+		copy(m[r*t+a:r*t+r+1], g.part[src+a+1:src+r+2])
+		rhs[r] = g.partY[r+1]
+	}
+	if !cholFrom(m, rhs, z, x, t, a) {
+		return g.solve(trial, beta)
+	}
+	g.unstandardize(trial, x, beta)
 	return nil
+}
+
+// advance subtracts the terms of baseL's columns partCol..a-1 from the
+// partial sums, column c's from the block of rows and columns > c, in
+// column order: the order cholFrom's sums take them in. Drops within a
+// round go left to right, so a never decreases.
+func (g *greedyState) advance(a int) {
+	k, L, S := len(g.base), g.baseL, g.part
+	for ; g.partCol < a; g.partCol++ {
+		c := g.partCol
+		for i := c + 1; i < k; i++ {
+			lic := L[i*k+c]
+			for j := c + 1; j <= i; j++ {
+				S[i*k+j] -= lic * L[j*k+c]
+			}
+			g.partY[i] -= lic * g.baseZ[c]
+		}
+	}
 }
 
 // correctedError computes MAE*(n+v)/(n-v) for a candidate solution. Each
 // row's prediction is summed as beta[0] and then the terms in set order;
-// the terms stream over whole columns.
+// the terms stream over whole columns. The last term is added in the
+// pass that sums the absolute errors, which saves a store and a reload
+// of every row's prediction and leaves each sum's order as it was.
 func (g *greedyState) correctedError(beta []float64, set []int) float64 {
 	pred := g.pred
 	for i := range pred {
 		pred[i] = beta[0]
 	}
-	for j, pos := range set {
-		b := beta[1+j]
-		for i, v := range g.cols[pos] {
-			pred[i] += b * v
-		}
-	}
 	s := 0.0
-	for i, yv := range g.y {
-		s += math.Abs(pred[i] - yv)
+	if last := len(set) - 1; last < 0 {
+		for i, yv := range g.y {
+			s += math.Abs(pred[i] - yv)
+		}
+	} else {
+		for j, pos := range set[:last] {
+			b := beta[1+j]
+			for i, v := range g.cols[pos] {
+				pred[i] += b * v
+			}
+		}
+		b, col := beta[1+last], g.cols[set[last]]
+		for i, yv := range g.y {
+			s += math.Abs(pred[i] + b*col[i] - yv)
+		}
 	}
 	nf := float64(len(g.y))
 	mae := s / nf

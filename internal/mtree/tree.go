@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -145,6 +146,22 @@ const splitParallelMinRows = 2048
 // pair is one (attribute value, target) observation in a split sweep.
 type pair struct{ x, y float64 }
 
+// comparePairs orders pairs by x for slices.SortFunc: -1 exactly when
+// a.x < b.x, so ±0 and NaNs compare as the less function x < y has them
+// (cmp.Compare orders NaNs differently). The sort is not stable, the SDR
+// prefix sums follow the order it leaves ties in, and the golden tree
+// hashes pin that order: it must be sort.Slice's with that less function,
+// which TestComparePairsSortsLikeSortSlice checks.
+func comparePairs(a, b pair) int {
+	switch {
+	case a.x < b.x:
+		return -1
+	case b.x < a.x:
+		return 1
+	}
+	return 0
+}
+
 // attrSplit is the best split found for a single attribute.
 type attrSplit struct {
 	sdr       float64 // standard-deviation reduction
@@ -227,7 +244,7 @@ func scoreAttribute(d *dataset.Dataset, a int, pairs []pair, sdT, totalSum, tota
 	if lo == hi {
 		return attrSplit{}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].x < pairs[j].x })
+	slices.SortFunc(pairs, comparePairs)
 
 	// Suffix sums for the right side; prefix accumulates the left.
 	var leftSum, leftSq float64
