@@ -138,7 +138,7 @@ fuzz-short:
 	$(FUZZ) 'FuzzTreeReadJSON' ./internal/mtree/
 	$(FUZZ) 'FuzzMachineSpecReadJSON' ./internal/march/
 	$(FUZZ) 'FuzzModelDecode' ./internal/modelio/
-	$(FUZZ) 'FuzzRefutationStateReadJSON' ./internal/refute/
+	$(FUZZ) 'FuzzSessionsRestore' ./internal/serve/
 
 experiments:
 	$(GO) run ./cmd/experiments
@@ -165,7 +165,7 @@ paper-check:
 # per-machine tree table and LOAO transfer numbers.
 CROSSARCH_SCALE ?= 0.3
 crossarch-smoke:
-	@set -e; 	a=$$(mktemp /tmp/crossarch.a.XXXXXX.txt); b=$$(mktemp /tmp/crossarch.b.XXXXXX.txt); 	trap 'rm -f $$a $$b' EXIT; 	$(GO) run ./cmd/experiments -crossarch -scale $(CROSSARCH_SCALE) -jobs 1 > $$a; 	$(GO) run ./cmd/experiments -crossarch -scale $(CROSSARCH_SCALE) -jobs 0 > $$b; 	grep -v 'completed in' $$a > $$a.clean; grep -v 'completed in' $$b > $$b.clean; 	cmp $$a.clean $$b.clean || { echo "crossarch-smoke: report differs between -jobs 1 and -jobs 0"; rm -f $$a.clean $$b.clean; exit 1; }; 	cat $$a.clean; rm -f $$a.clean $$b.clean; 	echo "crossarch-smoke: PASS (reports byte-identical across worker counts)"
+	@set -e; 	a=$$(mktemp /tmp/crossarch.a.XXXXXX.txt); b=$$(mktemp /tmp/crossarch.b.XXXXXX.txt); 	trap 'rm -f $$a $$b' EXIT; 	$(GO) run ./cmd/experiments -run crossarch -scale $(CROSSARCH_SCALE) -jobs 1 > $$a; 	$(GO) run ./cmd/experiments -run crossarch -scale $(CROSSARCH_SCALE) -jobs 0 > $$b; 	grep -v 'completed in' $$a > $$a.clean; grep -v 'completed in' $$b > $$b.clean; 	cmp $$a.clean $$b.clean || { echo "crossarch-smoke: report differs between -jobs 1 and -jobs 0"; rm -f $$a.clean $$b.clean; exit 1; }; 	cat $$a.clean; rm -f $$a.clean $$b.clean; 	echo "crossarch-smoke: PASS (reports byte-identical across worker counts)"
 
 # End-to-end smoke test of the prediction service: build cmd/serve, start
 # it with a self-trained demo model, wait for /healthz, POST the same

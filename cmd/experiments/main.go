@@ -10,7 +10,7 @@
 //	experiments -scale 0.2      # faster, reduced-scale run
 //	experiments -jobs 1         # force fully serial execution
 //	experiments -march nehalem  # run the suite on another registry machine
-//	experiments -crossarch      # shorthand for -run crossarch
+//	experiments -run crossarch  # the cross-architecture experiment alone
 //
 // Independent experiments run concurrently (-jobs workers, default all
 // cores) and every layer below them — suite simulation, CV folds, bagged
@@ -36,18 +36,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		run       = flag.String("run", "", "comma-separated experiment names (default: all)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		scale     = flag.Float64("scale", 1.0, "suite size multiplier")
-		minLeaf   = flag.Int("minleaf", 430, "M5' minimum leaf population at scale 1.0")
-		folds     = flag.Int("cv", 10, "cross-validation folds")
-		seed      = flag.Int64("seed", 42, "random seed")
-		jobs      = flag.Int("jobs", 0, "worker count for experiments and all parallel stages (0 = all cores, 1 = serial; results are identical)")
-		marchN    = flag.String("march", "", "built-in machine preset the shared collection simulates (default core2)")
-		marchF    = flag.String("march-file", "", "JSON machine-spec file for the shared collection (mutually exclusive with -march)")
-		crossarch = flag.Bool("crossarch", false, "run only the cross-architecture experiment (shorthand for -run crossarch)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		run     = flag.String("run", "", "comma-separated experiment names (default: all)")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		scale   = flag.Float64("scale", 1.0, "suite size multiplier")
+		minLeaf = flag.Int("minleaf", 430, "M5' minimum leaf population at scale 1.0")
+		folds   = flag.Int("cv", 10, "cross-validation folds")
+		seed    = flag.Int64("seed", 42, "random seed")
+		jobs    = flag.Int("jobs", 0, "worker count for experiments and all parallel stages (0 = all cores, 1 = serial; results are identical)")
+		marchN  = flag.String("march", "", "built-in machine preset the shared collection simulates (default core2)")
+		marchF  = flag.String("march-file", "", "JSON machine-spec file for the shared collection (mutually exclusive with -march)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -83,12 +82,6 @@ func main() {
 	ctx := experiments.NewContext(cfg)
 
 	var selected []experiments.Experiment
-	if *crossarch {
-		if *run != "" {
-			log.Fatal("-crossarch and -run are mutually exclusive")
-		}
-		*run = "crossarch"
-	}
 	if *run == "" {
 		selected = experiments.All()
 	} else {

@@ -112,6 +112,10 @@ func TestRestoreStreamRejectsBadShape(t *testing.T) {
 		mutate     func(st *StreamState)
 	}{
 		{"scale", "scale has 1", func(st *StreamState) { st.Scale = st.Scale[:1] }},
+		{"zero scale", "finite positive", func(st *StreamState) { st.Scale[0] = 0 }},
+		{"negative scale", "finite positive", func(st *StreamState) { st.Scale[1] = -1 }},
+		{"infinite scale", "finite positive", func(st *StreamState) { st.Scale[0] = math.Inf(1) }},
+		{"nan scale", "finite positive", func(st *StreamState) { st.Scale[1] = math.NaN() }},
 		{"centroid", "phase centroid has 3", func(st *StreamState) { st.Cur.Centroid = append(st.Cur.Centroid, 0) }},
 		{"ring slot", "ring slot", func(st *StreamState) { st.Recent[0] = st.Recent[0][:1] }},
 		{"closed phase", "closed phases over", func(st *StreamState) { st.Closed = st.N }},

@@ -1,6 +1,9 @@
 package phases
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Serializable monitor state, for the serve layer's session
 // snapshot/restore (drain a live monitor on one replica, restore it on
@@ -30,10 +33,6 @@ type StreamState struct {
 	Pos    int         `json:"pos"`
 	// Closed counts the closed phases.
 	Closed int `json:"closed"`
-	// Segs is the closed-phase list that snapshots carried before
-	// Closed replaced it; only its length is restored, and State never
-	// writes it.
-	Segs []Segment `json:"segs,omitempty"`
 }
 
 // State snapshots the tracker. The snapshot shares no mutable memory
@@ -56,11 +55,11 @@ func (s *Stream) State() StreamState {
 // debounce ring length — restoring under a different debounce window
 // would silently change boundary detection, so it is an error instead.
 // So is a snapshot no tracker could have produced: a vector of another
-// width, a negative count or position, more closed phases than sections,
-// or a debounce run longer than the ring or missing its buffered
-// vectors. Feed reuses the ring slots and would otherwise panic on the
-// first section after the restore. A snapshot that lists closed phases
-// in Segs instead of counting them restores with Closed = len(Segs).
+// width, a scale that is not finite and positive, a negative count or
+// position, more closed phases than sections, or a debounce run longer
+// than the ring or missing its buffered vectors. Feed reuses the ring
+// slots and would otherwise panic on the first section after the
+// restore.
 func RestoreStream(cfg Config, st StreamState, width int) (*Stream, error) {
 	det := NewDetectorFromScales(st.Scale, cfg)
 	if len(st.Recent) != det.cfg.MinRun {
@@ -77,17 +76,8 @@ func RestoreStream(cfg Config, st StreamState, width int) (*Stream, error) {
 	s.outOfPhase = st.OutOfPhase
 	s.recent = copyVectors(st.Recent)
 	s.pos = st.Pos
-	s.closed = st.closedCount()
+	s.closed = st.Closed
 	return s, nil
-}
-
-// closedCount is the snapshot's closed-phase count, from Segs when an older
-// snapshot listed them.
-func (st StreamState) closedCount() int {
-	if len(st.Segs) > 0 {
-		return len(st.Segs)
-	}
-	return st.Closed
 }
 
 // checkStream validates a snapshot's shape against the feature width
@@ -95,6 +85,13 @@ func (st StreamState) closedCount() int {
 func checkStream(st StreamState, width, minRun int) error {
 	if len(st.Scale) != width {
 		return fmt.Errorf("phases: snapshot scale has %d features, want %d", len(st.Scale), width)
+	}
+	// NoiseScales yields only finite positive scales; any other one
+	// divides a distance into a non-finite value.
+	for j, v := range st.Scale {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("phases: snapshot scale %d is %v, want a finite positive value", j, v)
+		}
 	}
 	if st.N < 0 || st.Pos < 0 {
 		return fmt.Errorf("phases: snapshot has negative section count %d or ring position %d", st.N, st.Pos)
@@ -108,12 +105,9 @@ func checkStream(st StreamState, width, minRun int) error {
 			return fmt.Errorf("phases: snapshot ring slot %d has %d features, want %d", i, len(v), width)
 		}
 	}
-	if len(st.Segs) > 0 && st.Closed != 0 && st.Closed != len(st.Segs) {
-		return fmt.Errorf("phases: snapshot counts %d closed phases but lists %d", st.Closed, len(st.Segs))
-	}
 	// Every phase holds at least one section, and the open one exists
 	// once any section was fed.
-	if c := st.closedCount(); c < 0 || (c > 0 && c >= st.N) {
+	if c := st.Closed; c < 0 || (c > 0 && c >= st.N) {
 		return fmt.Errorf("phases: snapshot has %d closed phases over %d sections", c, st.N)
 	}
 	// The deviating run's vectors are the ring slots just before Pos;

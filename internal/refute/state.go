@@ -1,19 +1,14 @@
 package refute
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
-// StateVersion is the refutation snapshot format version. Snapshots
-// declaring a newer version are rejected: they would carry fields this
-// build does not understand, and silently dropping refutation evidence
-// on restore defeats the whole layer. Version 2 added the open window
-// (WindowSamples, RelationState.WindowDeviation); version 1 snapshots
-// were always taken between windows and restore with it empty.
+// StateVersion is the refutation snapshot format version, the only one
+// Validate accepts. A snapshot of another version is rejected: silently
+// dropping or misreading refutation evidence on restore defeats the
+// whole layer.
 const StateVersion = 2
 
 // RelationState is one relation's accumulated statistics, exactly as
@@ -89,8 +84,8 @@ func (c *Checker) State() State {
 // and deviation finiteness. RestoreState additionally checks the
 // snapshot against the live catalog.
 func (s State) Validate() error {
-	if s.SchemaVersion < 1 || s.SchemaVersion > StateVersion {
-		return fmt.Errorf("refute: snapshot declares schema_version %d; this build supports 1..%d",
+	if s.SchemaVersion != StateVersion {
+		return fmt.Errorf("refute: snapshot declares schema_version %d; this build reads version %d only",
 			s.SchemaVersion, StateVersion)
 	}
 	seen := make(map[string]bool, len(s.Relations))
@@ -138,44 +133,6 @@ func (s State) Validate() error {
 		return fmt.Errorf("refute: %d open-window samples of %d ingested", s.WindowSamples, s.Samples)
 	}
 	return nil
-}
-
-// ReadJSON decodes one refutation snapshot strictly: malformed JSON,
-// unknown fields, undeclared or future schema versions, trailing data
-// and internally inconsistent statistics are all errors. It never panics
-// on adversarial input (see FuzzRefutationStateReadJSON).
-func ReadJSON(r io.Reader) (State, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s State
-	if err := dec.Decode(&s); err != nil {
-		return State{}, fmt.Errorf("refute: decoding snapshot: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return State{}, fmt.Errorf("refute: trailing data after snapshot")
-	}
-	if err := s.Validate(); err != nil {
-		return State{}, err
-	}
-	return s, nil
-}
-
-// WriteJSON serializes the snapshot compactly and deterministically.
-func (s State) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("refute: encoding snapshot: %w", err)
-	}
-	return nil
-}
-
-// MarshalBytes returns the snapshot's canonical JSON encoding.
-func (s State) MarshalBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // RestoreState loads a snapshot into the checker. The snapshot must have

@@ -46,6 +46,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -220,11 +221,55 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// jsonBody is a response body encoded ahead of its status line, so a
+// value JSON cannot represent (a NaN or infinite float) is answered as
+// an error instead of an empty 200.
+type jsonBody struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBody caps the buffers jsonBodies keeps, so one large
+// response does not stay pinned in the pool.
+const maxPooledBody = 1 << 20
+
+var jsonBodies = sync.Pool{New: func() any {
+	b := new(jsonBody)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// encodeJSON encodes v into a pooled body for sendJSON. On error the
+// body is already back in the pool.
+func encodeJSON(v any) (*jsonBody, error) {
+	b := jsonBodies.Get().(*jsonBody)
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		jsonBodies.Put(b)
+		return nil, err
+	}
+	return b, nil
+}
+
+// sendJSON writes the status line and the encoded body, then returns the
+// body to the pool.
+func sendJSON(w http.ResponseWriter, status int, b *jsonBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(b.buf.Bytes())
+	if b.buf.Cap() <= maxPooledBody {
+		jsonBodies.Put(b)
+	}
+}
+
+// writeJSON answers with v as JSON, or with a 500 when v does not encode.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "encoding the response: %v", err)
+		return
+	}
+	sendJSON(w, status, b)
 }
 
 type predictResponse struct {

@@ -48,7 +48,8 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 // their serialized state. In-flight requests that already hold a
 // session pointer finish against it, but their session is no longer
 // reachable — the drained dump is the authoritative handoff copy, so
-// drain when producers are quiesced.
+// drain when producers are quiesced. A dump that does not encode puts
+// every drained session back and answers 500.
 func (s *Server) handleSessionsDrain(w http.ResponseWriter, r *http.Request) {
 	drained := s.streams.drain()
 	states := make([]sessionState, 0, len(drained))
@@ -58,7 +59,15 @@ func (s *Server) handleSessionsDrain(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Unlock()
 		states = append(states, sessionState{Model: sess.model, Session: sess.id, State: st})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": states})
+	b, err := encodeJSON(map[string]any{"sessions": states})
+	if err != nil {
+		for _, sess := range drained {
+			s.streams.put(sess)
+		}
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "encoding the session dump: %v", err)
+		return
+	}
+	sendJSON(w, http.StatusOK, b)
 }
 
 // handleSessionsRestore installs a drained state dump. The referenced

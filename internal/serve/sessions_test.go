@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -433,42 +434,94 @@ func TestRefutationDrainRestoreDifferential(t *testing.T) {
 	}
 }
 
-// TestSessionsRestoreRejects pins the all-or-nothing restore contract.
-func TestSessionsRestoreRejects(t *testing.T) {
-	s, _, _ := newTestServer(t, streamConfig())
+// twoSessionDump drains a server holding two sessions: "r", refuted by
+// a corrupt trace, and "w", left mid-window.
+func twoSessionDump(tb testing.TB) []byte {
+	tb.Helper()
+	s, _, _ := newTestServer(tb, streamConfig())
 	h := s.Handler()
-
-	// Unknown model: 404, nothing installed.
-	body := `{"sessions":[{"model":"ghost","state":{"schema_version":1,"phases":{"calibration":32},"ph":{}}}]}`
-	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 404 {
-		t.Errorf("unknown model: status %d, want 404 (%s)", rec.Code, rec.Body)
+	for _, body := range []struct{ session, trace string }{
+		{"r", corruptTrace(2*refute.WindowSections, 0)},
+		{"w", streamTrace(refute.WindowSections+20, 20, 9999, 0, 3)},
+	} {
+		if rec := postNDJSON(h, "/v1/stream?model=cpi&session="+body.session, body.trace); rec.Code != http.StatusOK {
+			tb.Fatalf("session %s: status %d: %s", body.session, rec.Code, rec.Body)
+		}
 	}
-
-	// Bad state version: 400, nothing installed.
-	body = `{"sessions":[{"model":"cpi","state":{"schema_version":99,"phases":{"calibration":32},"ph":{}}}]}`
-	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 400 {
-		t.Errorf("bad state version: status %d, want 400 (%s)", rec.Code, rec.Body)
+	rec := post(h, "/v1/sessions/drain", "")
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("drain: status %d: %s", rec.Code, rec.Body)
 	}
+	return rec.Body.Bytes()
+}
 
-	// A non-zero drop count no processor can produce: 400.
-	body = `{"sessions":[{"model":"cpi","state":{"schema_version":2,"dropped":1,"phases":{"calibration":32},"ph":{}}}]}`
-	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 400 {
-		t.Errorf("non-zero dropped: status %d, want 400 (%s)", rec.Code, rec.Body)
+// restoreReject is one dump the restore must refuse, with a fragment of
+// the error message it must carry.
+type restoreReject struct {
+	name, body, want string
+	status           int
+}
+
+// restoreRejects derives the dumps no restore may accept from a real
+// two-session dump, each edit applied to the refuted session "r".
+func restoreRejects(tb testing.TB, dump []byte) []restoreReject {
+	tb.Helper()
+	edit := func(f func(r map[string]any)) string {
+		var doc map[string]any
+		if err := json.Unmarshal(dump, &doc); err != nil {
+			tb.Fatal(err)
+		}
+		f(doc["sessions"].([]any)[0].(map[string]any))
+		out, err := json.Marshal(doc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return string(out)
 	}
-
-	// A v2 dump holding a pending sample, behind a valid session in the
-	// same dump: 400, and neither session is installed. Servers always
-	// scored a request's partial window before answering, so no dump they
-	// made holds one.
-	body = `{"sessions":[{"model":"cpi","session":"ok","state":{"schema_version":2,"dropped":0,"phases":{"calibration":32},"ph":{}}},` +
-		`{"model":"cpi","session":"p","state":{"schema_version":2,"dropped":0,` +
-		`"pending":[{"section":7,"events":{"L2M":0.001}}],"phases":{"calibration":32},"ph":{}}}]}`
-	if rec := post(h, "/v1/sessions/restore", body); rec.Code != 400 || !strings.Contains(rec.Body.String(), "unscored") {
-		t.Errorf("v2 dump with a pending sample: status %d, want 400 naming it (%s)", rec.Code, rec.Body)
+	state := func(r map[string]any) map[string]any { return r["state"].(map[string]any) }
+	refutation := func(r map[string]any) map[string]any { return state(r)["refutation"].(map[string]any) }
+	bad := func(name, want string, f func(r map[string]any)) restoreReject {
+		return restoreReject{name, edit(f), want, http.StatusBadRequest}
 	}
+	return []restoreReject{
+		{"unknown model", edit(func(r map[string]any) { r["model"] = "ghost" }), "ghost", http.StatusNotFound},
+		bad("processor version 2", "version 2 is not supported", func(r map[string]any) { state(r)["schema_version"] = 2 }),
+		bad("processor version 99", "version 99 is not supported", func(r map[string]any) { state(r)["schema_version"] = 99 }),
+		bad("no refutation block", "no refutation state", func(r map[string]any) { delete(state(r), "refutation") }),
+		bad("refutation version 1", "schema_version 1", func(r map[string]any) { refutation(r)["schema_version"] = 1 }),
+		bad("refutation version 99", "schema_version 99", func(r map[string]any) { refutation(r)["schema_version"] = 99 }),
+		bad("refutation unknown field", "unknown field", func(r map[string]any) { refutation(r)["extra"] = 1 }),
+		bad("refutation bad verdict", "unknown verdict", func(r map[string]any) {
+			refutation(r)["relations"].([]any)[0].(map[string]any)["verdict"] = "maybe"
+		}),
+		bad("negative ph n", "negative sample count", func(r map[string]any) { state(r)["ph"].(map[string]any)["n"] = -1 }),
+		bad("zero scale", "finite positive", func(r map[string]any) {
+			state(r)["phases"].(map[string]any)["stream"].(map[string]any)["scale"].([]any)[0] = 0
+		}),
+		{"trailing document", string(dump) + "{}", "unexpected data", http.StatusBadRequest},
+		{"not json", "nope", "malformed", http.StatusBadRequest},
+	}
+}
 
-	if n := streamSessionCount(t, h); n != 0 {
-		t.Errorf("rejected restores installed %d sessions", n)
+// TestSessionsRestoreRejects pins the all-or-nothing restore contract:
+// every dump no server writes is refused with a message naming the
+// fault, and none installs a session, the valid session beside the
+// edited one included.
+func TestSessionsRestoreRejects(t *testing.T) {
+	dump := twoSessionDump(t)
+	if !bytes.Contains(dump, []byte(`"verdict":"refuted"`)) || !bytes.Contains(dump, []byte(`"window_samples":20,`)) {
+		t.Fatalf("fixture: dump lacks a refuted session or a session mid-window: %s", dump)
+	}
+	for _, tc := range restoreRejects(t, dump) {
+		s, _, _ := newTestServer(t, streamConfig())
+		h := s.Handler()
+		rec := post(h, "/v1/sessions/restore", tc.body)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, want %d naming %q (%s)", tc.name, rec.Code, tc.status, tc.want, rec.Body)
+		}
+		if n := streamSessionCount(t, h); n != 0 {
+			t.Errorf("%s: rejected restore installed %d sessions", tc.name, n)
+		}
 	}
 }
 
@@ -483,57 +536,6 @@ func streamSessionCount(t *testing.T, h http.Handler) int {
 		t.Fatal(err)
 	}
 	return snap.Streams.Sessions
-}
-
-// TestSessionsRestoreFullWindowRejected restores a v2 dump whose
-// session holds a full 256-sample window of pending samples — a state
-// no processor reaches now that every sample is scored on arrival. The
-// restore must answer 400 and install nothing, and the next stream
-// request and the metrics scrape must still return. Both run under a
-// deadline, so a session wedged by such a dump fails the test instead
-// of hanging it.
-func TestSessionsRestoreFullWindowRejected(t *testing.T) {
-	const window = 256
-	s, _, _ := newTestServer(t, streamConfig())
-	h := s.Handler()
-
-	trace := streamTrace(window+8, 9999, 9999, 0, 3)
-	lines := strings.Split(strings.TrimSuffix(trace, "\n"), "\n")
-	st := stream.ProcessorState{SchemaVersion: 2}
-	for _, line := range lines[:window] {
-		st.Pending = append(st.Pending, json.RawMessage(line))
-	}
-	st.Phases.Calibration = stream.DefaultConfig().Calibration
-	dump, err := json.Marshal(map[string]any{
-		"sessions": []sessionState{{Model: "cpi", Session: "s", State: st}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := post(h, "/v1/sessions/restore", string(dump))
-	if restore.Code != 400 {
-		t.Errorf("full-window restore: status %d, want 400 (%s)", restore.Code, restore.Body)
-	}
-
-	type result struct{ stream, metrics int }
-	done := make(chan result, 1)
-	go func() {
-		var r result
-		r.stream = postNDJSON(h, "/v1/stream?model=cpi&session=s", strings.Join(lines[window:], "\n")+"\n").Code
-		r.metrics = get(h, "/metrics").Code
-		done <- r
-	}()
-	select {
-	case r := <-done:
-		if r.stream != 200 || r.metrics != 200 {
-			t.Errorf("after the rejected restore: /v1/stream %d, /metrics %d, want 200 both", r.stream, r.metrics)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("/v1/stream or /metrics did not return within 10s after a full-window restore")
-	}
-	if n := streamSessionCount(t, h); n != 1 {
-		t.Errorf("%d sessions live, want only the one the stream request opened", n)
-	}
 }
 
 // streamThenMetrics posts body to session s of modelName, then scrapes
@@ -652,4 +654,119 @@ func TestStreamScoringPanicReleasesSession(t *testing.T) {
 	if metrics != 200 {
 		t.Errorf("/metrics %d after the panic, want 200", metrics)
 	}
+}
+
+// TestUnencodableValuesAnswerErrors: a response that holds a value JSON
+// cannot represent is never an empty 200. Rates of 1e308 overflow the
+// served tree's prediction to infinity: /v1/predict answers a 500
+// envelope, /v1/stream answers the events before the failing one and
+// then an in-band stream_aborted line, and the session's infinite
+// EWMA ends the next stream response in the same error line and makes
+// the listing and the drain answer 500. The failed drain puts every
+// session back.
+func TestUnencodableValuesAnswerErrors(t *testing.T) {
+	s, _, _ := newTestServer(t, streamConfig())
+	h := s.Handler()
+	const huge = `{"L2M":1e308,"L1IM":1e308}`
+	envelope := func(name string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); rec.Code != http.StatusInternalServerError || err != nil ||
+			env.Error.Code != ErrCodeInternal || !strings.Contains(env.Error.Message, "unsupported value") {
+			t.Errorf("%s: status %d, body %q; want a 500 %q envelope", name, rec.Code, rec.Body, ErrCodeInternal)
+		}
+	}
+	envelope("predict", post(h, "/v1/predict", `{"model":"cpi","events":[`+huge+`]}`))
+
+	if rec := postNDJSON(h, "/v1/stream?model=cpi&session=ok", streamTrace(8, 99, 99, 0, 3)); rec.Code != http.StatusOK {
+		t.Fatalf("healthy session: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := postNDJSON(h, "/v1/stream?model=cpi&session=bad", streamTrace(3, 99, 99, 0, 5)+`{"events":`+huge+`}`+"\n")
+	aborted := func(name string, rec *httptest.ResponseRecorder, samples int) {
+		t.Helper()
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		var last struct {
+			Type  string
+			Error apiError
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); rec.Code != http.StatusOK || len(lines) != samples+1 ||
+			err != nil || last.Type != "error" || last.Error.Code != ErrCodeStreamAborted ||
+			!strings.Contains(last.Error.Message, "unsupported value") {
+			t.Errorf("%s: status %d, want 200 with %d sample lines and a %q line: %s",
+				name, rec.Code, samples, ErrCodeStreamAborted, rec.Body)
+		}
+	}
+	aborted("stream", rec, 3)
+	// The next request's events encode, but its summary carries the
+	// session's infinite EWMA.
+	aborted("stream after", postNDJSON(h, "/v1/stream?model=cpi&session=bad", streamTrace(2, 99, 99, 0, 5)), 2)
+
+	envelope("sessions listing", get(h, "/v1/sessions"))
+	envelope("drain", post(h, "/v1/sessions/drain", ""))
+	if n := streamSessionCount(t, h); n != 2 {
+		t.Errorf("%d sessions live after the failed drain, want both", n)
+	}
+	if _, ok := s.streams.lookup("cpi@v1", "ok"); !ok {
+		t.Error("the healthy session is gone after the failed drain")
+	}
+}
+
+// FuzzSessionsRestore hammers POST /v1/sessions/restore, the one reader
+// of session dumps. No input may panic it. A rejected body installs
+// nothing. After an accepted one, a short stream request to every
+// restored session answers 200, and the drain then either answers 200
+// with a dump that restores into a fresh server and drains to the same
+// bytes, or answers 500 and leaves every session in place.
+func FuzzSessionsRestore(f *testing.F) {
+	dump := twoSessionDump(f)
+	f.Add(dump)
+	for _, tc := range restoreRejects(f, dump) {
+		f.Add([]byte(tc.body))
+	}
+	reg := NewRegistry()
+	if err := reg.Register("cpi", "v1", buildTree(f, perfData(1200, 5)), ""); err != nil {
+		f.Fatal(err)
+	}
+	server := func() http.Handler { return New(reg, streamConfig()).Handler() }
+	tail := streamTrace(4, 99, 99, 0, 9)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := server()
+		if rec := post(h, "/v1/sessions/restore", string(data)); rec.Code != http.StatusOK {
+			if n := streamSessionCount(t, h); n != 0 {
+				t.Fatalf("rejected restore (%d) installed %d sessions", rec.Code, n)
+			}
+			return
+		}
+		var req struct{ Sessions []sessionState }
+		if err := json.Unmarshal(data, &req); err != nil {
+			t.Fatalf("accepted body does not decode: %v", err)
+		}
+		// Every model an accepted body names resolves to cpi@v1, so the
+		// session id alone keys the table.
+		keys := map[string]bool{}
+		for _, st := range req.Sessions {
+			path := "/v1/stream?model=" + url.QueryEscape(st.Model) + "&session=" + url.QueryEscape(st.Session)
+			if rec := postNDJSON(h, path, tail); rec.Code != http.StatusOK {
+				t.Fatalf("stream to restored session %q: status %d: %s", st.Session, rec.Code, rec.Body)
+			}
+			keys[st.Session] = true
+		}
+		drain := post(h, "/v1/sessions/drain", "")
+		switch drain.Code {
+		case http.StatusOK:
+			h2 := server()
+			if rec := post(h2, "/v1/sessions/restore", drain.Body.String()); rec.Code != http.StatusOK {
+				t.Fatalf("a drained dump does not restore: status %d: %s", rec.Code, rec.Body)
+			}
+			if again := post(h2, "/v1/sessions/drain", ""); !bytes.Equal(again.Body.Bytes(), drain.Body.Bytes()) {
+				t.Fatalf("re-drain differs from the restored dump:\n  %s\n  %s", drain.Body, again.Body)
+			}
+		case http.StatusInternalServerError:
+			if n := streamSessionCount(t, h); n != len(keys) {
+				t.Fatalf("failed drain left %d sessions, want %d", n, len(keys))
+			}
+		default:
+			t.Fatalf("drain: status %d: %s", drain.Code, drain.Body)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -394,28 +395,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	*bufp = buf
-	if _, err := w.Write(buf); err != nil || encErr != nil {
-		// The client is gone, or an event holds a value JSON cannot
-		// represent: stop after the events before it, state is consistent.
-		return
+	if _, err := w.Write(buf); err != nil {
+		return // the client is gone; state is consistent
 	}
 	// Push completed events to the client now, ahead of the summary.
 	if flusher, ok := w.(http.Flusher); ok && len(events) > 0 {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	if ingestErr != nil {
-		// The monitors kept whatever prefix they ingested; report on the
-		// stream since the 200 header is already out.
-		_ = enc.Encode(streamErrorLine(ingestErr))
+	// An event holding a value JSON cannot represent ends the response
+	// after the events before it. The monitors kept whatever prefix they
+	// ingested. Either failure is reported on the stream, since the 200
+	// header is already out.
+	if err := cmp.Or(encErr, ingestErr); err != nil {
+		_ = enc.Encode(streamErrorLine(err))
 		return
 	}
-	_ = enc.Encode(streamSummary{
+	if err := enc.Encode(streamSummary{
 		Type:     "summary",
 		Model:    e.Ref(),
 		Machine:  e.Model.Describe().Machine,
 		Session:  sessionID,
 		Ingested: len(recs),
 		Stats:    stats,
-	})
+	}); err != nil {
+		// The session's stats hold a value JSON cannot represent.
+		_ = enc.Encode(streamErrorLine(err))
+	}
 }

@@ -334,15 +334,10 @@ func wireChunks(chunking string, n int) []int {
 	return sizes
 }
 
-// replayWire posts every session's lines in the given chunking, the
+// replayWire posts every session's lines to h in the given chunking, the
 // sessions' requests interleaved round robin, and hashes every response.
-func replayWire(t *testing.T, fx *wireFixtureData, lines [][]string, chunking string) (string, map[string]int) {
+func replayWire(t *testing.T, h http.Handler, lines [][]string, chunking string) (string, map[string]int) {
 	t.Helper()
-	reg := NewRegistry()
-	if err := reg.Register("cpi", "v1", fx.tree, ""); err != nil {
-		t.Fatal(err)
-	}
-	h := New(reg, DefaultConfig()).Handler()
 	type cursor struct{ pos, next int }
 	chunks := make([][]int, len(lines))
 	for si := range lines {
@@ -417,7 +412,7 @@ func TestStreamWireGolden(t *testing.T) {
 	for _, trace := range []string{"clean", "corrupt", "drift", "wire"} {
 		lines := wireTrace(fx, trace)
 		for _, chunking := range []string{"c16", "c64", "random"} {
-			h, types := replayWire(t, fx, lines, chunking)
+			h, types := replayWire(t, metamorphicServer(t, fx), lines, chunking)
 			got[trace+"/"+chunking] = h
 			// Each trace must reach the event type it exists to exercise.
 			want := map[string]string{"clean": "phase", "corrupt": "refute", "drift": "drift", "wire": "sample"}[trace]
@@ -427,6 +422,49 @@ func TestStreamWireGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, wireGolden, got)
+}
+
+// drainGolden maps each trace to the hash of the /v1/sessions/drain body
+// after its c16 replay; "corrupt/redrain" is the hash of draining a fresh
+// server that restored the corrupt trace's dump.
+var drainGolden = map[string]string{
+	"clean":           "bbb808890d714f3bc3575eb27fa4ee1f3485152f6f3c3920d748cc719ec2841d",
+	"corrupt":         "37757b031b23a9dcefb8f83bb9867eaa63b4a83c5cdc093fe085c6947cb7eda2",
+	"corrupt/redrain": "37757b031b23a9dcefb8f83bb9867eaa63b4a83c5cdc093fe085c6947cb7eda2",
+	"drift":           "1b32e6ba3a8b6ab2f4925908ab113564db585f5b07e43df158b84396fb2a12ea",
+	"wire":            "299bd904a10883770debf01513cd143711f4539eb3f299e8d5f076601686004a",
+}
+
+// TestDrainWireGolden pins the bytes of the session dump: the drain body
+// after every trace's 16-sample replay, and the drain of a fresh server
+// restored from one of those dumps, which must equal the dump it read.
+func TestDrainWireGolden(t *testing.T) {
+	fx := loadWireFixture(t)
+	got := map[string]string{}
+	dumps := map[string][]byte{}
+	drain := func(h http.Handler) []byte {
+		rec := post(h, "/v1/sessions/drain", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("drain: status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for _, trace := range []string{"clean", "corrupt", "drift", "wire"} {
+		h := metamorphicServer(t, fx)
+		replayWire(t, h, wireTrace(fx, trace), "c16")
+		dumps[trace] = drain(h)
+		got[trace] = fmt.Sprintf("%x", sha256.Sum256(dumps[trace]))
+	}
+	h := metamorphicServer(t, fx)
+	if rec := post(h, "/v1/sessions/restore", string(dumps["corrupt"])); rec.Code != http.StatusOK {
+		t.Fatalf("restore: status %d: %s", rec.Code, rec.Body)
+	}
+	redrain := drain(h)
+	if string(redrain) != string(dumps["corrupt"]) {
+		t.Error("re-drain after restore differs from the dump that was restored")
+	}
+	got["corrupt/redrain"] = fmt.Sprintf("%x", sha256.Sum256(redrain))
+	checkGolden(t, drainGolden, got)
 }
 
 // wireInvalidLines are skipped by RunMonitor under SkipInvalid; they are

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/model"
@@ -61,28 +60,16 @@ type ProcessorState struct {
 	EwmaObs  float64 `json:"ewma_obs"`
 	// Bench is the last scored sample's label.
 	Bench string `json:"bench,omitempty"`
-	// Windows, Pending and Dropped are v1/v2 fields, decoded only so
-	// older dumps restore; State never writes them. Windows duplicated
-	// Refutation.Windows (a v1 dump has none, and its window count
-	// restarts with its checking). A restore rejects pending samples and a
-	// non-zero drop count: they come from a processor that batched its
-	// scoring, and this one has no window to put them in.
-	Windows uint64            `json:"windows,omitempty"`
-	Pending []json.RawMessage `json:"pending,omitempty"`
-	Dropped uint64            `json:"dropped,omitempty"`
 	// Monitor internals.
 	Phases phases.OnlineState `json:"phases"`
 	PH     PHState            `json:"ph"`
 	// Refutation is the counter-consistency checker's accumulated state
-	// (nil when checking is disabled or the snapshot predates it).
+	// (nil when checking is disabled).
 	Refutation *refute.State `json:"refutation,omitempty"`
 }
 
-// processorStateVersion is the current ProcessorState wire version.
-// Version 1 lacked the refutation field; v1 snapshots still restore,
-// with consistency checking starting fresh. Version 3 dropped the
-// pending window and the drop count, and counts closed phases instead
-// of listing them (phases.StreamState.Closed).
+// processorStateVersion is the ProcessorState wire version;
+// RestoreProcessor rejects every other one.
 const processorStateVersion = 3
 
 // State snapshots the processor. The caller must hold whatever lock
@@ -114,22 +101,21 @@ func (p *Processor) State() ProcessorState {
 // RestoreProcessor rebuilds a processor for model m under cfg from a
 // drained snapshot. The model and configuration must match what the
 // drained processor ran with (same schema, detector tuning); mismatches
-// that are detectable — wrong schema, pending samples or a non-zero
-// drop count from an older dump, debounce-ring drift — are errors.
+// that are detectable — another wire version, a missing refutation
+// block while checking is on, debounce-ring drift — are errors, and so
+// is a state no processor writes, such as a negative drift-detector
+// sample count.
 func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor, error) {
-	if st.SchemaVersion < 1 || st.SchemaVersion > processorStateVersion {
-		return nil, fmt.Errorf("stream: unsupported processor state version %d (want 1..%d)",
+	if st.SchemaVersion != processorStateVersion {
+		return nil, fmt.Errorf("stream: processor state version %d is not supported; this build reads version %d only",
 			st.SchemaVersion, processorStateVersion)
+	}
+	if st.PH.N < 0 {
+		return nil, fmt.Errorf("stream: snapshot drift detector has a negative sample count %d", st.PH.N)
 	}
 	p, err := NewProcessor(m, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(st.Pending) != 0 {
-		return nil, fmt.Errorf("stream: snapshot holds %d unscored samples; replay them to the restored session instead", len(st.Pending))
-	}
-	if st.Dropped != 0 {
-		return nil, fmt.Errorf("stream: snapshot reports %d dropped samples, want 0", st.Dropped)
 	}
 	online, err := phases.RestoreOnline(p.cfg.Phases, st.Phases, len(p.sc.featIdx))
 	if err != nil {
@@ -137,10 +123,14 @@ func RestoreProcessor(m model.Model, cfg Config, st ProcessorState) (*Processor,
 	}
 	p.online = online
 	p.ph.RestoreState(st.PH)
-	if st.Refutation != nil {
+	switch {
+	case st.Refutation != nil:
 		if err := p.refuter.RestoreState(*st.Refutation); err != nil {
 			return nil, err
 		}
+	case p.refuter.Enabled():
+		// Checking from scratch would report a refuted session consistent.
+		return nil, fmt.Errorf("stream: snapshot has no refutation state, but this processor checks counter relations")
 	}
 	p.scored = st.Scored
 	p.invalid.Store(st.Invalid)

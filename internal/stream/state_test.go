@@ -57,23 +57,12 @@ func ingestAll(t *testing.T, p *Processor, samples []Sample) []Event {
 	return events
 }
 
-// restoreVia restores st into a processor after a JSON round trip,
-// letting edit rewrite the wire form first.
-func restoreVia(t *testing.T, m model.Model, cfg Config, st ProcessorState, edit func(map[string]any)) *Processor {
+// restoreVia restores st into a processor after a JSON round trip.
+func restoreVia(t *testing.T, m model.Model, cfg Config, st ProcessorState) *Processor {
 	t.Helper()
 	wire, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if edit != nil {
-		var doc map[string]any
-		if err := json.Unmarshal(wire, &doc); err != nil {
-			t.Fatal(err)
-		}
-		edit(doc)
-		if wire, err = json.Marshal(doc); err != nil {
-			t.Fatal(err)
-		}
 	}
 	var decoded ProcessorState
 	if err := json.Unmarshal(wire, &decoded); err != nil {
@@ -86,101 +75,49 @@ func restoreVia(t *testing.T, m model.Model, cfg Config, st ProcessorState, edit
 	return p
 }
 
-// olderDump rewrites a v3 snapshot taken at a window boundary into the
-// v1 or v2 wire form: no pending sample, a zero drop count, the closed
-// phases listed rather than counted, windows at the top level, and (v1)
-// no refutation state. Every dump a server made had this shape, since
-// the server scored each request's partial window before answering.
-func olderDump(version int) func(map[string]any) {
-	return func(doc map[string]any) {
-		doc["schema_version"] = version
-		delete(doc, "bench")
-		doc["pending"] = []any{}
-		doc["dropped"] = 0
-		if ref, ok := doc["refutation"].(map[string]any); ok {
-			doc["windows"] = ref["windows"]
-			ref["schema_version"] = 1
-		}
-		if version == 1 {
-			delete(doc, "refutation")
-		}
-		if st, ok := doc["phases"].(map[string]any)["stream"].(map[string]any); ok {
-			width := len(st["scale"].([]any))
-			var segs []any
-			for i := 0; i < int(st["closed"].(float64)); i++ {
-				segs = append(segs, map[string]any{"Start": i, "End": i + 1, "Centroid": make([]float64, width)})
-			}
-			st["segs"] = segs
-			delete(st, "closed")
-		}
-	}
-}
-
 // TestProcessorStateRoundTrip is the replica-handoff guarantee: a
 // processor drained mid-stream (with the refutation window half full
 // and the detectors mid-phase) and restored through a JSON round trip
 // must be indistinguishable from one that never stopped — byte-identical
 // Stats at the handoff point and identical events ever after. The cut
 // runs over every offset of one refutation window, plus one cut in a
-// later window, past the drift shift. v1 and v2 dumps (the forms older
-// servers wrote) taken at a window boundary restore and continue the
-// same way.
+// later window, past the drift shift.
 func TestProcessorStateRoundTrip(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	cfg := stateTestConfig()
 	samples := traceSamples(t, 400, 200, 300, 0.4, 7)
 
-	type variant struct {
-		name string
-		cut  int
-		cfg  Config
-		edit func(map[string]any)
-	}
 	const windowStart = 208 // mid first phase
-	var variants []variant
+	var cuts []int
 	for off := 0; off < refute.WindowSections; off++ {
-		variants = append(variants, variant{fmt.Sprintf("cut=%d", windowStart+off), windowStart + off, cfg, nil})
+		cuts = append(cuts, windowStart+off)
 	}
-	variants = append(variants, variant{"cut=311", 311, cfg, nil})
-	// v1 dumps carry no refutation state, so both sides run without it.
-	noRefute := cfg
-	noRefute.Refute.Disabled = true
-	const boundaryCut = 7 * refute.WindowSections // past the phase change
-	variants = append(variants,
-		variant{"v2", boundaryCut, cfg, olderDump(2)},
-		variant{"v1", boundaryCut, noRefute, olderDump(1)})
+	cuts = append(cuts, 311)
 
-	controls := map[bool][]Event{}
-	controlStats := map[bool][]byte{}
-	for _, c := range []Config{cfg, noRefute} {
-		control, err := NewProcessor(tree, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		controls[c.Refute.Disabled] = ingestAll(t, control, samples)
-		if controlStats[c.Refute.Disabled], err = json.Marshal(control.Stats()); err != nil {
-			t.Fatal(err)
-		}
+	control, err := NewProcessor(tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEvents := ingestAll(t, control, samples)
+	wantStats, err := json.Marshal(control.Stats())
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			wantEvents, wantStats := controls[v.cfg.Refute.Disabled], controlStats[v.cfg.Refute.Disabled]
-			a, err := NewProcessor(tree, v.cfg)
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			a, err := NewProcessor(tree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			firstEvents := ingestAll(t, a, samples[:v.cut])
+			firstEvents := ingestAll(t, a, samples[:cut])
 
 			st := a.State()
-			if st.Refutation != nil && st.Refutation.WindowSamples != uint64(v.cut%refute.WindowSections) {
-				t.Fatalf("snapshot's open window holds %d samples, want %d",
-					st.Refutation.WindowSamples, v.cut%refute.WindowSections)
+			if st.Refutation == nil || st.Refutation.WindowSamples != uint64(cut%refute.WindowSections) {
+				t.Fatalf("snapshot's refutation state %+v, want an open window of %d samples",
+					st.Refutation, cut%refute.WindowSections)
 			}
-			if v.edit != nil && (st.Phases.Stream == nil || st.Phases.Stream.Closed == 0) {
-				t.Fatal("fixture: no closed phase to list in the older dump")
-			}
-			b := restoreVia(t, tree, v.cfg, st, v.edit)
+			b := restoreVia(t, tree, cfg, st)
 
 			// Stats byte-identical at the handoff point.
 			sa, errA := json.Marshal(a.Stats())
@@ -192,7 +129,7 @@ func TestProcessorStateRoundTrip(t *testing.T) {
 				t.Fatalf("Stats diverged across restore:\n  drained:  %s\n  restored: %s", sa, sb)
 			}
 
-			gotEvents := append(firstEvents, ingestAll(t, b, samples[v.cut:])...)
+			gotEvents := append(firstEvents, ingestAll(t, b, samples[cut:])...)
 			if len(gotEvents) != len(wantEvents) {
 				t.Fatalf("restored run emitted %d events, uninterrupted run %d", len(gotEvents), len(wantEvents))
 			}
@@ -212,8 +149,9 @@ func TestProcessorStateRoundTrip(t *testing.T) {
 }
 
 // TestRestoreProcessorRejectsBadState pins the detectable-mismatch
-// errors: wrong wire version, pending samples or a non-zero drop count
-// from an older dump, and a debounce ring of the wrong width.
+// errors: a wire version other than the current one, a missing
+// refutation block while checking is on, a negative drift-detector
+// count and a debounce ring of the wrong width.
 func TestRestoreProcessorRejectsBadState(t *testing.T) {
 	tree := trainTree(t, perfData(1200, 5))
 	cfg := stateTestConfig()
@@ -226,28 +164,29 @@ func TestRestoreProcessorRejectsBadState(t *testing.T) {
 	ingestAll(t, p, samples)
 	good := p.State()
 
+	for _, v := range []int{1, 2, 99} {
+		bad := good
+		bad.SchemaVersion = v
+		if _, err := RestoreProcessor(tree, cfg, bad); err == nil {
+			t.Errorf("schema version %d accepted", v)
+		}
+	}
+
 	bad := good
-	bad.SchemaVersion = 99
+	bad.Refutation = nil
 	if _, err := RestoreProcessor(tree, cfg, bad); err == nil {
-		t.Error("wrong schema version accepted")
+		t.Error("a dump without refutation state accepted by a checking processor")
+	}
+	noRefute := cfg
+	noRefute.Refute.Disabled = true
+	if _, err := RestoreProcessor(tree, noRefute, bad); err != nil {
+		t.Errorf("a dump without refutation state rejected with checking off: %v", err)
 	}
 
 	bad = good
-	bad.SchemaVersion = 2
-	line, err := json.Marshal(samples[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Pending = []json.RawMessage{line}
+	bad.PH.N = -1
 	if _, err := RestoreProcessor(tree, cfg, bad); err == nil {
-		t.Error("a v2 dump with a pending sample accepted")
-	}
-
-	bad = good
-	bad.SchemaVersion = 2
-	bad.Dropped = 1
-	if _, err := RestoreProcessor(tree, cfg, bad); err == nil {
-		t.Error("non-zero dropped count accepted")
+		t.Error("negative drift-detector count accepted")
 	}
 
 	if good.Phases.Stream != nil {
