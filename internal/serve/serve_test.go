@@ -328,6 +328,37 @@ func TestTrailingRequestDataRejected(t *testing.T) {
 	}
 }
 
+// discardWriter is a ResponseWriter that keeps nothing, so an
+// allocation count sees only the handler's own allocations.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// TestWriteJSONAllocs: encoding a response into a pooled buffer before
+// its status line allocates no more per response, once the pool is
+// warm, than encoding straight to the writer did.
+func TestWriteJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	w := discardWriter{h: http.Header{}}
+	resp := predictResponse{Model: "cpi@v1", N: 64, Predictions: make([]float64, 64)}
+	for i := range resp.Predictions {
+		resp.Predictions[i] = 0.6 + float64(i)/1e3
+	}
+	direct := testing.AllocsPerRun(100, func() {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_ = json.NewEncoder(w).Encode(resp)
+	})
+	buffered := testing.AllocsPerRun(100, func() { writeJSON(w, http.StatusOK, resp) })
+	if buffered > direct {
+		t.Errorf("writeJSON: %v allocations per response, the direct encode %v", buffered, direct)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	s, tree, d := newTestServer(t, DefaultConfig())
 	h := s.Handler()

@@ -440,12 +440,12 @@ func twoSessionDump(tb testing.TB) []byte {
 	tb.Helper()
 	s, _, _ := newTestServer(tb, streamConfig())
 	h := s.Handler()
-	for _, body := range []struct{ session, trace string }{
+	for _, sess := range []struct{ id, trace string }{
 		{"r", corruptTrace(2*refute.WindowSections, 0)},
 		{"w", streamTrace(refute.WindowSections+20, 20, 9999, 0, 3)},
 	} {
-		if rec := postNDJSON(h, "/v1/stream?model=cpi&session="+body.session, body.trace); rec.Code != http.StatusOK {
-			tb.Fatalf("session %s: status %d: %s", body.session, rec.Code, rec.Body)
+		if rec := postNDJSON(h, "/v1/stream?model=cpi&session="+sess.id, sess.trace); rec.Code != http.StatusOK {
+			tb.Fatalf("session %s: status %d: %s", sess.id, rec.Code, rec.Body)
 		}
 	}
 	rec := post(h, "/v1/sessions/drain", "")
