@@ -3,6 +3,7 @@ package refute
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -468,6 +469,56 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		other.SchemaVersion = v
 		if err := c.RestoreState(other); err == nil {
 			t.Fatalf("restore accepted schema version %d", v)
+		}
+	}
+}
+
+// readStrict decodes one snapshot the way the session restore route
+// reads a request body (unknown fields and trailing data rejected) and
+// validates it.
+func readStrict(data []byte) (State, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s State
+	if err := dec.Decode(&s); err != nil {
+		return State{}, err
+	}
+	if dec.More() {
+		return State{}, errors.New("trailing data after snapshot")
+	}
+	return s, s.Validate()
+}
+
+// TestReadJSONStrict: a checker's own snapshot survives a strict read
+// (every field it writes is one State decodes), and each document a
+// checker does not write is refused.
+func TestReadJSONStrict(t *testing.T) {
+	c := newTableIChecker(t, "core2")
+	blob, err := json.Marshal(c.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readStrict(blob); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	for name, data := range map[string]string{
+		"unknown-field":  `{"schema_version":2,"samples":0,"windows":0,"relations":[],"extra":1}`,
+		"past-version":   `{"schema_version":1,"samples":0,"windows":0,"relations":[]}`,
+		"future-version": `{"schema_version":99,"samples":0,"windows":0,"relations":[]}`,
+		"trailing":       `{"schema_version":2,"samples":0,"windows":0,"relations":[]}{}`,
+		"bad-verdict":    `{"schema_version":2,"samples":1,"windows":1,"relations":[{"name":"x","checked":1,"violations":1,"violated_windows":1,"streak":1,"max_deviation":1,"verdict":"maybe"}]}`,
+		"not-json":       `nope`,
+	} {
+		if _, err := readStrict([]byte(data)); err == nil {
+			t.Fatalf("%s: strict read accepted %q", name, data)
+		}
+	}
+	for _, data := range []string{
+		`{"schema_version":2,"samples":0,"windows":0,"relations":[]}`,
+		`{"schema_version":2,"samples":1,"windows":1,"relations":[{"name":"x","checked":1,"violations":1,"violated_windows":1,"streak":1,"max_deviation":1,"verdict":"refuted"}]}`,
+	} {
+		if _, err := readStrict([]byte(data)); err != nil {
+			t.Fatalf("strict read rejected %q: %v", data, err)
 		}
 	}
 }

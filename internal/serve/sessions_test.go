@@ -525,6 +525,57 @@ func TestSessionsRestoreRejects(t *testing.T) {
 	}
 }
 
+// TestSessionsRestoreFullWindowRejected restores a version-2 dump whose
+// processor carries a full window of pending samples, a form no server
+// writes any more. The restore must answer 400 and install nothing, and
+// the next stream request and the metrics scrape must still return.
+// Both run under a deadline, so a session wedged by such a dump fails
+// the test instead of hanging it.
+func TestSessionsRestoreFullWindowRejected(t *testing.T) {
+	const window = 256
+	s, _, _ := newTestServer(t, streamConfig())
+	h := s.Handler()
+
+	trace := streamTrace(window+8, 9999, 9999, 0, 3)
+	lines := strings.Split(strings.TrimSuffix(trace, "\n"), "\n")
+	st := stream.ProcessorState{SchemaVersion: 2}
+	st.Phases.Calibration = stream.DefaultConfig().Calibration
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state map[string]any
+	if err := json.Unmarshal(blob, &state); err != nil {
+		t.Fatal(err)
+	}
+	pending := make([]json.RawMessage, window)
+	for i, line := range lines[:window] {
+		pending[i] = json.RawMessage(line)
+	}
+	state["pending"] = pending
+	dump, err := json.Marshal(map[string]any{
+		"sessions": []map[string]any{{"model": "cpi", "session": "s", "state": state}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := post(h, "/v1/sessions/restore", string(dump))
+	if restore.Code != http.StatusBadRequest {
+		t.Errorf("full-window restore: status %d, want 400 (%s)", restore.Code, restore.Body)
+	}
+	if n := streamSessionCount(t, h); n != 0 {
+		t.Errorf("rejected restore installed %d sessions", n)
+	}
+
+	code, metrics, panicked := streamThenMetrics(t, h, "cpi", strings.Join(lines[window:], "\n")+"\n")
+	if panicked != nil || code != http.StatusOK || metrics != http.StatusOK {
+		t.Errorf("after the rejected restore: /v1/stream %d (panic %v), /metrics %d, want 200 both", code, panicked, metrics)
+	}
+	if n := streamSessionCount(t, h); n != 1 {
+		t.Errorf("%d sessions live, want only the one the stream request opened", n)
+	}
+}
+
 // streamSessionCount reads the live stream session count from
 // /v1/metrics.json.
 func streamSessionCount(t *testing.T, h http.Handler) int {
