@@ -84,12 +84,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildServed|BenchmarkFitGreedy' -benchtime 1x ./internal/mtree/ ./internal/linreg/
 
 # Compiled-evaluator micro-benchmarks (see DESIGN.md §12): pointer walk
-# vs flat-array walk vs the batch kernel, single tree and ensemble, plus
-# the served batch endpoint with kernel on/off. The compiled batch
-# kernel's 0 allocs/op is enforced by TestCompiledBatchKernel
-# (internal/mtree) and TestCompiledBaggerBitIdentical
-# (internal/ensemble). Plus the predict/classify request
-# codec (DESIGN.md §8, "Request codec") against the encoding/json path
+# vs flat-array walk vs the batch kernel, plus the served batch
+# endpoint. The compiled batch kernel's 0 allocs/op is enforced by
+# TestCompiledBatchKernel (internal/mtree). Plus the predict/classify
+# request codec (DESIGN.md §8, "Request codec") against the encoding/json path
 # on the 21-column served schema, and the scanner's number parse on its
 # exact and fallback paths.
 bench-predict:
@@ -118,9 +116,8 @@ bench-micro:
 # Brief runs of every fuzz target (NDJSON sample decoder and the
 # predict/classify request codec — both differential against
 # encoding/json — the JSON scanner they share, the sample line
-# splitter, CSV dataset parser,
-# persisted-tree loader, machine-spec loader, tree/ensemble model
-# loader, refutation-state loader) — long enough to
+# splitter, CSV dataset parser, persisted-tree loader, machine-spec
+# loader, session-dump restore) — long enough to
 # catch parser regressions in CI, short enough to not dominate it. Each
 # target has a checked-in seed corpus under its package's testdata/fuzz/.
 # Every target caps per-input minimization: the fuzzer minimizes each new
@@ -137,7 +134,6 @@ fuzz-short:
 	$(FUZZ) 'FuzzReadCSV' ./internal/dataset/
 	$(FUZZ) 'FuzzTreeReadJSON' ./internal/mtree/
 	$(FUZZ) 'FuzzMachineSpecReadJSON' ./internal/march/
-	$(FUZZ) 'FuzzModelDecode' ./internal/modelio/
 	$(FUZZ) 'FuzzSessionsRestore' ./internal/serve/
 
 experiments:

@@ -1,12 +1,7 @@
 // Command analyze answers the paper's "what" and "how much" questions for
-// a workload: it classifies each section through a trained model, ranks
-// the micro-architectural events by their predicted contribution to CPI,
-// and reports the split-variable impacts.
-//
-// It loads any persisted model — a single M5' tree from cmd/train or a
-// saved bagged ensemble — through the shared Model interface. The
-// tree-structure views (-section decision path, -impacts) need a single
-// tree; the ranked contribution report works for every model kind.
+// a workload: it classifies each section through a tree saved by
+// cmd/train, ranks the micro-architectural events by their predicted
+// contribution to CPI, and reports the split-variable impacts.
 //
 // Typical pipeline:
 //
@@ -27,7 +22,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/counters"
 	"repro/internal/dataset"
-	"repro/internal/modelio"
 	"repro/internal/mtree"
 	"repro/internal/workload"
 )
@@ -44,12 +38,12 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		treePath = fs.String("tree", "", "trained model JSON file (tree from train -out, or a saved ensemble) (required)")
+		treePath = fs.String("tree", "", "model tree JSON file from train -out (required)")
 		in       = fs.String("in", "", "section CSV to analyze")
 		bench    = fs.String("bench", "", "or: simulate and analyze one suite benchmark")
 		scale    = fs.Float64("scale", 0.25, "suite scale when using -bench")
 		seed     = fs.Int64("seed", 99, "simulation seed when using -bench")
-		impacts  = fs.Bool("impacts", false, "also print split-variable impact table (single trees only)")
+		impacts  = fs.Bool("impacts", false, "also print split-variable impact table")
 		section  = fs.Int("section", -1, "print a full Eq.4-style decomposition of this section index")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -60,11 +54,11 @@ func run(args []string, stdout io.Writer) error {
 		return errors.New("-tree plus one of -in or -bench is required")
 	}
 
-	m, err := modelio.LoadFile(*treePath)
+	tree, err := mtree.ReadFile(*treePath)
 	if err != nil {
 		return err
 	}
-	desc := m.Describe()
+	desc := tree.Describe()
 	fmt.Fprintf(stdout, "loaded %s: %d leaves, target %s, trained on %d sections\n\n",
 		desc.Kind, desc.NumLeaves, desc.Target, desc.TrainN)
 
@@ -95,39 +89,25 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "simulated %s: %d sections\n\n", *bench, d.Len())
 	}
 
-	report := analysis.AnalyzeWorkload(m, d)
+	report := analysis.AnalyzeWorkload(tree, d)
 	fmt.Fprint(stdout, report.Render())
-
-	tree, isTree := m.(*mtree.Tree)
 
 	if *section >= 0 {
 		if *section >= d.Len() {
 			return fmt.Errorf("section %d out of range (%d sections)", *section, d.Len())
 		}
-		row := d.Row(*section)
-		if isTree {
-			sr := analysis.AnalyzeSection(tree, row)
-			fmt.Fprintf(stdout, "\nsection %d: class LM%d, predicted %s %.3f (actual %.3f)\n",
-				*section, sr.LeafID, desc.Target, sr.PredictedCPI, d.Target(*section))
-			fmt.Fprintln(stdout, "decision path:")
-			for _, step := range sr.Path {
-				fmt.Fprintf(stdout, "  %s\n", step)
-			}
-			fmt.Fprintf(stdout, "baseline (intercept): %.4f\n", sr.Baseline)
-			printContributions(stdout, sr.Contributions)
-		} else {
-			// No single decision path for an ensemble; report the
-			// member-averaged decomposition instead.
-			fmt.Fprintf(stdout, "\nsection %d: predicted %s %.3f (actual %.3f), %s decomposition:\n",
-				*section, desc.Target, m.Predict(row), d.Target(*section), desc.Kind)
-			printContributions(stdout, m.Contributions(row))
+		sr := analysis.AnalyzeSection(tree, d.Row(*section))
+		fmt.Fprintf(stdout, "\nsection %d: class LM%d, predicted %s %.3f (actual %.3f)\n",
+			*section, sr.LeafID, desc.Target, sr.PredictedCPI, d.Target(*section))
+		fmt.Fprintln(stdout, "decision path:")
+		for _, step := range sr.Path {
+			fmt.Fprintf(stdout, "  %s\n", step)
 		}
+		fmt.Fprintf(stdout, "baseline (intercept): %.4f\n", sr.Baseline)
+		printContributions(stdout, sr.Contributions)
 	}
 
 	if *impacts {
-		if !isTree {
-			return fmt.Errorf("-impacts requires a single tree; %s has no shared split structure", desc.Kind)
-		}
 		fmt.Fprintln(stdout, "\nsplit-variable impacts over this dataset:")
 		fmt.Fprint(stdout, analysis.RenderSplitImpacts(analysis.SplitImpacts(tree, d)))
 	}

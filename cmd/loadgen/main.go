@@ -103,10 +103,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	tcfg.Schema = loadgen.Schema{Attrs: info.Attrs, Target: info.Target}
-	if !info.Classifiable && tcfg.Mix.Classify > 0 {
-		fmt.Fprintf(stderr, "loadgen: model %s is not classifiable; dropping classify traffic from the mix\n", info.Name)
-		tcfg.Mix.Classify = 0
-	}
 
 	tr, err := loadgen.Synthesize(tcfg)
 	if err != nil {

@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/modelio"
 	"repro/internal/mtree"
 	"repro/internal/refute"
 	"repro/internal/stream"
@@ -71,7 +70,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("monitor", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		modelPath   = fs.String("model", "", "persisted model file (tree or ensemble)")
+		modelPath   = fs.String("model", "", "model tree JSON file from train -out")
 		in          = fs.String("in", "-", "NDJSON sample stream (\"-\" = stdin)")
 		follow      = fs.Bool("follow", false, "keep reading as the input file grows (tail -f)")
 		calibration = fs.Int("calibration", 32, "sections used to calibrate phase-detector noise scales")
@@ -136,7 +135,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return errors.New("-model is required (or use -demo)")
 	}
-	m, err := modelio.LoadFile(*modelPath)
+	m, err := mtree.ReadFile(*modelPath)
 	if err != nil {
 		return err
 	}

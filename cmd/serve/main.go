@@ -1,14 +1,12 @@
 // Command serve exposes trained CPI models over HTTP: the paper's
-// train-once / analyze-many oracle as an online service. Models persisted
-// by cmd/train (single M5' trees) or saved as bagged ensembles — JSON
-// files, the kind sniffed automatically — are loaded
-// into a named, versioned registry, compiled to flat-array evaluators,
-// and served at /v1/predict (single +
+// train-once / analyze-many oracle as an online service. M5' trees saved
+// by cmd/train (JSON files) are loaded into a named, versioned registry,
+// compiled to flat-array evaluators, and served at /v1/predict (single +
 // batch, optional per-event contribution breakdown), /v1/classify (leaf
 // id + decision path), /v1/stream (NDJSON ingestion into a persistent
 // per-session phase/drift/refutation monitor that scores every sample on
 // arrival), /v1/models (listing) and
-// /v1/models/{ref} (schema, versions, source path, classifiability),
+// /v1/models/{ref} (schema, versions, source path),
 // /healthz, /metrics (text exposition) and /v1/metrics.json (structured
 // per-route counters + latency histograms). Errors are uniform
 // {"error":{"code","message"}} envelopes with stable codes.
@@ -130,7 +128,7 @@ func newServer(args []string, logOut io.Writer) (*http.Server, *http.Server, int
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(logOut)
 	var models modelFlags
-	fs.Var(&models, "model", "model to serve, as name=path or name@version=path (repeatable)")
+	fs.Var(&models, "model", "model tree JSON file from train -out to serve, as name=path or name@version=path (repeatable)")
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		jobs      = fs.Int("jobs", 0, "-demo training workers (0 = all cores, 1 = serial; the model is identical)")

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/modelio"
 	"repro/internal/mtree"
 	"repro/internal/naive"
 	"repro/internal/parallel"
@@ -119,7 +118,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *out != "" {
-		if err := modelio.WriteFile(*out, tree); err != nil {
+		if err := tree.WriteFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "tree written to %s\n", *out)

@@ -24,8 +24,8 @@ import (
 
 // Contribution is one event's share of a section's predicted CPI. It is
 // the shared model.Contribution type: the decomposition is computed by
-// the model itself (Tree.Contributions / Bagger.Contributions), and this
-// package aggregates and renders it.
+// the tree itself (Tree.Contributions), and this package aggregates and
+// renders it.
 type Contribution = model.Contribution
 
 // SectionReport analyzes one section (dataset row).
@@ -87,25 +87,13 @@ type WorkloadReport struct {
 }
 
 // AnalyzeWorkload runs the per-section decomposition over every row of d
-// and aggregates the ranked issue list. It accepts any model.Model: a
-// single tree is analyzed exactly as before (unsmoothed leaf predictions,
-// per-leaf class membership); other models — e.g. the bagged ensemble —
-// fall back to Predict and Contributions, and report no class shares
-// because their sections do not land in a single leaf.
-func AnalyzeWorkload(m model.Model, d *dataset.Dataset) WorkloadReport {
-	tree, isTree := m.(*mtree.Tree)
+// and aggregates the ranked issue list: unsmoothed leaf predictions,
+// per-leaf class membership and the mean Eq. 4 shares.
+func AnalyzeWorkload(tree *mtree.Tree, d *dataset.Dataset) WorkloadReport {
 	rep := WorkloadReport{LeafShare: map[int]float64{}}
 	sums := map[string]*Issue{}
 	for i := 0; i < d.Len(); i++ {
-		var sr SectionReport
-		if isTree {
-			sr = AnalyzeSection(tree, d.Row(i))
-		} else {
-			sr = SectionReport{
-				PredictedCPI:  m.Predict(d.Row(i)),
-				Contributions: m.Contributions(d.Row(i)),
-			}
-		}
+		sr := AnalyzeSection(tree, d.Row(i))
 		rep.N++
 		rep.MeanCPI += sr.PredictedCPI
 		if sr.LeafID > 0 {

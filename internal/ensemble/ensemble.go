@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/model"
 	"repro/internal/mtree"
 	"repro/internal/parallel"
 )
@@ -169,9 +170,31 @@ func (b *Bagger) MeanLeaves() float64 {
 	if len(b.Trees) == 0 {
 		return 0
 	}
+	return float64(b.NumLeaves()) / float64(len(b.Trees))
+}
+
+// NumLeaves returns the total leaf count across the member trees — the
+// number of (overlapping) performance classes the ensemble carries. See
+// MeanLeaves for the per-member readability proxy.
+func (b *Bagger) NumLeaves() int {
 	s := 0
 	for _, t := range b.Trees {
 		s += t.NumLeaves()
 	}
-	return float64(s) / float64(len(b.Trees))
+	return s
+}
+
+// Describe summarizes the ensemble in the registry's model.Description
+// form. Schema fields come from the first member; every member is
+// trained on the same columns.
+func (b *Bagger) Describe() model.Description {
+	d := model.Description{Kind: "bagged-m5", Trees: len(b.Trees), NumLeaves: b.NumLeaves()}
+	if len(b.Trees) > 0 {
+		t := b.Trees[0]
+		d.Target = t.TargetName
+		d.AttrNames = t.AttrNames
+		d.TrainN = t.TrainN
+		d.Machine = t.Machine
+	}
+	return d
 }

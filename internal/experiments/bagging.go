@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ensemble"
 	"repro/internal/eval"
-	"repro/internal/model"
 	"repro/internal/mtree"
 )
 
@@ -50,16 +49,13 @@ func BaggingExp(ctx *Context) (Result, error) {
 		return Result{}, err
 	}
 
-	// Describe the trained ensemble through the shared Model interface —
-	// the same view GET /v1/models serves from the registry.
-	var fm model.Model = full
-	desc := fm.Describe()
+	desc := full.Describe()
 	report := fmt.Sprintf(
 		"single M5'  (%d-fold CV): %s\nbagged x10  (%d-fold CV): %s\n"+
 			"OOB MAE %.4f (coverage %.0f%%), mean member size %.1f leaves\n"+
 			"%s: %d members, %d leaves total\n",
 		folds, rs.Pooled, folds, rb.Pooled, full.OOBError, 100*full.OOBCoverage, full.MeanLeaves(),
-		desc.Kind, desc.Trees, fm.NumLeaves())
+		desc.Kind, desc.Trees, full.NumLeaves())
 	gain := 0.0
 	if rs.Pooled.RAE > 0 {
 		gain = 1 - rb.Pooled.RAE/rs.Pooled.RAE

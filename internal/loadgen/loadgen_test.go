@@ -420,7 +420,7 @@ func TestFetchModelInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Target != "CPI" || len(info.Attrs) != 4 || !info.Classifiable {
+	if info.Target != "CPI" || len(info.Attrs) != 4 {
 		t.Errorf("model info: %+v", info)
 	}
 	if _, err := loadgen.FetchModelInfo(nil, base, "ghost"); err == nil {

@@ -155,11 +155,10 @@ func FetchMetrics(client *http.Client, baseURL string) (*ServerMetrics, error) {
 // ModelInfo is the slice of GET /v1/models/{ref} the harness consumes
 // to shape payloads per model.
 type ModelInfo struct {
-	Name         string   `json:"name"`
-	Version      string   `json:"version"`
-	Attrs        []string `json:"attrs"`
-	Target       string   `json:"target"`
-	Classifiable bool     `json:"classifiable"`
+	Name    string   `json:"name"`
+	Version string   `json:"version"`
+	Attrs   []string `json:"attrs"`
+	Target  string   `json:"target"`
 }
 
 // FetchModelInfo resolves a model reference to its serving detail.

@@ -1,14 +1,12 @@
-// Package model defines the learner-agnostic prediction interface shared
-// by the single M5' tree and the bagged ensemble. It is the contract the
-// serving layer (internal/serve), the CLIs and the analysis code program
-// against, so that a registry or report can hold "a trained CPI model"
-// without caring whether it is one interpretable tree or ten bagged ones.
+// Package model defines the prediction interface of a trained CPI
+// model. It is the contract the serving layer (internal/serve), the
+// stream monitors, the CLIs and the analysis code program against; the
+// M5' tree (internal/mtree) and its compiled prediction kernel
+// implement it.
 //
 // The package sits below the learners: it depends only on
-// internal/dataset, and internal/mtree / internal/ensemble import it to
-// declare conformance. Loading persisted models back as Model values is
-// the job of internal/modelio (which must know every concrete model kind
-// and therefore cannot live here without an import cycle).
+// internal/dataset, and internal/mtree imports it to declare
+// conformance.
 package model
 
 import (
@@ -77,8 +75,8 @@ type Description struct {
 	Machine string `json:"machine,omitempty"`
 }
 
-// Model is a trained CPI predictor. *mtree.Tree and *ensemble.Bagger
-// implement it, and so do their compiled forms.
+// Model is a trained CPI predictor. *mtree.Tree and its compiled form
+// *mtree.CompiledTree implement it.
 type Model interface {
 	// Predict returns the model's estimate of the target for one
 	// full-width instance (smoothed, for models that smooth).
@@ -87,13 +85,12 @@ type Model interface {
 	// Contributions decomposes the (unsmoothed) prediction into per-event
 	// shares, largest CPI contribution first (SortContributions, so ties
 	// keep the order the terms were built in). The sum of Cycles plus
-	// the model baseline reproduces the decomposed prediction exactly
-	// for a single tree; ensembles report member-averaged shares.
+	// the model baseline reproduces the decomposed prediction exactly.
 	Contributions(row dataset.Instance) []Contribution
 
 	// TopContribution returns Contributions(row)[0], the largest CPI
-	// contribution, and false when that slice is empty. Single trees
-	// find it in one leaf walk without building or sorting the slice,
+	// contribution, and false when that slice is empty. A tree finds it
+	// in one leaf walk without building or sorting the slice,
 	// which keeps per-sample stream scoring allocation-free. For a row
 	// with a NaN rate the "largest first" order is undefined, and the
 	// two may then name different events.
@@ -104,32 +101,4 @@ type Model interface {
 
 	// Describe summarizes the model.
 	Describe() Description
-}
-
-// Compilable is implemented by models that can be compiled into a
-// faster, semantically identical form — the pointer-linked M5' tree and
-// the bagged ensemble both compile to flat-array prediction kernels
-// whose predictions are bit-identical to their own. A compiled model
-// keeps the receiver as its source and answers the cold queries
-// (contributions, classification) from it, so the receiver must not
-// change after compiling. The serving registry compiles every
-// Compilable model at registration, and rejects a model that does not
-// end up a BatchPredictor, so the hot path always runs the flat form
-// while training, analysis and persistence keep the original.
-type Compilable interface {
-	// CompileModel returns the compiled equivalent, or an error saying
-	// why the receiver cannot be compiled (a tree with no root or with a
-	// node the compiled form cannot evaluate safely, an ensemble with no
-	// members or with such a tree). Predictions, contributions and
-	// descriptions of the result must match the receiver's exactly.
-	CompileModel() (Model, error)
-}
-
-// BatchPredictor is the batch fast path: compiled models predict a
-// whole slice of rows into a caller-provided buffer without per-row
-// dispatch or allocation. dst must have at least len(rows) elements;
-// dst[i] receives the prediction for rows[i], bit-identical to
-// Predict(rows[i]).
-type BatchPredictor interface {
-	PredictInto(dst []float64, rows []dataset.Instance)
 }

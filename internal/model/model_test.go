@@ -1,23 +1,22 @@
 package model_test
 
-// Interface-conformance tests for the two Model implementations: the
-// Description must agree with the training data and with NumLeaves, and
-// Contributions must be ordered, schema-consistent, and arithmetically
-// coherent — for trees AND ensembles through the same generic checks.
+// Interface-conformance tests for the Model implementations, the M5'
+// tree and its compiled form: the Description must agree with the
+// training data and with NumLeaves, and Contributions must be ordered,
+// schema-consistent, and arithmetically coherent.
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ensemble"
 	"repro/internal/linreg"
 	"repro/internal/model"
 	"repro/internal/mtree"
 	"repro/internal/proptest"
 )
 
-// fixtures trains one tree and one ensemble on the same dataset.
+// fixtures trains one tree and serves it as built and compiled.
 func fixtures(t *testing.T) (*dataset.Dataset, []model.Model) {
 	t.Helper()
 	d := proptest.PerfDataset(proptest.NewRand(proptest.CaseSeed("model-conformance", 0)), 400)
@@ -27,24 +26,18 @@ func fixtures(t *testing.T) (*dataset.Dataset, []model.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bag, err := ensemble.Train(d, ensemble.Config{Trees: 3, Tree: tcfg, SampleFraction: 0.8, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, []model.Model{tree, bag}
+	return d, []model.Model{tree, mtree.Compile(tree)}
 }
 
 func TestDescribeConsistency(t *testing.T) {
 	d, models := fixtures(t)
-	wantKinds := []string{"m5-model-tree", "bagged-m5"}
-	wantTrees := []int{1, 3}
 	for i, m := range models {
 		desc := m.Describe()
-		if desc.Kind != wantKinds[i] {
-			t.Errorf("model %d: Kind %q, want %q", i, desc.Kind, wantKinds[i])
+		if desc.Kind != "m5-model-tree" {
+			t.Errorf("model %d: Kind %q, want %q", i, desc.Kind, "m5-model-tree")
 		}
-		if desc.Trees != wantTrees[i] {
-			t.Errorf("%s: Trees %d, want %d", desc.Kind, desc.Trees, wantTrees[i])
+		if desc.Trees != 1 {
+			t.Errorf("%s: Trees %d, want 1", desc.Kind, desc.Trees)
 		}
 		if desc.Target != d.TargetName() {
 			t.Errorf("%s: Target %q, want %q", desc.Kind, desc.Target, d.TargetName())
@@ -57,14 +50,8 @@ func TestDescribeConsistency(t *testing.T) {
 				t.Errorf("%s: attr %d named %q, want %q", desc.Kind, j, desc.AttrNames[j], a.Name)
 			}
 		}
-		// A single tree reports the full training set; the ensemble
-		// reports its first member's bootstrap size (SampleFraction 0.8).
-		wantTrainN := d.Len()
-		if desc.Trees > 1 {
-			wantTrainN = int(0.8 * float64(d.Len()))
-		}
-		if desc.TrainN != wantTrainN {
-			t.Errorf("%s: TrainN %d, want %d", desc.Kind, desc.TrainN, wantTrainN)
+		if desc.TrainN != d.Len() {
+			t.Errorf("%s: TrainN %d, want %d", desc.Kind, desc.TrainN, d.Len())
 		}
 		if desc.NumLeaves != m.NumLeaves() {
 			t.Errorf("%s: Describe().NumLeaves %d != NumLeaves() %d", desc.Kind, desc.NumLeaves, m.NumLeaves())
@@ -93,13 +80,8 @@ func TestContributionsConsistency(t *testing.T) {
 				if c.Rate != row[c.Attr] {
 					t.Fatalf("%s: Rate %v != row[%d] = %v", desc.Kind, c.Rate, c.Attr, row[c.Attr])
 				}
-				// Exact for a single tree; an ensemble averages Coef and
-				// Cycles over members separately, so the identity holds
-				// only up to floating-point association.
-				if want := c.Coef * c.Rate; desc.Trees == 1 && c.Cycles != want {
+				if want := c.Coef * c.Rate; c.Cycles != want {
 					t.Fatalf("%s: Cycles %v != Coef*Rate %v", desc.Kind, c.Cycles, want)
-				} else if diff := math.Abs(c.Cycles - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
-					t.Fatalf("%s: Cycles %v far from Coef*Rate %v", desc.Kind, c.Cycles, want)
 				}
 				if j > 0 && cs[j-1].Cycles < c.Cycles {
 					t.Fatalf("%s: contributions not sorted largest-first at %d", desc.Kind, j)
@@ -154,7 +136,7 @@ func sameContribution(a, b model.Contribution) bool {
 
 // TestTopContributionMatchesContributions: TopContribution is exactly
 // Contributions(row)[0], or false when that slice is empty, for the
-// pointer and compiled forms of a tree and of an ensemble. Besides the
+// pointer and compiled forms of a tree. Besides the
 // trained fixtures it runs hand-built leaves over rates drawn from a
 // small set, which forces exact Cycles ties (+0 against -0 too),
 // all-zero coefficients, zero predictions and negative contributions.
@@ -167,11 +149,9 @@ func TestTopContributionMatchesContributions(t *testing.T) {
 		Root: &mtree.Node{SplitAttr: -1, LeafID: 1, N: 10,
 			Model: &linreg.Model{Attrs: []int{2, 1}, Coefs: []float64{1, 2}}},
 	}
-	handBag := &ensemble.Bagger{Trees: []*mtree.Tree{hand, single}}
-	zeroBag := &ensemble.Bagger{Trees: []*mtree.Tree{hand}}
-	var models []model.Model
-	for _, m := range []model.Model{trained[0], trained[1], hand, handBag, zeroBag} {
-		cm, err := m.(model.Compilable).CompileModel()
+	models := trained
+	for _, m := range []*mtree.Tree{hand, single} {
+		cm, err := m.CompileModel()
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
@@ -197,7 +177,7 @@ func TestTopContributionMatchesContributions(t *testing.T) {
 	var checked, empty int
 	for mi, m := range models {
 		set := rows
-		if mi < 4 { // the trained fixtures run on their dataset's rows
+		if mi < len(trained) { // the trained fixtures run on their dataset's rows
 			set = nil
 			for i := 0; i < d.Len(); i += 3 {
 				set = append(set, d.Row(i))

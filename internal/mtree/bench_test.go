@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ensemble"
 	"repro/internal/mtree"
 	"repro/internal/proptest"
 )
@@ -131,46 +130,5 @@ func BenchmarkPredictCompiled(b *testing.B) {
 	unsmoothed.Config.Smooth = false
 	b.Run("unsmoothed", func(b *testing.B) {
 		predictBench(b, &unsmoothed, rows)
-	})
-}
-
-// BenchmarkPredictCompiledEnsemble is the batch comparison for a bagged
-// ensemble of production-scale trees. The pointer form walks every
-// member per row, cycling ~10MB of scattered nodes through the cache
-// for each instance; the compiled tree-major kernel runs one member
-// over the whole batch before moving on, keeping that member's arrays
-// cache-resident.
-func BenchmarkPredictCompiledEnsemble(b *testing.B) {
-	d := benchData(20000, 8)
-	cfg := mtree.DefaultConfig()
-	cfg.MinLeaf = 8
-	cfg.Prune = false
-	cfg.SDThresholdFraction = 0.001
-	bag, err := ensemble.Train(d, ensemble.Config{Trees: 8, Tree: cfg, SampleFraction: 1, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := ensemble.CompileBagger(bag)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := benchRows(d, 2048)
-	dst := make([]float64, len(rows))
-
-	b.Run("pointer-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j, row := range rows {
-				dst[j] = bag.Predict(row)
-			}
-		}
-		b.ReportMetric(float64(b.N*len(rows))/b.Elapsed().Seconds(), "rows/s")
-	})
-	b.Run("compiled-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.PredictInto(dst, rows)
-		}
-		b.ReportMetric(float64(b.N*len(rows))/b.Elapsed().Seconds(), "rows/s")
 	})
 }

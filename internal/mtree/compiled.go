@@ -18,7 +18,7 @@ import (
 // path streams one contiguous region.
 //
 // The arrays serve only the hot operations: Predict, the batch kernel
-// PredictInto/AccumulateInto that /v1/predict runs, and TopContribution,
+// PredictInto that /v1/predict runs, and TopContribution,
 // which scores every /v1/stream sample. They predict bit-identically to
 // the *Tree they were compiled from — same comparisons, same
 // coefficient order, same smoothing arithmetic — which the differential
@@ -58,7 +58,6 @@ type walkNode struct {
 
 // CompiledTree serves through the same interface as the pointer tree.
 var _ model.Model = (*CompiledTree)(nil)
-var _ model.BatchPredictor = (*CompiledTree)(nil)
 
 // compiledPathInline is the smoothing-path buffer kept on the stack; a
 // tree deeper than this (never seen in practice — depth grows
@@ -71,19 +70,18 @@ const compiledPathInline = 64
 // for a tree that fails the load-time check (see check; Build never
 // returns one, and ReadJSON rejects it).
 func Compile(t *Tree) *CompiledTree {
-	if t.check() != nil {
-		return nil
-	}
-	return compile(t)
+	c, _ := t.CompileModel()
+	return c
 }
 
-// CompileModel implements model.Compilable: the serving registry calls
-// it on registration to switch the hot path to the flat-array form. A
-// tree that fails the check ReadJSON runs on a decoded file (a split or
-// model attribute outside the schema, a node without a linear model)
-// yields the error ReadJSON would report, and the registry rejects it:
-// a registered tree evaluates any row of its width.
-func (t *Tree) CompileModel() (model.Model, error) {
+// CompileModel is Compile with the reason for a rejection: the serving
+// registry calls it on registration to switch the hot path to the
+// flat-array form. A tree that fails the check ReadJSON runs on a
+// decoded file (a split or model attribute outside the schema, a node
+// without a linear model) yields the error ReadJSON would report, and
+// the registry rejects it: a registered tree evaluates any row of its
+// width.
+func (t *Tree) CompileModel() (*CompiledTree, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
@@ -226,10 +224,13 @@ func (c *CompiledTree) blendPath(row dataset.Instance, path []int32) float64 {
 	return p
 }
 
-// batchInto is the shared per-row loop behind PredictInto (add=false)
-// and AccumulateInto (add=true), running the same scalar walks as
-// Predict with one smoothing-path scratch reused across the batch.
-func (c *CompiledTree) batchInto(dst []float64, rows []dataset.Instance, add bool) {
+// PredictInto is the batch kernel: it fills dst[i] with the prediction
+// for rows[i], allocation-free (walk indices and smoothing paths live
+// on the stack) and bit-identical to calling Predict per row. It runs
+// the same scalar walks as Predict with one smoothing-path scratch
+// reused across the batch. dst must have at least len(rows) elements.
+// This is what the /v1/predict batch endpoint runs.
+func (c *CompiledTree) PredictInto(dst []float64, rows []dataset.Instance) {
 	dst = dst[:len(rows)]
 	var pbuf [compiledPathInline]int32
 	path := pbuf[:0]
@@ -237,35 +238,12 @@ func (c *CompiledTree) batchInto(dst []float64, rows []dataset.Instance, add boo
 		path = make([]int32, 0, c.depth)
 	}
 	for i, row := range rows {
-		var p float64
 		if c.config.Smooth {
-			p = c.predictSmoothed(row, path)
+			dst[i] = c.predictSmoothed(row, path)
 		} else {
-			p = c.lmPredict(c.leafFor(row), row)
-		}
-		if add {
-			dst[i] += p
-		} else {
-			dst[i] = p
+			dst[i] = c.lmPredict(c.leafFor(row), row)
 		}
 	}
-}
-
-// PredictInto is the batch kernel: it fills dst[i] with the prediction
-// for rows[i], allocation-free (walk indices and smoothing paths live
-// on the stack) and bit-identical to calling Predict per row. dst must
-// have at least len(rows) elements. This is what the /v1/predict batch
-// endpoint runs.
-func (c *CompiledTree) PredictInto(dst []float64, rows []dataset.Instance) {
-	c.batchInto(dst, rows, false)
-}
-
-// AccumulateInto adds the prediction for rows[i] onto dst[i] — the
-// tree-major primitive behind the compiled ensemble's batch kernel,
-// which keeps one member's arrays hot in cache across the whole batch
-// instead of touching every member per row.
-func (c *CompiledTree) AccumulateInto(dst []float64, rows []dataset.Instance) {
-	c.batchInto(dst, rows, true)
 }
 
 // Classify answers from the source tree: /v1/classify is not a hot

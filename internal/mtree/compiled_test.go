@@ -63,16 +63,6 @@ func TestCompiledBatchKernel(t *testing.T) {
 				t.Fatalf("row %d: kernel %v != tree %v", i, dst[i], want)
 			}
 		}
-		// AccumulateInto adds onto the caller's partial sums — the
-		// ensemble kernel's contract.
-		acc := make([]float64, len(rows))
-		copy(acc, dst)
-		c.AccumulateInto(acc, rows)
-		for i := range acc {
-			if acc[i] != dst[i]+dst[i] {
-				t.Fatalf("row %d: accumulate %v != 2*%v", i, acc[i], dst[i])
-			}
-		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			c.PredictInto(dst, rows)
 		}); allocs != 0 {

@@ -15,7 +15,9 @@ import (
 // to a stable fixed point (write→read→write byte-identical). That is
 // the contract the property suite checks for well-formed trees, here
 // pushed into the corners only a fuzzer finds (truncated nodes, absurd
-// versions, missing models, attribute indices past the schema).
+// versions, missing models, attribute indices past the schema). The
+// checked-in corpus under testdata/fuzz/ adds a leaf, a split tree, a
+// future-version file and a full tree as cmd/train saves it.
 func FuzzTreeReadJSON(f *testing.F) {
 	valid := `{"schema_version":1,"config":{"MinLeaf":4,"SDThresholdFraction":0.05,"Prune":true,"Smooth":true,"SmoothingK":15,"DropAttributes":true,"SubtreeAttributesOnly":false},"target":"CPI","attrs":["CPI","L2M"],"train_n":10,"global_sd":0.5,"root":{"split_attr":-1,"model":{"intercept":1.5,"attrs":[1],"coefs":[90],"names":["L2M"]},"n":10,"sd":0.5,"mean":1.6,"leaf_id":1}}`
 	f.Add([]byte(valid))

@@ -1,9 +1,11 @@
 package mtree
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/linreg"
 )
@@ -86,6 +88,40 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("mtree: decoded tree: %w", err)
 	}
 	return t, nil
+}
+
+// ReadFile loads a tree saved by WriteFile (or cmd/train -out). A file
+// in the retired binary container format (magic "M5MB") gets a one-line
+// answer instead of a JSON syntax error.
+func ReadFile(path string) (*Tree, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("mtree: %w", err)
+	}
+	if bytes.HasPrefix(data, []byte("M5MB")) {
+		return nil, fmt.Errorf("mtree: loading %s: binary model files are no longer supported; re-save as JSON", path)
+	}
+	t, err := ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("mtree: loading %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// WriteFile saves the tree to path as JSON.
+func (t *Tree) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("mtree: %w", err)
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return fmt.Errorf("mtree: writing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("mtree: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // check is the load-time validation of a tree's node graph, shared by

@@ -9,18 +9,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/ensemble"
-	"repro/internal/model"
 	"repro/internal/mtree"
 )
 
 // BenchmarkServePredict measures the full request path — JSON decode,
 // registry lookup, cache probe, prediction, JSON encode — for a 64-row
 // batch, with the prediction cache off and on. The -cached cases repeat
-// one body, so after the warm-up every row is a warm hit: a single small
-// tree predicts in a few hundred nanoseconds, so for it a hit saves
-// little, while the bagged ensemble shows where a hit pays: it skips all
-// member predictions. tree-cached-miss is the shape of live traffic:
+// one body, so after the warm-up every row is a warm hit: a small tree
+// predicts in a few hundred nanoseconds, so a hit saves little.
+// tree-cached-miss is the shape of live traffic:
 // 21 columns of short decimals (five significant digits, as counter
 // rates print), rows that never repeat, and more distinct bodies than
 // cap/64, so every row misses a full cache and its insert evicts.
@@ -29,13 +26,6 @@ func BenchmarkServePredict(b *testing.B) {
 	cfg := mtree.DefaultConfig()
 	cfg.MinLeaf = 60
 	tree, err := mtree.Build(d, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ecfg := ensemble.DefaultConfig()
-	ecfg.Trees = 10
-	ecfg.Tree = cfg
-	bag, err := ensemble.Train(d, ecfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +54,7 @@ func BenchmarkServePredict(b *testing.B) {
 		missBodies[i] = fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(wide, 64*i, 64*(i+1)))
 	}
 
-	run := func(b *testing.B, m model.Model, scfg Config, bodies []string) {
+	run := func(b *testing.B, m *mtree.Tree, scfg Config, bodies []string) {
 		reg := NewRegistry()
 		if err := reg.Register("cpi", "v1", m, ""); err != nil {
 			b.Fatal(err)
@@ -93,13 +83,11 @@ func BenchmarkServePredict(b *testing.B) {
 	b.Run("tree-uncached", func(b *testing.B) { run(b, tree, withCache(0), body) })
 	b.Run("tree-cached", func(b *testing.B) { run(b, tree, withCache(cacheSize), body) })
 	b.Run("tree-cached-miss", func(b *testing.B) { run(b, wideTree, withCache(cacheSize), missBodies) })
-	b.Run("ensemble-uncached", func(b *testing.B) { run(b, bag, withCache(0), body) })
-	b.Run("ensemble-cached", func(b *testing.B) { run(b, bag, withCache(cacheSize), body) })
 }
 
 // BenchmarkServePredictBatch measures the batch endpoint's compiled
-// batch kernel for a large batch, single tree and ensemble. Uncached:
-// the numbers isolate the prediction path, not the LRU.
+// batch kernel for a large batch. Uncached: the numbers isolate the
+// prediction path, not the LRU.
 func BenchmarkServePredictBatch(b *testing.B) {
 	d := perfData(4000, 11)
 	cfg := mtree.DefaultConfig()
@@ -108,20 +96,13 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ecfg := ensemble.DefaultConfig()
-	ecfg.Trees = 10
-	ecfg.Tree = cfg
-	bag, err := ensemble.Train(d, ecfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	body := fmt.Sprintf(`{"model":"cpi","rows":%s}`, rowsJSON(d, 0, 256))
 	scfg := Config{CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096}
 
-	run := func(b *testing.B, m model.Model) {
+	b.Run("tree-kernel", func(b *testing.B) {
 		reg := NewRegistry()
-		if err := reg.Register("cpi", "v1", m, ""); err != nil {
+		if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 			b.Fatal(err)
 		}
 		h := New(reg, scfg).Handler()
@@ -138,10 +119,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.N*256)/b.Elapsed().Seconds(), "rows/s")
-	}
-
-	b.Run("tree-kernel", func(b *testing.B) { run(b, tree) })
-	b.Run("ensemble-kernel", func(b *testing.B) { run(b, bag) })
+	})
 }
 
 // BenchmarkServeConcurrentPredict measures the request path under

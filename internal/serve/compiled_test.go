@@ -14,10 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ensemble"
 	"repro/internal/linreg"
 	"repro/internal/model"
-	"repro/internal/modelio"
 	"repro/internal/mtree"
 )
 
@@ -32,37 +30,26 @@ func buildServeTree(t testing.TB, d *dataset.Dataset) *mtree.Tree {
 	return tree
 }
 
-// TestRegistryCompilesOnRegister: Compilable models come out of the
-// registry in compiled form, and a model that does not compile to a
-// batch evaluator is rejected without installing anything.
+// TestRegistryCompilesOnRegister: a tree comes out of the registry in
+// compiled form, and a model that does not compile to a batch evaluator
+// is rejected without installing anything.
 func TestRegistryCompilesOnRegister(t *testing.T) {
 	d := perfData(400, 3)
 	tree := buildServeTree(t, d)
-	bag, err := ensemble.Train(d, ensemble.Config{Trees: 3, Tree: tree.Config, SampleFraction: 1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	reg := NewRegistry()
-	for name, m := range map[string]model.Model{"tree": tree, "bag": bag} {
-		if err := reg.Register(name, "v1", m, ""); err != nil {
-			t.Fatal(err)
-		}
+	if err := reg.Register("tree", "v1", tree, ""); err != nil {
+		t.Fatal(err)
 	}
 	if e, _ := reg.Get("tree"); e != nil {
 		if _, ok := e.Model.(*mtree.CompiledTree); !ok {
 			t.Errorf("tree stored as %T, want *mtree.CompiledTree", e.Model)
 		}
 	}
-	if e, _ := reg.Get("bag"); e != nil {
-		if _, ok := e.Model.(*ensemble.CompiledBagger); !ok {
-			t.Errorf("ensemble stored as %T, want *ensemble.CompiledBagger", e.Model)
-		}
-	}
 
 	// kernelless hides everything but the model.Model methods, so it
-	// neither compiles nor carries the batch kernel. A rootless tree and
-	// a member-less ensemble compile to nothing. A tree with a one-child
+	// neither compiles nor carries the batch kernel. A rootless tree
+	// compiles to nothing. A tree with a one-child
 	// interior node, or with a model term outside its schema, fails the
 	// checks a decoded file gets: the first would panic while compiling,
 	// the second on its first prediction.
@@ -79,20 +66,41 @@ func TestRegistryCompilesOnRegister(t *testing.T) {
 		m      model.Model
 		reason string
 	}{
-		"plain":     {kernelless{tree}, "batch evaluator"},
-		"rootless":  {&mtree.Tree{}, "no root"},
-		"empty":     {&ensemble.Bagger{}, "no members"},
-		"nilmember": {&ensemble.Bagger{Trees: []*mtree.Tree{tree, nil}}, "member 1: tree has no root"},
-		"onechild":  {oneChild, "one child"},
-		"badattr":   {badAttr, "reads attribute 7 outside the 2-column schema"},
-		"badmember": {&ensemble.Bagger{Trees: []*mtree.Tree{tree, badAttr}}, "member 1: model term 0 reads attribute 7"},
+		"plain":    {kernelless{tree}, "no batch kernel"},
+		"rootless": {&mtree.Tree{}, "no root"},
+		"onechild": {oneChild, "one child"},
+		"badattr":  {badAttr, "reads attribute 7 outside the 2-column schema"},
 	} {
 		if err := reg.Register(name, "v1", tc.m, ""); err == nil || !strings.Contains(err.Error(), tc.reason) {
 			t.Errorf("%s: registry error %v, want a rejection mentioning %q", name, err, tc.reason)
 		}
-		if _, err := reg.Get(name); err == nil || reg.Len() != 2 || reg.Latest(name) != "" {
+		if _, err := reg.Get(name); err == nil || reg.Len() != 1 || reg.Latest(name) != "" {
 			t.Errorf("%s: rejected model was installed: len %d, latest %q", name, reg.Len(), reg.Latest(name))
 		}
+	}
+}
+
+// noClassify carries the batch kernel but no leaf classes.
+type noClassify struct{ model.Model }
+
+func (noClassify) PredictInto([]float64, []dataset.Instance) {}
+
+// TestRegisterRejectsUnclassifiableModel: Register refuses a model that
+// cannot answer /v1/classify, naming its type, so every served model
+// answers every route and classify meets no model it cannot route.
+func TestRegisterRejectsUnclassifiableModel(t *testing.T) {
+	tree := buildServeTree(t, perfData(400, 3))
+	reg := NewRegistry()
+	err := reg.Register("nc", "v1", noClassify{mtree.Compile(tree)}, "")
+	if err == nil || !strings.Contains(err.Error(), "serve.noClassify") {
+		t.Fatalf("Register error %v, want a rejection naming serve.noClassify", err)
+	}
+	if reg.Len() != 0 {
+		t.Fatalf("rejected model installed: %d entries", reg.Len())
+	}
+	h := New(reg, DefaultConfig()).Handler()
+	if rec := post(h, "/v1/classify", `{"model":"nc","row":[0,0,0,0]}`); rec.Code != http.StatusNotFound {
+		t.Errorf("classify on the rejected model: status %d, want 404: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -104,7 +112,7 @@ func TestRegistryLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
 	path := filepath.Join(dir, "tree.json")
-	if err := modelio.WriteFile(path, tree); err != nil {
+	if err := tree.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.LoadFile("cpi", "v1", path); err != nil {
@@ -133,58 +141,49 @@ func TestRegistryLoadFile(t *testing.T) {
 
 // TestBatchKernelResponseIdentical: every /v1/predict body equals the
 // body built from the uncompiled model's own Predict and Contributions
-// — the pointer walk stays the reference — across both model kinds,
-// batch sizes, cache off/cold/warm, with and without contributions.
+// — the pointer walk stays the reference — across batch sizes, cache
+// off/cold/warm, with and without contributions.
 func TestBatchKernelResponseIdentical(t *testing.T) {
 	d := perfData(600, 11)
 	tree := buildServeTree(t, d)
-	bag, err := ensemble.Train(d, ensemble.Config{Trees: 4, Tree: tree.Config, SampleFraction: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	configs := []Config{
 		{CacheSize: 0, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 		{CacheSize: 512, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 		{CacheSize: 4096, MaxBodyBytes: 1 << 22, MaxBatch: 4096},
 	}
-	for _, m := range []struct {
-		name  string
-		model model.Model
-	}{{"tree", tree}, {"ensemble", bag}} {
-		for _, rows := range []int{1, 64, 300} {
-			for _, contrib := range []bool{false, true} {
-				want := predictResponse{Model: "cpi@v1", N: rows, Predictions: make([]float64, rows)}
+	for _, rows := range []int{1, 64, 300} {
+		for _, contrib := range []bool{false, true} {
+			want := predictResponse{Model: "cpi@v1", N: rows, Predictions: make([]float64, rows)}
+			if contrib {
+				want.Contributions = make([][]model.Contribution, rows)
+			}
+			for i := 0; i < rows; i++ {
+				want.Predictions[i] = tree.Predict(d.Row(i))
 				if contrib {
-					want.Contributions = make([][]model.Contribution, rows)
+					want.Contributions[i] = tree.Contributions(d.Row(i))
 				}
-				for i := 0; i < rows; i++ {
-					want.Predictions[i] = m.model.Predict(d.Row(i))
-					if contrib {
-						want.Contributions[i] = m.model.Contributions(d.Row(i))
-					}
-				}
-				wantBody, err := json.Marshal(want)
-				if err != nil {
+			}
+			wantBody, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := fmt.Sprintf(`{"model":"cpi","rows":%s,"contributions":%t}`, rowsJSON(d, 0, rows), contrib)
+			for ci, cfg := range configs {
+				reg := NewRegistry()
+				if err := reg.Register("cpi", "v1", tree, ""); err != nil {
 					t.Fatal(err)
 				}
-				body := fmt.Sprintf(`{"model":"cpi","rows":%s,"contributions":%t}`, rowsJSON(d, 0, rows), contrib)
-				for ci, cfg := range configs {
-					reg := NewRegistry()
-					if err := reg.Register("cpi", "v1", m.model, ""); err != nil {
-						t.Fatal(err)
+				h := New(reg, cfg).Handler()
+				// Twice: the second request hits a warm cache when enabled.
+				for pass := 0; pass < 2; pass++ {
+					rec := post(h, "/v1/predict", body)
+					if rec.Code != http.StatusOK {
+						t.Fatalf("status %d: %s", rec.Code, rec.Body)
 					}
-					h := New(reg, cfg).Handler()
-					// Twice: the second request hits a warm cache when enabled.
-					for pass := 0; pass < 2; pass++ {
-						rec := post(h, "/v1/predict", body)
-						if rec.Code != http.StatusOK {
-							t.Fatalf("status %d: %s", rec.Code, rec.Body)
-						}
-						if got := rec.Body.String(); got != string(wantBody)+"\n" {
-							t.Fatalf("%s rows=%d contributions=%t cfg=%d pass=%d: served body differs from the pointer walk\nserved: %s\nwant:   %s",
-								m.name, rows, contrib, ci, pass, got, wantBody)
-						}
+					if got := rec.Body.String(); got != string(wantBody)+"\n" {
+						t.Fatalf("rows=%d contributions=%t cfg=%d pass=%d: served body differs from the pointer walk\nserved: %s\nwant:   %s",
+							rows, contrib, ci, pass, got, wantBody)
 					}
 				}
 			}

@@ -29,9 +29,6 @@ const (
 	// ErrCodeTooLarge: body over MaxBodyBytes or batch over MaxBatch
 	// (HTTP 413).
 	ErrCodeTooLarge = "payload_too_large"
-	// ErrCodeUnsupported: the model cannot answer this endpoint, e.g.
-	// classify on an ensemble (HTTP 422).
-	ErrCodeUnsupported = "unsupported"
 	// ErrCodeTimeout: the request body did not arrive before the
 	// connection's read deadline (HTTP 408).
 	ErrCodeTimeout = "timeout"

@@ -6,15 +6,16 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/modelio"
+	"repro/internal/mtree"
 	"repro/internal/stream"
 )
 
 // Registry is the named, versioned model store behind the service. Every
-// entry holds a compiled model — a single M5' tree or a bagged ensemble
-// in flat-array form — under a (name, version) pair; requests address
-// models as "name" (latest registered version) or "name@version".
+// entry holds a compiled M5' tree under a (name, version) pair; requests
+// address models as "name" (latest registered version) or
+// "name@version".
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]map[string]*Entry // name -> version -> entry
@@ -22,11 +23,20 @@ type Registry struct {
 }
 
 // servedModel is what every entry serves: a model with the batch
-// kernel. Register admits nothing else, so no handler type-asserts.
+// kernel and leaf classes, as *mtree.CompiledTree has. Register admits
+// nothing else, so no handler type-asserts.
 type servedModel interface {
 	model.Model
-	model.BatchPredictor
+	// PredictInto fills dst[i] with the prediction for rows[i],
+	// bit-identical to Predict(rows[i]); dst has at least len(rows)
+	// elements.
+	PredictInto(dst []float64, rows []dataset.Instance)
+	// Classify routes an instance to its leaf (the paper's performance
+	// class) along the decision path /v1/classify reports.
+	Classify(row dataset.Instance) (*mtree.Node, []mtree.PathStep)
 }
+
+var _ servedModel = (*mtree.CompiledTree)(nil)
 
 // Entry is one registered model.
 type Entry struct {
@@ -63,16 +73,14 @@ func NewRegistry() *Registry {
 // (name, version) is an error — versions are immutable once served; ship
 // a new version instead.
 //
-// Compilable models (the pointer-linked tree and ensemble) are compiled
-// to their flat-array evaluators here, so the serving hot path always
-// runs the compiled form. A model that does not compile to the batch
-// kernel — including a rootless tree, a member-less ensemble, and a
-// tree that fails the checks a decoded model file gets (see
-// mtree.Tree.CompileModel) — is rejected with the compiler's reason and
-// nothing is installed.
+// A *mtree.Tree is compiled to its flat-array evaluator here, so the
+// serving hot path always runs the compiled form; a tree that fails the
+// checks a decoded model file gets (a rootless tree, one a decoded file
+// could not hold — see mtree.Tree.CompileModel) is rejected with the
+// compiler's reason. So is any other model without the batch kernel and
+// leaf classes, naming its type. A rejected model installs nothing.
 // Compilation never changes a response: compiled predictions,
-// contributions and classifications are bit-identical to the
-// original's.
+// contributions and classifications are bit-identical to the tree's.
 func (r *Registry) Register(name, version string, m model.Model, path string) error {
 	if name == "" || strings.ContainsAny(name, "@ \t\n") {
 		return fmt.Errorf("serve: invalid model name %q", name)
@@ -83,16 +91,16 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	if m == nil {
 		return fmt.Errorf("serve: nil model for %s@%s", name, version)
 	}
-	if c, ok := m.(model.Compilable); ok {
-		cm, err := c.CompileModel()
+	if t, ok := m.(*mtree.Tree); ok {
+		c, err := t.CompileModel()
 		if err != nil {
 			return fmt.Errorf("serve: model %s@%s (%T) does not compile: %w", name, version, m, err)
 		}
-		m = cm
+		m = c
 	}
 	sm, ok := m.(servedModel)
 	if !ok {
-		return fmt.Errorf("serve: model %s@%s (%T) does not compile to a batch evaluator", name, version, m)
+		return fmt.Errorf("serve: model %s@%s (%T) has no batch kernel or leaf classes to serve", name, version, m)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -115,13 +123,13 @@ func (r *Registry) Register(name, version string, m model.Model, path string) er
 	return nil
 }
 
-// LoadFile loads a persisted model (tree or ensemble) and registers it.
+// LoadFile loads a tree saved by cmd/train and registers it.
 func (r *Registry) LoadFile(name, version, path string) error {
-	m, err := modelio.LoadFile(path)
+	t, err := mtree.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	return r.Register(name, version, m, path)
+	return r.Register(name, version, t, path)
 }
 
 // Get resolves a reference: "name" (latest registered version) or

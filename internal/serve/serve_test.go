@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ensemble"
 	"repro/internal/mtree"
 )
 
@@ -397,41 +396,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestClassifyEnsembleUnsupported(t *testing.T) {
-	d := perfData(800, 9)
-	ecfg := ensemble.DefaultConfig()
-	ecfg.Trees = 3
-	ecfg.Tree.MinLeaf = 60
-	bag, err := ensemble.Train(d, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Register("bag", "v1", bag, ""); err != nil {
-		t.Fatal(err)
-	}
-	h := New(reg, DefaultConfig()).Handler()
-
-	row, _ := json.Marshal(d.Row(0))
-	if rec := post(h, "/v1/classify", fmt.Sprintf(`{"model":"bag","row":%s}`, row)); rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("ensemble classify: status %d, want 422", rec.Code)
-	}
-	// Prediction works fine through the same interface.
-	rec := post(h, "/v1/predict", fmt.Sprintf(`{"model":"bag","row":%s}`, row))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("ensemble predict: status %d: %s", rec.Code, rec.Body)
-	}
-	var resp struct {
-		Predictions []float64 `json:"predictions"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if want := bag.Predict(d.Row(0)); resp.Predictions[0] != want {
-		t.Errorf("served %v, want %v", resp.Predictions[0], want)
-	}
-}
-
 func TestModelsAndVersions(t *testing.T) {
 	d := perfData(1200, 5)
 	tree := buildTree(t, d)
@@ -644,9 +608,8 @@ func TestMetricsText(t *testing.T) {
 	}
 }
 
-// TestModelDetail checks GET /v1/models/{ref}: schema, evaluator kind,
-// classifiability and the versions listing — the surface cmd/loadgen
-// uses to shape payloads per model.
+// TestModelDetail checks GET /v1/models/{ref}: schema and the versions
+// listing — the surface cmd/loadgen uses to shape payloads per model.
 func TestModelDetail(t *testing.T) {
 	d := perfData(1200, 5)
 	tree := buildTree(t, d)
@@ -660,14 +623,13 @@ func TestModelDetail(t *testing.T) {
 	h := New(reg, DefaultConfig()).Handler()
 
 	var det struct {
-		Name         string   `json:"name"`
-		Version      string   `json:"version"`
-		Latest       bool     `json:"latest"`
-		Kind         string   `json:"kind"`
-		Attrs        []string `json:"attrs"`
-		Target       string   `json:"target"`
-		Classifiable bool     `json:"classifiable"`
-		Versions     []string `json:"versions"`
+		Name     string   `json:"name"`
+		Version  string   `json:"version"`
+		Latest   bool     `json:"latest"`
+		Kind     string   `json:"kind"`
+		Attrs    []string `json:"attrs"`
+		Target   string   `json:"target"`
+		Versions []string `json:"versions"`
 	}
 	rec := get(h, "/v1/models/cpi")
 	if rec.Code != http.StatusOK {
@@ -682,10 +644,8 @@ func TestModelDetail(t *testing.T) {
 	if det.Target != "CPI" || len(det.Attrs) != 4 {
 		t.Errorf("schema not populated: %s", rec.Body)
 	}
-	if !det.Classifiable {
-		t.Errorf("single tree not classifiable: %s", rec.Body)
-	}
-	if strings.Contains(rec.Body.String(), `"evaluator"`) || strings.Contains(rec.Body.String(), `"batch_kernel"`) {
+	if body := rec.Body.String(); strings.Contains(body, `"evaluator"`) || strings.Contains(body, `"batch_kernel"`) ||
+		strings.Contains(body, `"classifiable"`) {
 		t.Errorf("detail still carries the constant evaluator fields: %s", rec.Body)
 	}
 	if len(det.Versions) != 2 || det.Versions[0] != "v1" || det.Versions[1] != "v2" {

@@ -18,7 +18,7 @@
 //	                   model addressed with ?model=)
 //	GET  /v1/models    registry listing with model descriptions
 //	GET  /v1/models/{ref}  one model's detail: description, source
-//	                   path, classifiability, registered versions
+//	                   path, registered versions
 //	GET  /v1/machines  the march machine-preset registry, with per-machine
 //	                   registered-model counts
 //	GET  /v1/machines/{name}  one machine's full declarative spec (the
@@ -58,7 +58,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/mtree"
 	"repro/internal/stream"
 )
 
@@ -410,13 +409,6 @@ type missScratch struct {
 
 var missScratchPool = sync.Pool{New: func() any { return new(missScratch) }}
 
-// classifier is the optional classification surface: single trees route
-// an instance to one leaf (the paper's performance class); ensembles do
-// not, and report 422 at /v1/classify.
-type classifier interface {
-	Classify(row dataset.Instance) (*mtree.Node, []mtree.PathStep)
-}
-
 type classifyStep struct {
 	Event     string  `json:"event"`
 	Threshold float64 `json:"threshold"`
@@ -456,13 +448,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		return
 	}
-	cl, ok := e.Model.(classifier)
-	if !ok {
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeUnsupported,
-			"model %s (%s) does not expose leaf classes; classify requires a single tree",
-			e.Ref(), e.Model.Describe().Kind)
-		return
-	}
 	rows := s.instances(w, req, e)
 	if rows == nil {
 		return
@@ -470,7 +455,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	resp := classifyResponse{Model: e.Ref(), N: len(rows), Classes: make([]classification, len(rows))}
 	for i, row := range rows {
-		leaf, path := cl.Classify(row)
+		leaf, path := e.Model.Classify(row)
 		steps := make([]classifyStep, len(path))
 		for j, st := range path {
 			steps[j] = classifyStep{Event: st.Name, Threshold: st.Threshold, Above: st.Above}
@@ -492,13 +477,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 // modelDetail is the GET /v1/models/{ref} response: the listing entry
 // plus everything a traffic generator needs to shape payloads for the
-// model — the schema to synthesize rows against and whether
-// /v1/classify will answer.
+// model: the schema to synthesize rows against.
 type modelDetail struct {
 	EntryInfo
-	// Classifiable reports whether /v1/classify answers for this model
-	// (single trees only).
-	Classifiable bool `json:"classifiable"`
 	// Versions lists every registered version of this name, sorted.
 	Versions []string `json:"versions"`
 }
@@ -510,7 +491,6 @@ func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, "%v", err)
 		return
 	}
-	_, classifiable := e.Model.(classifier)
 	writeJSON(w, http.StatusOK, modelDetail{
 		EntryInfo: EntryInfo{
 			Name:        e.Name,
@@ -519,8 +499,7 @@ func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 			Path:        e.Path,
 			Description: e.Model.Describe(),
 		},
-		Classifiable: classifiable,
-		Versions:     s.reg.Versions(e.Name),
+		Versions: s.reg.Versions(e.Name),
 	})
 }
 

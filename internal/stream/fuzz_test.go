@@ -42,8 +42,9 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 //     exactly when the schema check of the reference sample does;
 //   - on acceptance, bench, section, CPI presence and value and every
 //     row column are bit-equal to the reference sample's;
-//   - the map form (DecodeSample) accepts exactly what json.Unmarshal
-//     plus Validate accepts and decodes to an equal Sample.
+//   - the map form (lineParser.sample, which Decoder.Next runs) accepts
+//     exactly what json.Unmarshal plus Validate accepts and decodes to
+//     an equal Sample.
 func FuzzDecodeSample(f *testing.F) {
 	for _, seed := range []string{
 		`{"bench":"mcf","section":12,"events":{"L2M":0.004,"L1IM":0.002},"cpi":1.41}`,
@@ -144,7 +145,8 @@ func FuzzDecodeSample(f *testing.F) {
 			}
 		}
 
-		s, err := DecodeSample(line)
+		var mp lineParser
+		s, err := mp.sample(line)
 		if (err == nil) != (refDecodeErr == nil) {
 			t.Fatalf("map decoder error %v, encoding/json %v", err, refDecodeErr)
 		}

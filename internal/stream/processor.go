@@ -173,36 +173,17 @@ func (p *Processor) Check(s Sample) error {
 	return p.sc.check(&s)
 }
 
-// Ingest validates and scores one sample, returning the events it
-// caused. Invalid samples are counted and returned as an error without
-// touching monitor state.
-func (p *Processor) Ingest(s Sample) ([]Event, error) {
-	rec, err := p.record(&s)
-	if err != nil {
-		p.invalid.Add(1)
-		return nil, err
-	}
-	return p.score(nil, &rec), nil
-}
-
-// IngestChecked is Ingest for a sample that already passed Check, for
-// callers that batch-validate up front: it skips the finiteness checks
-// and counts nothing invalid. A sample with an event outside the schema
-// still fails, before it touches monitor state.
+// IngestChecked scores one sample that already passed Check, returning
+// the events it caused, for callers that batch-validate up front: it
+// skips the finiteness checks and counts nothing invalid. A sample with
+// an event outside the schema still fails, before it touches monitor
+// state.
 func (p *Processor) IngestChecked(s Sample) ([]Event, error) {
 	rec, err := p.sc.record(&s)
 	if err != nil {
 		return nil, err
 	}
 	return p.score(nil, &rec), nil
-}
-
-// record validates a sample and resolves it onto the schema's layout.
-func (p *Processor) record(s *Sample) (Record, error) {
-	if err := s.Validate(); err != nil {
-		return Record{}, err
-	}
-	return p.sc.record(s)
 }
 
 // appendRecord scores a record from Decoder.NextRecord over this

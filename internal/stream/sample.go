@@ -62,12 +62,6 @@ func (s *Sample) Validate() error {
 	return nil
 }
 
-// DecodeSample parses one NDJSON line into a validated Sample.
-func DecodeSample(line []byte) (Sample, error) {
-	var p lineParser
-	return p.sample(line)
-}
-
 // Record is one sample resolved onto a model's attribute layout — the
 // form the processor scores. The row decoder (Decoder.NextRecord)
 // produces records straight from the wire, without a Sample's event map.

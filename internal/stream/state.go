@@ -73,7 +73,7 @@ type ProcessorState struct {
 const processorStateVersion = 3
 
 // State snapshots the processor. The caller must hold whatever lock
-// serializes Ingest calls (the processor itself is not concurrency-
+// serializes the ingest calls (the processor itself is not concurrency-
 // safe, and neither is this).
 func (p *Processor) State() ProcessorState {
 	var ref *refute.State

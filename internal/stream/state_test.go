@@ -45,7 +45,7 @@ func ingestAll(t *testing.T, p *Processor, samples []Sample) []Event {
 	t.Helper()
 	var events []Event
 	for _, s := range samples {
-		evs, err := p.Ingest(s)
+		evs, err := ingest(p, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestProcessorStateSizeBounded(t *testing.T) {
 				"L2M":     0.0008 + 0.0034*a + 0.0001*float64(i%5)/5,
 				"DtlbLdM": 0.0001 + 0.0005*a + 0.00002*float64(i%3)/3,
 			}}
-			if _, err := p.Ingest(s); err != nil {
+			if _, err := ingest(p, s); err != nil {
 				t.Fatal(err)
 			}
 		}

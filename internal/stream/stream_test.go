@@ -320,6 +320,15 @@ func TestMonitorRendersNAWithoutObservedCPI(t *testing.T) {
 	}
 }
 
+// ingest checks and scores one sample, as batch callers do with Check
+// and IngestChecked.
+func ingest(p *Processor, s Sample) ([]Event, error) {
+	if err := p.Check(s); err != nil {
+		return nil, err
+	}
+	return p.IngestChecked(s)
+}
+
 // TestEwmaObservedSeedsOnFirstObservation: when observations start
 // arriving mid-stream, the EWMA must seed on the first real value, not
 // drag up from an arbitrary zero.
@@ -330,7 +339,7 @@ func TestEwmaObservedSeedsOnFirstObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	noObs := Sample{Events: map[string]float64{"L1IM": 0.01, "L2M": 0.001, "DtlbLdM": 0.0001}}
-	if _, err := p.Ingest(noObs); err != nil {
+	if _, err := ingest(p, noObs); err != nil {
 		t.Fatal(err)
 	}
 	if p.Stats().HaveObserved {
@@ -339,7 +348,7 @@ func TestEwmaObservedSeedsOnFirstObservation(t *testing.T) {
 	cpi := 1.5
 	withObs := noObs
 	withObs.CPI = &cpi
-	if _, err := p.Ingest(withObs); err != nil {
+	if _, err := ingest(p, withObs); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -371,7 +380,16 @@ func TestProcessorCheckRejectsWithoutStateChange(t *testing.T) {
 	if err := p.Check(bad); err == nil {
 		t.Fatal("unknown event passed Check")
 	}
-	if _, err := p.Ingest(bad); err == nil {
+	if _, err := p.IngestChecked(bad); err == nil {
+		t.Fatal("unknown event ingested unchecked")
+	}
+	// The wire path carries the schema violation in the record, and
+	// scoring it counts the sample invalid.
+	rec, err := NewDecoder(strings.NewReader(`{"events":{"UNKNOWN":1}}`)).NextRecord(p.sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IngestBatch([]Record{rec}); err == nil {
 		t.Fatal("unknown event ingested")
 	}
 	st := p.Stats()
@@ -399,8 +417,9 @@ func TestDecoderLineNumbersAndRecovery(t *testing.T) {
 }
 
 func TestSampleValidate(t *testing.T) {
+	var lp lineParser
 	nan := `{"events":{"a":1},"cpi":null}`
-	if _, err := DecodeSample([]byte(nan)); err != nil {
+	if _, err := lp.sample([]byte(nan)); err != nil {
 		t.Errorf("null cpi should decode as absent: %v", err)
 	}
 	for _, bad := range []string{
@@ -408,7 +427,7 @@ func TestSampleValidate(t *testing.T) {
 		`{"events":{}}`,
 		`{"events":{"a":1e400}}`,
 	} {
-		if _, err := DecodeSample([]byte(bad)); err == nil {
+		if _, err := lp.sample([]byte(bad)); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
 	}
@@ -472,7 +491,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, s := range samples {
-				if _, err := p.Ingest(s); err != nil {
+				if _, err := ingest(p, s); err != nil {
 					b.Fatal(err)
 				}
 			}
